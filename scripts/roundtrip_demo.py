@@ -12,15 +12,14 @@ import sys
 
 import numpy as np
 
-from ncperiods.cocycle import CuspCollection
 from ncperiods.config import DEFAULT_PANEL, parse_alphabet
 from ncperiods.iterint import QuadConfig
-from ncperiods.modforms import form_linear_combination
-from ncperiods.ncpoly import mono_str
 from ncperiods.reconstruct import (
     build_catalog,
     cocycle_from_json,
+    compare_recovery,
     dump_cocycle_values,
+    hidden_collection,
     peel,
     psi_evaluator,
 )
@@ -42,10 +41,7 @@ def main(argv=None):
 
     rng = np.random.default_rng(args.seed)
     hidden = {e.mono: rng.uniform(-2.0, 2.0, size=e.dim) for e in catalog.entries}
-    h = CuspCollection(alphabet, {
-        m: form_linear_combination(c, catalog.entry(m).forms)
-        for m, c in hidden.items()
-    })
+    h = hidden_collection(catalog, hidden)
     print(f"hidden collection: {len(hidden)} supported monomials, seed {args.seed}")
 
     data = dump_cocycle_values(psi_evaluator(h, args.degree, cfg=cfg),
@@ -56,23 +52,16 @@ def main(argv=None):
         print(f"cocycle values -> {args.out}")
 
     X = cocycle_from_json(data, alphabet, args.degree)
-    recovered, report = peel(X, catalog, cfg=cfg)
-
-    fits = {}
+    _, report = peel(X, catalog, cfg=cfg)
     for stage in report.degrees:
-        fits.update(stage.get("fits", {}))
         print(f"degree {stage['degree']}: abelian check {stage['abelian']['status']}")
 
-    worst = 0.0
+    comparison, worst = compare_recovery(hidden, report)
     print(f"\n{'monomial':<12} {'hidden':>24} {'recovered':>24} {'rel err':>10}")
-    for m in sorted(hidden, key=lambda m: (len(m), m)):
-        want = hidden[m]
-        got = np.asarray(fits[mono_str(m)]["coefficients"])
-        err = float(np.max(np.abs(got - want)) / max(1.0, float(np.max(np.abs(want)))))
-        worst = max(worst, err)
-        wtxt = " ".join(f"{v:+.4f}" for v in want)
-        gtxt = " ".join(f"{v:+.4f}" for v in got)
-        print(f"{mono_str(m):<12} {wtxt:>24} {gtxt:>24} {err:10.2e}")
+    for mono, row in comparison.items():
+        wtxt = " ".join(f"{v:+.4f}" for v in row["hidden"])
+        gtxt = " ".join(f"{v:+.4f}" for v in row["recovered"])
+        print(f"{mono:<12} {wtxt:>24} {gtxt:>24} {row['rel_err']:10.2e}")
     print(f"\nworst relative error {worst:.2e}, "
           f"final residual {report.final_residual:.2e}")
     return 0 if worst <= 1e-4 else 1

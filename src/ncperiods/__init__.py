@@ -41,7 +41,6 @@ from .iterint import (
     r_direct,
     path_split_check,
     vertical_J,
-    omega_apply,
 )
 from .cocycle import (
     CuspCollection,

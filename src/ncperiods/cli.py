@@ -32,17 +32,19 @@ from .cocycle import (
 )
 from .iterint import IterIntError, path_split_check
 from .mlv import double_moments, lambda_probe, moments_table, verify_shuffle
-from .modforms import EvalError, cusp_space_basis, form_linear_combination, level_one_basis
+from .modforms import EvalError, cusp_space_basis, level_one_basis
 from .ncpoly import mono_str, parse_mono
 from .quadrature import QuadratureError
 from .reconstruct import (
     PeelError,
     build_catalog,
+    compare_recovery,
     dump_cocycle_values,
+    hidden_collection,
     peel,
     psi_evaluator,
 )
-from .sl2z import parse_word
+from .sl2z import parse_gamma_label
 
 IDENTITIES = ("cocycle", "equivariance", "mult", "rel2", "rel3", "eta-example", "shuffle")
 
@@ -55,13 +57,8 @@ _X_LO = -0.3 + 0.8j
 
 def _parse_gamma(text: str):
     try:
-        if ":" in text:
-            a, b, c, d = (int(x) for x in text.split(":", 1)[1].split(","))
-            from .sl2z import GroupElement
-
-            return GroupElement(a, b, c, d)
-        return parse_word(text)
-    except (ValueError, TypeError) as e:
+        return parse_gamma_label(text)
+    except ValueError as e:
         raise ConfigError(f"bad group element {text!r}: {e}")
 
 
@@ -197,13 +194,18 @@ def _hidden_from_file(path: str, catalog) -> dict:
         raise ConfigError("hidden-h file must map monomials to coefficient lists")
     coeffs = {}
     for key, val in raw.items():
-        m = parse_mono(key)
+        try:
+            m = parse_mono(key)
+            vec = np.asarray(val, dtype=float)
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"{key}: {e}")
         entry = catalog.entry(m)
         if entry is None:
             raise ConfigError(f"{key}: no cusp forms exist for this monomial")
-        vec = np.asarray(val, dtype=float)
         if vec.shape != (entry.dim,):
             raise ConfigError(f"{key}: expected {entry.dim} coefficients, got {vec.shape}")
+        if not np.all(np.isfinite(vec)):
+            raise ConfigError(f"{key}: coefficients must be finite")
         coeffs[m] = vec
     return coeffs
 
@@ -213,34 +215,15 @@ def cmd_roundtrip(cfg: RunConfig, hidden_path: str | None, random: bool) -> tupl
         raise ConfigError("need exactly one of a hidden-h file or --random")
     panel = cfg.panel_array()
     quad = cfg.quad()
-    alphabet = cfg.the_alphabet()
-    catalog = build_catalog(alphabet, cfg.degree, panel, quad)
+    catalog = build_catalog(cfg.the_alphabet(), cfg.degree, panel, quad)
     if random:
         rng = np.random.default_rng(cfg.seed)
         coeffs = {e.mono: rng.uniform(-2.0, 2.0, size=e.dim) for e in catalog.entries}
     else:
         coeffs = _hidden_from_file(hidden_path, catalog)
-    hidden = CuspCollection(alphabet, {
-        m: form_linear_combination(c, catalog.entry(m).forms) for m, c in coeffs.items()
-    })
-    X = psi_evaluator(hidden, cfg.degree, cfg.z0, quad)
-    recovered, rep = peel(X, catalog, z0=cfg.z0, cfg=quad)
-
-    fits = {}
-    for stage in rep.degrees:
-        fits.update(stage.get("fits", {}))
-    worst = 0.0
-    comparison = {}
-    for m, want in sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        got = np.asarray(fits.get(mono_str(m), {}).get("coefficients",
-                                                       np.zeros_like(want)))
-        err = float(np.max(np.abs(got - want)) / max(1.0, float(np.max(np.abs(want)))))
-        worst = max(worst, err)
-        comparison[mono_str(m)] = {
-            "hidden": [float(v) for v in want],
-            "recovered": [float(v) for v in got],
-            "rel_err": err,
-        }
+    X = psi_evaluator(hidden_collection(catalog, coeffs), cfg.degree, cfg.z0, quad)
+    _, rep = peel(X, catalog, z0=cfg.z0, cfg=quad)
+    comparison, worst = compare_recovery(coeffs, rep)
     ok = worst <= 1e-4
     report = rep.to_dict()
     report.update(comparison=comparison, max_rel_err=worst, **{"pass": bool(ok)})

@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .iterint import Endpoint, QuadConfig, r_direct, vertical_J
-from .ncpoly import (Alphabet, GradedWords, NcPoly, TRIVIAL, MultiplierSpec,
-                     mono_str, mono_weight, mono_eta_power, nc_inv, nc_mul,
+from .ncpoly import (Alphabet, GradedWords, TRIVIAL, MultiplierSpec,
+                     mono_str, mono_weight, mono_eta_power, series_inv, series_mul,
                      slash_factors)
 from .sl2z import GroupElement, I2
 
@@ -148,16 +148,14 @@ class CuspCollection:
 # --- batched series arithmetic on value rows -------------------------------
 
 def rows_mul(words: GradedWords, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = np.empty_like(np.asarray(A, dtype=complex))
-    for r in range(out.shape[0]):
-        out[r] = nc_mul(NcPoly(words, A[r]), NcPoly(words, B[r])).coeffs
-    return out
+    """Row-by-row series product, rounded to complex128."""
+    return series_mul(words, A, B).astype(complex)
+
 
 def rows_inv(words: GradedWords, A: np.ndarray) -> np.ndarray:
-    out = np.empty(np.asarray(A).shape, dtype=complex)
-    for r in range(out.shape[0]):
-        out[r] = nc_inv(NcPoly(words, np.asarray(A[r], dtype=complex))).coeffs.astype(complex)
-    return out
+    """Row-by-row series inverse of the complex128 rows of A, rounded to complex128."""
+    return series_inv(words, np.asarray(A, dtype=complex)).astype(complex)
+
 
 def rows_slash(words: GradedWords, rows_at_gamma_t: np.ndarray,
                gamma: GroupElement, t: np.ndarray) -> np.ndarray:

@@ -112,7 +112,6 @@ class RunConfig:
     rtol: float = 1e-9
     atol: float = 1e-11
     quad_tol: float = 1e-11
-    y_max: float | None = None
     max_steps: int = 100_000
     precision: str = "double"  # "double" | "extended"
     panel: tuple = DEFAULT_PANEL
@@ -164,7 +163,6 @@ class RunConfig:
             rtol=self.rtol,
             atol=self.atol,
             quad_tol=self.quad_tol,
-            y_max=self.y_max,
             max_steps=self.max_steps,
             extended=(self.precision == "extended"),
         )
@@ -183,7 +181,6 @@ class RunConfig:
             "rtol": self.rtol,
             "atol": self.atol,
             "quad_tol": self.quad_tol,
-            "y_max": self.y_max,
             "max_steps": self.max_steps,
             "precision": self.precision,
             "panel": [[p.real, p.imag] for p in self.panel],

@@ -45,11 +45,11 @@ __all__ = [
     "Endpoint",
     "IterIntSpec",
     "cusp_frame",
+    "cutoff_height",
     "zt_pow",
     "r_direct",
     "path_split_check",
     "vertical_J",
-    "omega_apply",
     "clear_caches",
 ]
 
@@ -63,15 +63,14 @@ class QuadConfig:
     """Numerical knobs shared by both integration routes.
 
     rtol/atol control the ODE stepper; quad_tol is the panel resolution
-    criterion of the layered route; y_max overrides the automatic cutoff
-    height (None means derive it from the forms' decay bounds so the dropped
-    tail stays below atol); extended switches the ODE state to 80-bit floats.
+    criterion of the layered route; atol also sets where both routes cut the
+    path off at the cusp (see cutoff_height); extended switches the ODE state
+    to 80-bit floats.
     """
 
     rtol: float = 1e-9
     atol: float = 1e-11
     quad_tol: float = 1e-11
-    y_max: float | None = None
     max_steps: int = 100_000
     max_panels: int = 4096
     extended: bool = False
@@ -175,8 +174,18 @@ class _Segment:
         return _Segment(self.frame, self.p1, self.p0)
 
 
-def _cutoff_height(kappa: float, C: float, tol: float, polw: float, tfac: float) -> float:
-    """Height beyond which C e^(-2 pi kappa Y) (Y tfac)^polw < tol, padded."""
+def cutoff_height(forms, polw: float, t, atol: float) -> float:
+    """Height Y beyond which the dropped tail C e^(-2 pi kappa Y) (Y tfac)^polw
+    stays below atol / 100, padded by 1.
+
+    kappa is the slowest decay rate and C the largest decay constant among the
+    forms; polw is the polynomial weight the caller's integrand carries on top
+    of the forms, and tfac = 1 + max |t| over the panel t (1 when t is None).
+    """
+    kappa = min(f.kappa_min for f in forms)
+    C = max(f.decay_C for f in forms)
+    tfac = 1.0 if t is None else 1.0 + float(np.max(np.abs(t)))
+    tol = atol * 1e-2
     two_pi_k = 2 * math.pi * kappa
     Y = max(3.0, math.log(max(C, 1.0) / tol) / two_pi_k)
     for _ in range(3):
@@ -259,12 +268,8 @@ def r_direct(forms, y, x, t, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         return np.ones(len(t), dtype=complex)
     if y == x:
         return np.zeros(len(t), dtype=complex)
-    kappa = min(f.kappa_min for f in forms)
-    Cbig = max(f.decay_C for f in forms)
     polw = sum(max(float(f.shifted_weight), 0.0) for f in forms) + len(forms) + 2
-    tfac = 1.0 + float(np.max(np.abs(t)))
-    cutoff = _cutoff_height(kappa, Cbig, cfg.atol * 1e-2, polw, tfac)
-    path = build_path(x, y, cutoff)
+    path = build_path(x, y, cutoff_height(forms, polw, t, cfg.atol))
 
     inner = None  # level-0 inner factor is the constant 1
     for m in range(1, len(forms) + 1):
@@ -378,24 +383,6 @@ def _collection_data(h):
     return monos, forms, wvec
 
 
-def omega_apply(h, z, t, vals: np.ndarray, D: int) -> np.ndarray:
-    """One application of Omega(z) to coefficient rows vals (n_t, n_words):
-    the right-hand side dJ/dz = Omega J of the generating-series equation,
-    Omega = sum over supported monomials B of h(B; z) (z - t)^w(B) B."""
-    t = _validate_t(t)
-    words = GradedWords(h.alphabet, D)
-    monos, forms, wvec = _collection_data(h)
-    out = np.zeros_like(vals)
-    if not monos:
-        return out
-    tables = _ode_tables(words, monos)
-    fv = eval_forms(forms, complex(z))[:, 0]
-    om = fv[None, :] * np.exp(wvec[None, :] * np.log(complex(z) - t)[:, None])
-    for b, (tgt, src) in enumerate(tables):
-        out[:, tgt] += om[:, b, None] * vals[:, src]
-    return out
-
-
 def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     """J(h; z0, oo; t) for the t panel: coefficient rows, shape (n_t, n_words).
 
@@ -423,15 +410,8 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
 
     tables = _ode_tables(words, monos)
 
-    if cfg.y_max is not None:
-        ymax = float(cfg.y_max)
-    else:
-        kappa = min(f.kappa_min for f in forms)
-        Cbig = max(f.decay_C for f in forms)
-        polw = D * max(float(np.max(wvec)), 0.0) + D + 2
-        tfac = 1.0 + float(np.max(np.abs(t)))
-        ymax = _cutoff_height(kappa, Cbig, cfg.atol * 1e-2, polw, tfac)
-    ymax = max(ymax, z0.imag + 1.0)
+    polw = D * max(float(np.max(wvec)), 0.0) + D + 2
+    ymax = max(cutoff_height(forms, polw, t, cfg.atol), z0.imag + 1.0)
     x0 = z0.real
     L = ymax - z0.imag
 
@@ -473,6 +453,8 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         errv = h_step * sum(e * k for e, k in zip(_DP_E, ks) if e)
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(J), np.abs(ynew))
         err = float(np.max(np.abs(errv) / scale))
+        if not math.isfinite(err):
+            raise IterIntError(f"ODE state went non-finite at height {ymax - s:.3f}")
         if err <= 1.0:
             s += h_step
             J = ynew

@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .iterint import QuadConfig, _cutoff_height
+from .iterint import QuadConfig, cutoff_height
 from .modforms import CuspForm, eval_forms
 from .quadrature import adaptive_pw
 
@@ -79,16 +79,14 @@ def _check_trivial(f: CuspForm) -> int:
 
 
 def _moment_antideriv(f: CuspForm, lo: float, cfg: QuadConfig):
-    """PwPoly antiderivatives F_m(Y) = int_lo^Y f(iu) u^m du, m = 0..w."""
+    """PwPoly antiderivatives F_m(Y) = int_lo^Y f(iu) u^m du, m = 0..w, of a
+    nonzero form, and the cutoff height Y they run up to."""
     w = _check_trivial(f)
-    key = (f.digest, lo, cfg.quad_tol)
+    ycut = cutoff_height([f], w, None, cfg.atol)
+    key = (f.digest, lo, ycut, cfg.quad_tol, cfg.max_panels)
     hit = _PW_CACHE.get(key)
     if hit is not None:
         return hit
-    if f.is_zero:
-        ycut = lo + 1.0
-    else:
-        ycut = _cutoff_height(f.kappa_min, f.decay_C, cfg.atol * 1e-2, w, 1.0)
     ms = np.arange(w + 1)
 
     def fun(y):
@@ -155,7 +153,7 @@ def double_moments(f1: CuspForm, f2: CuspForm,
     k2s = np.arange(w2 + 1)
     # inner integral from 0 to i: the fold constant, indexed by k2
     below_one = 1j ** (w2 + 2) * (top2 - F1v)[::-1]
-    ycut1 = _cutoff_height(f1.kappa_min, f1.decay_C, cfg.atol * 1e-2, w1 + w2 + 2, 1.0)
+    ycut1 = cutoff_height([f1], w1 + w2 + 2, None, cfg.atol)
 
     def outer(y):
         fv = eval_forms([f1], 1j * y)[0]                    # (npts,)

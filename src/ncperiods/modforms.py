@@ -35,7 +35,6 @@ __all__ = [
     "cusp_space_basis",
     "eval_form",
     "eval_forms",
-    "multiplier_value",
     "transformation_factor",
     "form_linear_combination",
     "form_to_json",
@@ -250,17 +249,13 @@ def eval_form(f: CuspForm, tau, tol: float = 1e-13):
     return complex(vals[0]) if scalar else vals
 
 
-def multiplier_value(spec: MultiplierSpec, gamma: GroupElement) -> complex:
-    return spec.value(gamma)
-
-
 def transformation_factor(f: CuspForm, gamma: GroupElement, tau) -> np.ndarray:
     """Full factor in f(gamma tau) = factor * f(tau), tau in the upper half
     plane, principal square root per eta-power unit."""
     N = f.multiplier.eta_N % 24
     j = gamma.c * np.asarray(tau, dtype=complex) + gamma.d
     iexp = int(f.weight - Fraction(N, 2))
-    return multiplier_value(f.multiplier, gamma) * sqrt_upper(j) ** N * j**iexp
+    return f.multiplier.value(gamma) * sqrt_upper(j) ** N * j**iexp
 
 
 def form_linear_combination(coeffs, forms) -> CuspForm:

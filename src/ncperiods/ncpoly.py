@@ -32,6 +32,8 @@ __all__ = [
     "mono_multiplier",
     "mono_str",
     "parse_mono",
+    "series_mul",
+    "series_inv",
     "nc_mul",
     "nc_inv",
     "slash_factors",
@@ -127,15 +129,6 @@ class Alphabet:
         if not 1 <= j <= self.ell:
             raise IndexError(f"letter index {j} out of range 1..{self.ell}")
         return self.letters[j - 1]
-
-    def describe(self) -> list:
-        out = []
-        for L in self.letters:
-            if L.multiplier.kind == "trivial":
-                out.append({"weight": int(L.weight), "multiplier": "trivial"})
-            else:
-                out.append({"weight": str(L.weight), "multiplier": f"eta{L.multiplier.N}"})
-        return out
 
 
 def mono_weight(alphabet: Alphabet, m: Mono) -> Fraction:
@@ -238,10 +231,6 @@ class GradedWords:
         for pos in range(self.alphabet.ell**d):
             yield self.word(self.offsets[d] + pos)
 
-    def all_words(self):
-        for idx in range(self.total):
-            yield self.word(idx)
-
     def block(self, d: int) -> slice:
         return slice(self.offsets[d], self.offsets[d + 1])
 
@@ -290,12 +279,6 @@ class NcPoly:
     def coeff(self, m: Mono) -> complex:
         return complex(self.coeffs[self.words.index(m)])
 
-    def to_dict(self) -> dict:
-        return {self.words.word(i): complex(c) for i, c in enumerate(self.coeffs)}
-
-    def degree_part(self, d: int) -> np.ndarray:
-        return self.coeffs[self.words.block(d)]
-
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
@@ -333,50 +316,66 @@ def _check_same(x: NcPoly, y: NcPoly):
         raise ValueError("mixed truncation degree or alphabet")
 
 
-def _mul_raw(w: GradedWords, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Concatenation product on raw coefficient vectors, no dtype changes."""
-    out = np.zeros(w.total, dtype=np.result_type(xs, ys))
-    for d in range(w.D + 1):
-        acc = out[w.block(d)]
+def series_mul(words: GradedWords, xs, ys) -> np.ndarray:
+    """Concatenation product of (..., n_words) coefficient arrays, truncated
+    at D; leading axes broadcast, so one call multiplies a whole panel of rows.
+
+    Accumulates and returns 80-bit extended precision (clongdouble): inverse
+    coefficients grow large and cancel, and the extra digits keep a result
+    rounded to double at the cancellation-free rounding floor.
+    """
+    xs = np.asarray(xs, dtype=np.clongdouble)
+    ys = np.asarray(ys, dtype=np.clongdouble)
+    if xs.shape[-1] != words.total or ys.shape[-1] != words.total:
+        raise ValueError("coefficient vector length mismatch")
+    lead = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+    out = np.zeros(lead + (words.total,), dtype=np.clongdouble)
+    for d in range(words.D + 1):
+        acc = out[..., words.block(d)]
         for d1 in range(d + 1):
-            acc += np.outer(xs[w.block(d1)], ys[w.block(d - d1)]).ravel()
+            outer = xs[..., words.block(d1), None] * ys[..., None, words.block(d - d1)]
+            acc += outer.reshape(lead + (-1,))
+    return out
+
+
+def series_inv(words: GradedWords, xs) -> np.ndarray:
+    """Inverse of (..., n_words) coefficient arrays by the geometric series
+    sum_{k<=D} (1-x)^k, in clongdouble like series_mul.
+
+    Exact in the truncated ring (u = 1-x is nilpotent); every row needs
+    constant term 1.
+    """
+    xs = np.asarray(xs)
+    bad = np.abs(xs[..., 0] - 1.0) > 1e-9
+    if np.any(bad):
+        raise ValueError(f"series inverse needs constant term 1, got {xs[..., 0][bad][0]}")
+    u = -xs.astype(np.clongdouble)
+    u[..., 0] += 1.0  # u = 1 - x, constant term ~ 0
+    out = np.zeros(u.shape, dtype=np.clongdouble)
+    out[..., 0] = 1.0
+    power = out.copy()
+    for _ in range(words.D):
+        power = series_mul(words, power, u)
+        out += power
     return out
 
 
 def nc_mul(x: NcPoly, y: NcPoly) -> NcPoly:
-    """Concatenation product, truncated at D.
-
-    Accumulates in 80-bit extended precision: inverse coefficients grow large
-    and cancel, and the extra digits keep the double-precision result at the
-    cancellation-free rounding floor.  The vectors are tiny, so this is cheap.
-    """
+    """Concatenation product, truncated at D, in the inputs' common dtype."""
     _check_same(x, y)
-    w = x.words
     dtype = np.result_type(x.coeffs, y.coeffs)
-    out = _mul_raw(w, x.coeffs.astype(np.clongdouble), y.coeffs.astype(np.clongdouble))
-    return NcPoly(w, out.astype(dtype))
+    return NcPoly(x.words, series_mul(x.words, x.coeffs, y.coeffs).astype(dtype))
 
 
 def nc_inv(x: NcPoly) -> NcPoly:
-    """Inverse in N(A) by the geometric series sum_{k<=D} (1-x)^k.
+    """Inverse in N(A).
 
-    Exact in the truncated ring (u = 1-x is nilpotent).  The result keeps the
-    extended-precision dtype of the accumulation: inverse coefficients are
-    large and cancel against x in products, and rounding them to double costs
-    three digits in the two-sided inverse residual for no benefit.
+    The result keeps the extended-precision dtype of the accumulation:
+    inverse coefficients are large and cancel against x in products, and
+    rounding them to double costs three digits in the two-sided inverse
+    residual for no benefit.
     """
-    if abs(x.coeffs[0] - 1.0) > 1e-9:
-        raise ValueError(f"nc_inv needs constant term 1, got {x.coeffs[0]}")
-    w = x.words
-    u = -x.coeffs.astype(np.clongdouble)
-    u[0] += 1.0  # u = 1 - x, constant term ~ 0
-    out = np.zeros(w.total, dtype=np.clongdouble)
-    out[0] = 1.0
-    power = out.copy()
-    for _ in range(w.D):
-        power = _mul_raw(w, power, u)
-        out += power
-    return NcPoly(w, out)
+    return NcPoly(x.words, series_inv(x.words, x.coeffs))
 
 
 def slash_factors(words: GradedWords, gamma: GroupElement, t) -> np.ndarray:

@@ -113,9 +113,8 @@ def adaptive_pw(fun, a: float, b: float, tol: float = 1e-12,
     pending = [(edges[i], edges[i + 1]) for i in range(init_panels)]
     accepted = []
     scale = 0.0
-    n_done = 0
     while pending:
-        if n_done + len(accepted) + len(pending) > max_panels:
+        if len(accepted) + len(pending) > max_panels:
             raise QuadratureError(
                 f"exceeded {max_panels} panels on [{a}, {b}]; integrand too rough for tol={tol:.1e}")
         lo = np.array([p[0] for p in pending])
@@ -134,7 +133,6 @@ def adaptive_pw(fun, a: float, b: float, tol: float = 1e-12,
                 mid = (plo + phi) / 2
                 nxt.extend([(plo, mid), (mid, phi)])
         pending = nxt
-        n_done = len(accepted)
     accepted.sort(key=lambda t: t[0])
     breaks = np.array([p[0] for p in accepted] + [accepted[-1][1]])
     coeffs = np.stack([p[2] for p in accepted])

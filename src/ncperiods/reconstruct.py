@@ -31,7 +31,7 @@ from .iterint import Endpoint, QuadConfig, r_direct
 from .modforms import cusp_space_basis, form_linear_combination
 from .ncpoly import (Alphabet, GradedWords, MultiplierSpec, TRIVIAL,
                      mono_eta_power, mono_str, mono_weight, parse_mono)
-from .sl2z import GroupElement, S, T, parse_word
+from .sl2z import GroupElement, S, T, parse_gamma_label, parse_word
 
 __all__ = [
     "BasisCatalog",
@@ -40,6 +40,8 @@ __all__ = [
     "PeelReport",
     "UnavailableValue",
     "build_catalog",
+    "hidden_collection",
+    "compare_recovery",
     "peel",
     "deconjugate",
     "injectivity_probe",
@@ -123,6 +125,38 @@ def build_catalog(alphabet: Alphabet, D: int, panel,
     return BasisCatalog(alphabet, D, tuple(panel.tolist()), tuple(entries))
 
 
+def hidden_collection(catalog: BasisCatalog, coeffs: dict) -> CuspCollection:
+    """The collection whose form at each monomial m is the combination
+    coeffs[m] of the catalog basis at m (the input a round trip hides)."""
+    return CuspCollection(catalog.alphabet, {
+        m: form_linear_combination(c, catalog.entry(m).forms) for m, c in coeffs.items()
+    })
+
+
+def compare_recovery(coeffs: dict, report: PeelReport) -> tuple:
+    """Hidden basis coefficients against the ones peel fitted.
+
+    Returns ({monomial: {"hidden", "recovered", "rel_err"}}, worst rel_err);
+    each error is relative to max(1, largest hidden coefficient), and a
+    monomial peel did not fit counts as recovered zero.
+    """
+    fits = {}
+    for stage in report.degrees:
+        fits.update(stage.get("fits", {}))
+    worst = 0.0
+    comparison = {}
+    for m, want in sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        got = np.asarray(fits.get(mono_str(m), {}).get("coefficients", np.zeros_like(want)))
+        err = float(np.max(np.abs(got - want)) / max(1.0, float(np.max(np.abs(want)))))
+        worst = max(worst, err)
+        comparison[mono_str(m)] = {
+            "hidden": [float(v) for v in want],
+            "recovered": [float(v) for v in got],
+            "rel_err": err,
+        }
+    return comparison, worst
+
+
 # --- cocycle evaluators ------------------------------------------------------
 
 def psi_evaluator(h: CuspCollection, D: int, z0=DEFAULT_Z0,
@@ -140,14 +174,6 @@ def _canon_key(gamma: GroupElement) -> tuple:
         if v != 0:
             return ent if v > 0 else tuple(-x for x in ent)
     raise ValueError("singular matrix")
-
-
-def _parse_gamma_label(label: str) -> GroupElement:
-    label = label.strip()
-    if label.startswith("m:"):
-        a, b, c, d = (int(x) for x in label[2:].split(","))
-        return GroupElement(a, b, c, d)
-    return parse_word(label)
 
 
 def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
@@ -182,7 +208,7 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
             if arr.shape != (len(panel_pts), 2):
                 raise ValueError(f"{label}/{key}: need one [re,im] pair per panel point")
             rows[:, words.index(m)] = arr[:, 0] + 1j * arr[:, 1]
-        store[(_canon_key(_parse_gamma_label(label)), panel_pts.tobytes())] = (panel_pts, rows)
+        store[(_canon_key(parse_gamma_label(label)), panel_pts.tobytes())] = (panel_pts, rows)
 
     if "entries" in data:
         for ent in data["entries"]:
@@ -229,7 +255,7 @@ def dump_cocycle_values(X, alphabet: Alphabet, D: int, panel) -> dict:
     entries = []
     for label, move in PEEL_VALUE_GRID:
         pts = panel if move is None else parse_word(move).mobius(panel)
-        rows = np.asarray(X(_parse_gamma_label(label), pts), dtype=complex)
+        rows = np.asarray(X(parse_gamma_label(label), pts), dtype=complex)
         values = {}
         for i in range(1, words.total):
             col = rows[:, i]

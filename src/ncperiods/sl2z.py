@@ -36,6 +36,7 @@ __all__ = [
     "T",
     "decompose_word",
     "parse_word",
+    "parse_gamma_label",
     "word_product",
     "dedekind_sum",
     "eta_epsilon",
@@ -124,6 +125,16 @@ def parse_word(text: str) -> GroupElement:
         base = _GEN[ch]
         g = g * (base.inv() if inverse else base)
     return g
+
+
+def parse_gamma_label(label: str) -> GroupElement:
+    """Group element from a generator word ("TS", "ST^-1S") or from its
+    entries as "m:a,b,c,d"; raises ValueError on anything else."""
+    label = label.strip()
+    if label.startswith("m:"):
+        a, b, c, d = (int(x) for x in label[2:].split(","))
+        return GroupElement(a, b, c, d)
+    return parse_word(label)
 
 
 def decompose_word(gamma: GroupElement):

@@ -22,9 +22,10 @@ from ncperiods.cocycle import (
 from ncperiods.config import DEFAULT_PANEL
 from ncperiods.iterint import QuadConfig, path_split_check, vertical_J
 from ncperiods.mlv import lambda_probe, verify_shuffle
-from ncperiods.modforms import eta_form, form_linear_combination, level_one_basis
-from ncperiods.ncpoly import Alphabet, GradedWords, Letter, NcPoly, mono_str, nc_inv, nc_mul
-from ncperiods.reconstruct import build_catalog, injectivity_probe, peel, psi_evaluator
+from ncperiods.modforms import eta_form, level_one_basis
+from ncperiods.ncpoly import Alphabet, GradedWords, Letter, NcPoly, nc_inv, nc_mul
+from ncperiods.reconstruct import (build_catalog, compare_recovery, hidden_collection,
+                                   injectivity_probe, peel, psi_evaluator)
 from ncperiods.sl2z import S, T
 
 PANEL = np.asarray(DEFAULT_PANEL, dtype=complex)
@@ -128,25 +129,11 @@ def run_c8():
     for seed in C8_SEEDS:
         rng = np.random.default_rng(seed)
         coeffs = {e.mono: rng.uniform(-2.0, 2.0, size=e.dim) for e in catalog.entries}
-        hidden = CuspCollection(AB_12_6, {
-            m: form_linear_combination(c, catalog.entry(m).forms)
-            for m, c in coeffs.items()
-        })
-        X = psi_evaluator(hidden, 3, Z0, C8_CFG)
-        recovered, rep = peel(X, catalog, z0=Z0, cfg=C8_CFG)
-        fits = {}
+        X = psi_evaluator(hidden_collection(catalog, coeffs), 3, Z0, C8_CFG)
+        _, rep = peel(X, catalog, z0=Z0, cfg=C8_CFG)
         for stage in rep.degrees:
-            fits.update(stage.get("fits", {}))
             assert stage["abelian"]["status"] == "ok", (seed, stage["degree"])
-        comparison = {}
-        seed_worst = 0.0
-        for m, want in sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            got = np.asarray(fits[mono_str(m)]["coefficients"])
-            err = float(np.max(np.abs(got - want)) / max(1.0, float(np.max(np.abs(want)))))
-            seed_worst = max(seed_worst, err)
-            comparison[mono_str(m)] = {"hidden": list(map(float, want)),
-                                       "recovered": list(map(float, got)),
-                                       "rel_err": err}
+        comparison, seed_worst = compare_recovery(coeffs, rep)
         worst = max(worst, seed_worst)
         out.append({"seed": seed, "comparison": comparison,
                     "max_rel_err": seed_worst, "report": rep.to_dict()})
@@ -289,9 +276,8 @@ def test_criterion_09_injectivity(capsys):
             expect = 2
         else:
             expect = 1
-        mk = lambda cs: CuspCollection(AB_12_6, {
-            m: form_linear_combination(c, catalog.entry(m).forms) for m, c in cs.items()})
-        rep = injectivity_probe(mk(ca), mk(cb), PANEL)
+        rep = injectivity_probe(hidden_collection(catalog, ca), hidden_collection(catalog, cb),
+                                PANEL)
         assert rep["first_differing_degree"] == expect, trial
         assert rep["separated"] is True, (trial, rep)
         assert rep["margin"] > 0.0

@@ -74,6 +74,8 @@ def test_config_file_with_flag_override(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no_such_knob": 1}))
     assert main(["verify", "rel2", "--config", str(bad)]) == 1
+    bad.write_text(json.dumps({"y_max": 14.0}))  # removed field
+    assert main(["verify", "rel2", "--config", str(bad)]) == 1
     assert main(["verify", "rel2", "--config", str(tmp_path / "missing.json")]) == 1
 
 
@@ -182,3 +184,28 @@ def test_psi_grid_dump(tmp_path):
     data = json.loads(text)
     labels = [e["gamma"] for e in data["entries"]]
     assert "S" in labels and "T" in labels and "TS" in labels
+
+
+@pytest.mark.parametrize("gamma", ["T^-1", "ST^-1S", "TTS", "m:2,1,1,1", "m:-1,0,0,-1"])
+def test_psi_gamma_label_round_trip(tmp_path, gamma):
+    from ncperiods.sl2z import parse_gamma_label
+
+    code, text = run(tmp_path, "psi", "--gamma", gamma, "--alphabet", "10:trivial",
+                     "--degree", "1", "--panel=-0.8j")
+    assert code == 0
+    (entry,) = json.loads(text)["entries"]
+    assert parse_gamma_label(entry["gamma"]) == parse_gamma_label(gamma)
+
+
+def test_matrix_label_needs_m_prefix(capsys):
+    assert main(["psi", "--gamma", "x:0,-1,1,0", "--alphabet", "10:trivial",
+                 "--degree", "1"]) == 1
+    assert "error: bad group element" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ['{"B1": [1.0]}', '{"A1": ["x"]}', '{"A1": [NaN]}'])
+def test_roundtrip_rejects_malformed_hidden_file(tmp_path, capsys, content):
+    hidden = tmp_path / "h.json"
+    hidden.write_text(content)
+    assert main(["roundtrip", str(hidden), "--alphabet", "10:trivial", "--degree", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

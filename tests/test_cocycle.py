@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ncperiods.cocycle import (
     CuspCollection,
@@ -22,7 +25,7 @@ from ncperiods.cocycle import (
 )
 from ncperiods.iterint import Endpoint, QuadConfig
 from ncperiods.modforms import CuspForm, QSeries, eta_form, level_one_basis
-from ncperiods.ncpoly import Alphabet, GradedWords, Letter, NcPoly
+from ncperiods.ncpoly import Alphabet, GradedWords, Letter
 from ncperiods.sl2z import I2, S, T, parse_word
 
 PANEL = np.array([-0.7j, -0.4 - 0.6j])
@@ -77,22 +80,47 @@ def test_block_splits(delta):
     assert h.form_of((1, 1, 1)) is None
 
 
-def test_rows_arithmetic_matches_ncpoly(delta):
-    words = GradedWords(Alphabet((Letter.trivial(10), Letter.trivial(4))), 3)
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(2, words.total)) + 1j * rng.normal(size=(2, words.total))
-    B = rng.normal(size=(2, words.total)) + 1j * rng.normal(size=(2, words.total))
-    A[:, 0] = 1.0
-    B[:, 0] = 1.0
-    from ncperiods.ncpoly import nc_inv, nc_mul
+@st.composite
+def row_pairs(draw):
+    """Words over 1-3 letters up to degree 0-4, and two (n_t, n_words)
+    coefficient arrays of 1-8 rows with constant term 1."""
+    ell = draw(st.integers(1, 3))
+    D = draw(st.integers(0, 4))
+    words = GradedWords(Alphabet(tuple(Letter.trivial(2 * j) for j in range(1, ell + 1))), D)
+    n = draw(st.integers(1, 8))
+    coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    A, B = (draw(arrays(complex, (n, words.total), elements=coeff)) for _ in range(2))
+    A[:, 0] = B[:, 0] = 1.0
+    return words, A, B
 
+
+def _concat_reference(words, x, y):
+    """out[u+v] += x[u] y[v] over word pairs with |u| + |v| <= D, by dicts."""
+    xd = {words.word(i): x[i] for i in range(words.total)}
+    yd = {words.word(i): y[i] for i in range(words.total)}
+    out = dict.fromkeys(xd, 0j)
+    for u, xu in xd.items():
+        for v, yv in yd.items():
+            if len(u) + len(v) <= words.D:
+                out[u + v] += xu * yv
+    return np.array([out[words.word(i)] for i in range(words.total)])
+
+
+@given(row_pairs())
+def test_rows_kernel_matches_dict_reference(case):
+    words, A, B = case
     prod = rows_mul(words, A, B)
+    assert prod.shape == A.shape and prod.dtype == complex
+    for r in range(len(A)):
+        want = _concat_reference(words, A[r], B[r])
+        assert np.max(np.abs(prod[r] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     inv = rows_inv(words, A)
-    for r in range(2):
-        want = nc_mul(NcPoly(words, A[r]), NcPoly(words, B[r])).coeffs
-        assert np.max(np.abs(prod[r] - want)) < 1e-12
-        wanti = nc_inv(NcPoly(words, A[r])).coeffs.astype(complex)
-        assert np.max(np.abs(inv[r] - wanti)) < 1e-12
+    unit = np.zeros_like(A)
+    unit[:, 0] = 1.0
+    # the residual cancels terms as large as the product of the factor sizes
+    scale = max(1.0, np.max(np.abs(inv))) * max(1.0, np.max(np.abs(A)))
+    assert np.max(np.abs(rows_mul(words, inv, A) - unit)) <= 1e-13 * scale
+    assert np.max(np.abs(rows_mul(words, A, inv) - unit)) <= 1e-13 * scale
 
 
 def test_psi_parabolic_unit(delta):

@@ -108,12 +108,32 @@ def test_vertical_J_unit_at_degree_zero(delta):
     assert np.allclose(rows[:, 0], 1.0)
 
 
-def test_y_max_override_consistent(delta):
+def test_automatic_cutoff_high_enough(delta):
+    """Starting the ray a thousand times further into the tail (atol * 1e-3
+    raises the cutoff height) changes nothing beyond the default tolerance."""
     ab = Alphabet((Letter.trivial(10),))
     h = CuspCollection.from_letters(ab, [delta])
-    a = vertical_J(h, 1.4j, PANEL, 2, QuadConfig())
-    b = vertical_J(h, 1.4j, PANEL, 2, QuadConfig(y_max=14.0))
+    cfg = QuadConfig()
+    a = vertical_J(h, 1.4j, PANEL, 2, cfg)
+    b = vertical_J(h, 1.4j, PANEL, 2, QuadConfig(atol=cfg.atol * 1e-3))
     assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_nonfinite_state_names_the_height(delta, monkeypatch):
+    import ncperiods.iterint as iterint
+
+    real = iterint.eval_forms
+    calls = []
+
+    def poisoned(forms, tau, tol=1e-13):
+        # one NaN evaluation at the top of the ray poisons the ODE state
+        calls.append(tau)
+        return real(forms, tau, tol) * (np.nan if len(calls) == 1 else 1.0)
+
+    monkeypatch.setattr(iterint, "eval_forms", poisoned)
+    h = CuspCollection.from_letters(Alphabet((Letter.trivial(10),)), [delta])
+    with pytest.raises(IterIntError, match="non-finite at height"):
+        vertical_J(h, 1.45j, PANEL, 2)
 
 
 def test_extended_precision_agrees(delta):

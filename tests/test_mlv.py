@@ -136,3 +136,12 @@ def test_determinism_and_cache(delta):
     clear_caches()
     b = moments_table(delta)
     assert a.tobytes() == b.tobytes()
+
+
+def test_moment_independent_of_call_order(delta):
+    tight = QuadConfig(atol=1e-14)
+    clear_caches()
+    fresh = moment(delta, 3, cfg=tight)
+    clear_caches()
+    moment(delta, 3, cfg=QuadConfig(atol=1e-3))  # lower cutoff height
+    assert moment(delta, 3, cfg=tight) == fresh

@@ -59,6 +59,13 @@ def test_panel_budget():
                     tol=1e-13, max_panels=8)
 
 
+def test_panel_budget_counts_each_panel_once():
+    # resolves in 40 panels, so a budget of 48 must suffice
+    pw = adaptive_pw(lambda s: 1.0 / (1e-6 + (s - 0.3) ** 2), 0.0, 1.0,
+                     tol=1e-13, max_panels=48)
+    assert len(pw.breaks) - 1 == 40
+
+
 def test_resolution_tail_small_when_converged():
     pw = adaptive_pw(lambda s: np.sin(s) ** 2, 0.0, 3.0, tol=1e-13)
     assert pw.resolution_tail() < 1e-13 * max(1.0, np.max(np.abs(pw.coeffs)))
