@@ -90,6 +90,12 @@ def _first_trivial_forms(cfg: RunConfig, count: int) -> list:
     return forms[:count]
 
 
+def _passes(rep: dict, threshold: float) -> bool:
+    """The pass/fail gate: max / max(1, scale) <= threshold for reports that
+    carry a scale (rel2, rel3, shuffle), the absolute max otherwise."""
+    return rep["max"] / max(1.0, rep.get("scale", 1.0)) <= threshold
+
+
 def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | None) -> tuple:
     panel = cfg.panel_array()
     quad = cfg.quad()
@@ -120,7 +126,7 @@ def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | No
         rep = verify_shuffle(f1, f2, panel, quad)
     else:
         raise ConfigError(f"unknown identity {identity!r}; choose from {IDENTITIES}")
-    ok = rep["max"] <= cfg.threshold
+    ok = _passes(rep, cfg.threshold)
     rep["threshold"] = cfg.threshold
     rep["pass"] = bool(ok)
     return rep, (0 if ok else 2)
@@ -174,7 +180,7 @@ def cmd_mlv(cfg: RunConfig, form_specs: list, max_order: int) -> tuple:
         f1, f2 = (_parse_form(s) for s in form_specs)
         M = double_moments(f1, f2, quad)
         shuf = verify_shuffle(f1, f2, cfg.panel_array(), quad)
-        ok = shuf["max"] <= cfg.threshold
+        ok = _passes(shuf, cfg.threshold)
         report["tables"].append({
             "forms": list(form_specs),
             "normalization": "M_{k1,k2} = int_0^ioo f1(tau1) tau1^k1 "

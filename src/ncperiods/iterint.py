@@ -338,19 +338,39 @@ def path_split_check(forms, z, y, x, t, cfg: QuadConfig = QuadConfig()) -> dict:
 
 @lru_cache(maxsize=64)
 def _ode_tables(words: GradedWords, support: tuple):
-    """Per supported monomial B: indices of the words with prefix B, paired
-    with the index of the remaining suffix word."""
-    tables = []
-    for B in support:
+    """Gather/scatter plan of Omega J, one entry per (supported prefix B,
+    word m = B C): the slot len(B) - 1, the index of m, the support index of
+    B and the index of the suffix C, as aligned index arrays, plus the slot
+    count."""
+    slot, tgt, bidx, src = [], [], [], []
+    for b, B in enumerate(support):
         k = len(B)
-        tgt, src = [], []
         for i in range(1, words.total):
             m = words.word(i)
             if len(m) >= k and m[:k] == B:
+                slot.append(k - 1)
                 tgt.append(i)
+                bidx.append(b)
                 src.append(words.index(m[k:]))
-        tables.append((np.asarray(tgt, dtype=np.intp), np.asarray(src, dtype=np.intp)))
-    return tuple(tables)
+    arrays = tuple(np.asarray(v, dtype=np.intp) for v in (slot, tgt, bidx, src))
+    return arrays + (max(len(B) for B in support),)
+
+
+def _ode_rhs(tables, om_row, J):
+    """-i Omega J for the rows J, shape (n_t, n_words), where om_row holds
+    the kernel-weighted form of each support monomial, shape (n_t, n_support).
+
+    A word has at most one prefix of each length, so the slots of the pad
+    hold distinct targets; summing them in ascending prefix length adds each
+    word's terms in the order of the (length-sorted) support."""
+    slot, tgt, bidx, src, nslots = tables
+    pad = np.zeros((J.shape[0], nslots, J.shape[1]), dtype=J.dtype)
+    pad[:, slot, tgt] = om_row[:, bidx] * J[:, src]
+    out = np.zeros_like(J)
+    for k in range(nslots):
+        out += pad[:, k]
+    out *= -1j  # dz/ds = -i going down the ray
+    return out
 
 
 # Dormand-Prince 5(4) tableau
@@ -366,6 +386,22 @@ _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0
 _DP_E = _DP_B - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+
+
+def _dp_combo(h, coefs, ks):
+    """h * sum(c * k) over the nonzero coefficients, accumulated in place in
+    term order."""
+    acc = None
+    for c, k in zip(coefs, ks):
+        if not c:
+            continue
+        if acc is None:
+            acc = c * k
+        else:
+            acc += c * k
+    acc *= h
+    return acc
+
 
 _J_CACHE: dict = {}
 
@@ -422,20 +458,13 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         logzt = np.log(z[:, None] - t[None, :])
         return fv.T[:, None, :] * np.exp(wvec[None, None, :] * logzt[:, :, None])
 
-    def rhs(om_row, J):
-        out = np.zeros_like(J)
-        for b, (tgt, src) in enumerate(tables):
-            out[:, tgt] += om_row[:, b, None] * J[:, src]
-        out *= -1j  # dz/ds = -i going down the ray
-        return out
-
     dtype = np.clongdouble if cfg.extended else np.complex128
     J = np.zeros((len(t), words.total), dtype=dtype)
     J[:, 0] = 1.0
     s = 0.0
     h_step = min(1.0, L / 10)
     h_min = L / cfg.max_steps
-    k1 = rhs(omega_at(np.array([s]))[0], J)
+    k1 = _ode_rhs(tables, omega_at(np.array([s]))[0], J)
     nsteps = 0
     while s < L - 1e-13 * L:
         if h_step < h_min and L - s > h_min:
@@ -446,11 +475,10 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         om = omega_at(s + h_step * _DP_C)
         ks = [k1]
         for j, arow in enumerate(_DP_A):
-            acc = J + h_step * sum(a * k for a, k in zip(arow, ks))
-            ks.append(rhs(om[j], acc))
-        ynew = J + h_step * sum(b * k for b, k in zip(_DP_B, ks) if b)
-        ks.append(rhs(om[4], ynew))  # FSAL stage, same height as stage 6
-        errv = h_step * sum(e * k for e, k in zip(_DP_E, ks) if e)
+            ks.append(_ode_rhs(tables, om[j], J + _dp_combo(h_step, arow, ks)))
+        ynew = J + _dp_combo(h_step, _DP_B, ks)
+        ks.append(_ode_rhs(tables, om[4], ynew))  # FSAL stage, same height as stage 6
+        errv = _dp_combo(h_step, _DP_E, ks)
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(J), np.abs(ynew))
         err = float(np.max(np.abs(errv) / scale))
         if not math.isfinite(err):

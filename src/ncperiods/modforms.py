@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -66,13 +67,17 @@ class QSeries:
         if k <= 0 or (24 * k).denominator != 1:
             raise ValueError(f"kappa must be positive with denominator | 24, got {k}")
         object.__setattr__(self, "kappa", k)
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
+        # a private read-only copy: the forms built on it cache constants
+        # derived from the coefficients
+        coeffs = np.array(self.coeffs, dtype=complex)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def M(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
+    @cached_property
     def r24(self) -> int:
         """kappa as an exact multiple of 1/24."""
         return int(24 * self.kappa)
@@ -92,22 +97,22 @@ class CuspForm:
     def weight(self) -> Fraction:
         return self.shifted_weight + 2
 
-    @property
+    @cached_property
     def kappa_min(self) -> float:
         return float(self.expansion.kappa)
 
-    @property
+    @cached_property
     def growth_power(self) -> float:
         # crude coefficient growth model |a_n| <= c_g (n+1)^p, enough for tails
         return float(self.weight) + 2.0
 
-    @property
+    @cached_property
     def growth_const(self) -> float:
         a = np.abs(self.expansion.coeffs)
         n = np.arange(len(a), dtype=float) + 1.0
         return float(np.max(a / n**self.growth_power)) if len(a) else 0.0
 
-    @property
+    @cached_property
     def decay_C(self) -> float:
         """|f(x+iy)| <= decay_C * exp(-2 pi kappa_min y) for y >= 1."""
         a = np.abs(self.expansion.coeffs)
@@ -124,7 +129,7 @@ class CuspForm:
     def is_zero(self) -> bool:
         return bool(np.all(self.expansion.coeffs == 0))
 
-    @property
+    @cached_property
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(str(self.shifted_weight).encode())
@@ -207,7 +212,7 @@ def _tail_bound(f: CuspForm, y: float) -> float:
     rho = x * (1 + 1 / (M + 2)) ** p
     if rho >= 0.999:
         return np.inf
-    first = f.growth_const * (M + 2) ** p * x ** (M + 1 + float(f.expansion.kappa))
+    first = f.growth_const * (M + 2) ** p * x ** (M + 1 + f.kappa_min)
     return float(first / (1 - rho))
 
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cocycle import CuspCollection, psi, rows_inv, rows_mul, rows_slash
+from .config import RunConfig
 from .iterint import Endpoint, QuadConfig, r_direct
 from .modforms import cusp_space_basis, form_linear_combination
 from .ncpoly import (Alphabet, GradedWords, MultiplierSpec, TRIVIAL,
@@ -49,8 +50,6 @@ __all__ = [
     "cocycle_from_json",
     "dump_cocycle_values",
 ]
-
-DEFAULT_Z0 = 2.0j
 
 
 class PeelError(ValueError):
@@ -159,7 +158,7 @@ def compare_recovery(coeffs: dict, report: PeelReport) -> tuple:
 
 # --- cocycle evaluators ------------------------------------------------------
 
-def psi_evaluator(h: CuspCollection, D: int, z0=DEFAULT_Z0,
+def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
                   cfg: QuadConfig = QuadConfig()):
     """The in-process evaluator (gamma, panel) -> Psi(h)_gamma rows."""
     def ev(gamma: GroupElement, t):
@@ -194,7 +193,9 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
     words = GradedWords(alphabet, D)
     store = {}
 
-    def add_entry(label, panel_pts, values):
+    def add_entry(where, label, panel_pts, values):
+        if not isinstance(values, dict):
+            raise ValueError(f"{where}: values must map monomials to [re,im] pairs")
         panel_pts = np.asarray(panel_pts, dtype=complex)
         rows = np.zeros((len(panel_pts), words.total), dtype=complex)
         rows[:, 0] = 1.0
@@ -210,15 +211,23 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
             rows[:, words.index(m)] = arr[:, 0] + 1j * arr[:, 1]
         store[(_canon_key(parse_gamma_label(label)), panel_pts.tobytes())] = (panel_pts, rows)
 
+    if not isinstance(data, dict):
+        raise ValueError("cocycle values must be a JSON object")
     if "entries" in data:
-        for ent in data["entries"]:
-            add_entry(ent["gamma"], [complex(re, im) for re, im in ent["panel"]], ent["values"])
+        for i, ent in enumerate(data["entries"]):
+            if not isinstance(ent, dict):
+                raise ValueError(f"entry {i}: must be an object")
+            for name in ("gamma", "panel", "values"):
+                if name not in ent:
+                    raise ValueError(f"entry {i}: missing field {name!r}")
+            add_entry(f"entry {i}", ent["gamma"],
+                      [complex(re, im) for re, im in ent["panel"]], ent["values"])
     else:
         if default_panel is None:
             raise ValueError("bare panel-value files need an explicit panel")
         pts = np.atleast_1d(np.asarray(default_panel, dtype=complex))
         for label, values in data.items():
-            add_entry(label, pts, values)
+            add_entry(f"entry {label!r}", label, pts, values)
 
     def ev(gamma: GroupElement, t):
         t = np.atleast_1d(np.asarray(t, dtype=complex))
@@ -343,7 +352,7 @@ def _abelian_check(X, h_prev, words, d, panel, z0, cfg) -> dict:
 
 
 def peel(X, catalog: BasisCatalog, D: int | None = None, panel=None, tol: float = 1e-6,
-         z0=DEFAULT_Z0, cfg: QuadConfig = QuadConfig()) -> tuple:
+         z0=RunConfig.z0, cfg: QuadConfig = QuadConfig()) -> tuple:
     """Reconstruct a collection from cocycle panel values.
 
     X is either a callable (gamma, panel) -> rows, or a dict/path in the
@@ -484,7 +493,7 @@ def _degree_one_coboundaries(words: GradedWords, idx: int, t: np.ndarray):
 
 
 def injectivity_probe(h: CuspCollection, hp: CuspCollection, panel,
-                      tol: float = 1e-6, z0=DEFAULT_Z0,
+                      tol: float = 1e-6, z0=RunConfig.z0,
                       cfg: QuadConfig = QuadConfig()) -> dict:
     """Separation margin of Psi(h) and Psi(h') at the first degree where the
     collections differ.

@@ -111,6 +111,20 @@ def test_mlv_order_two(tmp_path):
     assert tab["shuffle_residual"] < 1e-7
 
 
+def test_shuffle_gate_is_relative(tmp_path):
+    """The shuffle residual of S26.1, S22.1 is far above the threshold in
+    absolute terms but at rounding level against its scale, so it passes."""
+    code, text = run(tmp_path, "mlv", "S26.1", "S22.1", "--max-order", "2")
+    tab = json.loads(text)["tables"][0]
+    assert tab["shuffle_residual"] > 1.0
+    assert code == 0 and tab["pass"] is True
+    code, text = run(tmp_path, "verify", "shuffle", "--alphabet", "24:trivial,20:trivial",
+                     name="verify.json")
+    rep = json.loads(text)
+    assert rep["max"] > 1.0
+    assert code == 0 and rep["pass"] is True
+
+
 def test_roundtrip_zero_hidden(tmp_path):
     hidden = tmp_path / "h.json"
     hidden.write_text("{}")

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ncperiods.cocycle import CuspCollection, j_rows_direct
 from ncperiods.iterint import (
@@ -19,9 +22,11 @@ from ncperiods.iterint import (
     r_direct,
     vertical_J,
     zt_pow,
+    _ode_rhs,
+    _ode_tables,
 )
 from ncperiods.modforms import level_one_basis
-from ncperiods.ncpoly import Alphabet, GradedWords, Letter
+from ncperiods.ncpoly import Alphabet, GradedWords, Letter, series_mul
 
 PANEL = np.array([-0.7j, -0.4 - 0.6j])
 
@@ -207,3 +212,36 @@ def test_iterint_spec(delta):
     got = spec.r(PANEL)
     want = r_direct([delta], None, Endpoint.point(1.3j), PANEL)
     assert np.array_equal(got, want)
+
+
+@st.composite
+def rhs_cases(draw):
+    """Random alphabet, truncation, support (sorted as CuspCollection sorts
+    it, with a monomial of degree >= 2 whenever D allows) and state rows."""
+    ell = draw(st.integers(1, 3))
+    D = draw(st.integers(1, 4))
+    words = GradedWords(Alphabet(tuple(Letter.trivial(10) for _ in range(ell))), D)
+    monos = [words.word(i) for i in range(1, words.total)]
+    support = set(draw(st.lists(st.sampled_from(monos), min_size=1, max_size=6)))
+    if D >= 2:
+        support.add(draw(st.sampled_from([m for m in monos if len(m) >= 2])))
+    support = tuple(sorted(support, key=lambda m: (len(m), m)))
+    n_t = draw(st.integers(1, 4))
+    coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    om_row = draw(arrays(complex, (n_t, len(support)), elements=coeff))
+    J = draw(arrays(complex, (n_t, words.total), elements=coeff))
+    return words, support, om_row, J
+
+
+@given(rhs_cases())
+def test_ode_rhs_plan_is_series_product(case):
+    """The stepper's gather/scatter right side is -i Omega J in the series
+    ring, Omega carrying om_row[:, b] at support monomial b."""
+    words, support, om_row, J = case
+    omega = np.zeros_like(J)
+    for b, m in enumerate(support):
+        omega[:, words.index(m)] = om_row[:, b]
+    want = -1j * series_mul(words, omega, J)
+    got = _ode_rhs(_ode_tables(words, support), om_row, J)
+    assert got.dtype == J.dtype
+    np.testing.assert_allclose(got, want.astype(complex), rtol=0, atol=1e-13)

@@ -118,6 +118,20 @@ def test_json_round_trip():
         assert g == f
 
 
+def test_cached_constants_cannot_go_stale():
+    """Expansions are private read-only copies, so the constants a form
+    caches from its coefficients always match a fresh computation."""
+    src = np.array(level_one_basis(16)[0].expansion.coeffs)
+    f = CuspForm(Fraction(14), TRIVIAL, QSeries(Fraction(1), src), label="S16.1")
+    names = ("kappa_min", "growth_power", "growth_const", "decay_C", "digest")
+    cached = [getattr(f, n) for n in names] + [f.expansion.r24]
+    src[3] = 1e6  # the caller's array is not the expansion
+    with pytest.raises(ValueError):
+        f.expansion.coeffs[3] = 1e6
+    g = form_from_json(form_to_json(f))
+    assert cached == [getattr(g, n) for n in names] + [g.expansion.r24]
+
+
 def test_digest_distinguishes():
     assert level_one_basis(12)[0].digest != level_one_basis(16)[0].digest
     assert eta_form(4).digest != eta_form(8).digest

@@ -132,6 +132,24 @@ def test_cocycle_from_json_unavailable():
         ev(S, PANEL * 1.5)
 
 
+@pytest.mark.parametrize("data, named", [
+    ({"entries": [{"panel": [[0.0, -1.0]], "values": {}}]}, ("entry 0", "gamma")),
+    ({"entries": [{"gamma": "S", "panel": [[0.0, -1.0]], "values": {}},
+                  {"gamma": "T", "values": {}}]}, ("entry 1", "panel")),
+    ({"entries": [{"gamma": "S", "panel": [[0.0, -1.0]]}]}, ("entry 0", "values")),
+    ({"entries": [{"gamma": "S", "panel": [[0.0, -1.0]], "values": [1.0]}]},
+     ("entry 0", "values")),
+    ({"entries": ["S"]}, ("entry 0", "object")),
+    ({"S": [[1.0, 0.0]] * 5}, ("entry 'S'", "values")),
+    ([{"S": {}}], ("JSON object",)),
+])
+def test_cocycle_from_json_names_malformed_entry(data, named):
+    with pytest.raises(ValueError) as err:
+        cocycle_from_json(data, AB1, 1, default_panel=PANEL)
+    for text in named:
+        assert text in str(err.value)
+
+
 def test_peel_panel_mismatch(catalog):
     X = psi_evaluator(CuspCollection(AB2, {}), 3)
     with pytest.raises(ValueError):
