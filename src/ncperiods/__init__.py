@@ -78,13 +78,11 @@ from .reconstruct import (
 )
 from .config import RunConfig, DEFAULT_PANEL, parse_alphabet, parse_panel
 
-from . import iterint as _iterint
 from . import mlv as _mlv
 
 __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Drop all memoized solves and antiderivatives (determinism checks)."""
-    _iterint.clear_caches()
+    """Drop the cached moment antiderivatives of mlv (determinism checks)."""
     _mlv.clear_caches()

@@ -23,11 +23,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import RunConfig
 from .iterint import Endpoint, QuadConfig, r_direct, vertical_J
 from .ncpoly import (Alphabet, GradedWords, TRIVIAL, MultiplierSpec,
                      mono_str, mono_weight, mono_eta_power, series_inv, series_mul,
                      slash_factors)
-from .sl2z import GroupElement, I2
+from .sl2z import GroupElement
 
 __all__ = [
     "CuspCollection",
@@ -35,6 +36,7 @@ __all__ = [
     "rows_inv",
     "rows_slash",
     "slash_eval",
+    "psi_evaluator",
     "psi",
     "j_between",
     "j_rows_direct",
@@ -190,23 +192,40 @@ def apply_to_endpoint(gamma: GroupElement, e: Endpoint) -> Endpoint:
 
 # --- the cocycle ------------------------------------------------------------
 
+def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
+                  cfg: QuadConfig = QuadConfig()):
+    """The evaluator (gamma, panel) -> Psi(h)_gamma rows.
+
+    Psi_gamma is exactly 1 for c = 0 (gamma = +-T^m fixes oo and the two
+    series coincide); otherwise it takes two vertical solves, J(z0) at gamma t
+    and J(gamma^(-1) z0) at t.  The evaluator keeps its solves, keyed on
+    (base point, panel bytes), so requests sharing a ray solve it once.
+    """
+    words = h.words(D)
+    z0 = complex(z0)
+    solves = {}
+
+    def ray(z, t):
+        key = (z, t.tobytes())
+        if key not in solves:
+            solves[key] = vertical_J(h, z, t, D, cfg)
+        return solves[key]
+
+    def ev(gamma: GroupElement, t):
+        t = np.atleast_1d(np.asarray(t, dtype=complex))
+        if gamma.c == 0:
+            out = np.zeros((len(t), words.total), dtype=complex)
+            out[:, 0] = 1.0
+            return out
+        slashed = rows_slash(words, ray(z0, gamma.mobius(t)), gamma, t)
+        return rows_mul(words, rows_inv(words, slashed), ray(gamma.inv().mobius(z0), t))
+    return ev
+
+
 def psi(h: CuspCollection, gamma: GroupElement, z0: complex, t, D: int,
         cfg: QuadConfig = QuadConfig()) -> np.ndarray:
-    """Psi_gamma rows at the t panel.
-
-    Exactly 1 for c = 0 (gamma = +-T^m fixes oo and the two series coincide);
-    otherwise two vertical solves, one at t, one at gamma t.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
-    words = h.words(D)
-    if gamma.c == 0:
-        out = np.zeros((len(t), words.total), dtype=complex)
-        out[:, 0] = 1.0
-        return out
-    gt = gamma.mobius(t)
-    slashed = rows_slash(words, vertical_J(h, z0, gt, D, cfg), gamma, t)
-    j_moved = vertical_J(h, gamma.inv().mobius(complex(z0)), t, D, cfg)
-    return rows_mul(words, rows_inv(words, slashed), j_moved)
+    """Psi_gamma rows at the t panel, from a one-off psi_evaluator."""
+    return psi_evaluator(h, D, z0, cfg)(gamma, t)
 
 
 def j_between(h: CuspCollection, y, x, t, D: int,
@@ -278,9 +297,10 @@ def verify_cocycle(h: CuspCollection, gamma: GroupElement, delta: GroupElement,
     """Residual of Psi_{gamma delta} = (Psi_gamma|delta) Psi_delta at the panel."""
     t = np.atleast_1d(np.asarray(t, dtype=complex))
     words = h.words(D)
-    lhs = psi(h, gamma * delta, z0, t, D, cfg)
-    slashed = rows_slash(words, psi(h, gamma, z0, delta.mobius(t), D, cfg), delta, t)
-    rhs = rows_mul(words, slashed, psi(h, delta, z0, t, D, cfg))
+    P = psi_evaluator(h, D, z0, cfg)
+    lhs = P(gamma * delta, t)
+    slashed = rows_slash(words, P(gamma, delta.mobius(t)), delta, t)
+    rhs = rows_mul(words, slashed, P(delta, t))
     return _report("cocycle", words, lhs - rhs, t,
                    gamma=gamma.entries(), delta=delta.entries())
 
@@ -335,11 +355,12 @@ def eta_example_check(h: CuspCollection, z0: complex, t, D: int,
     t = np.atleast_1d(np.asarray(t, dtype=complex))
     words = h.words(D)
     Tp = T * S * T
-    psiS = psi(h, S, z0, t, D, cfg)
-    sTp = rows_slash(words, psi(h, S, z0, Tp.mobius(t), D, cfg), Tp, t)
-    sT = rows_slash(words, psi(h, S, z0, T.mobius(t), D, cfg), T, t)
+    P = psi_evaluator(h, D, z0, cfg)
+    psiS = P(S, t)
+    sTp = rows_slash(words, P(S, Tp.mobius(t)), Tp, t)
+    sT = rows_slash(words, P(S, T.mobius(t)), T, t)
     diff1 = psiS - rows_mul(words, sTp, sT)
-    sS = rows_slash(words, psi(h, S, z0, S.mobius(t), D, cfg), S, t)
+    sS = rows_slash(words, P(S, S.mobius(t)), S, t)
     unit = np.zeros_like(psiS)
     unit[:, 0] = 1.0
     diff2 = rows_mul(words, sS, psiS) - unit

@@ -50,7 +50,6 @@ __all__ = [
     "r_direct",
     "path_split_check",
     "vertical_J",
-    "clear_caches",
 ]
 
 
@@ -403,14 +402,6 @@ def _dp_combo(h, coefs, ks):
     return acc
 
 
-_J_CACHE: dict = {}
-
-
-def clear_caches():
-    """Drop memoized generating-series solves (used by determinism checks)."""
-    _J_CACHE.clear()
-
-
 def _collection_data(h):
     """Support monomials, their forms, and kernel powers w(B), aligned."""
     monos = tuple(h.support_monos)
@@ -426,8 +417,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     series at t[r].  Solves dJ/dz = Omega(z) J down the vertical ray from the
     cutoff height (where J = 1 holds to below atol) with an adaptive
     Dormand-Prince 5(4) stepper; the linear right side lets each step batch
-    its five fresh form evaluations into one call.  Results are memoized on
-    (collection digest, z0, t panel, D, config).
+    its five fresh form evaluations into one call.
     """
     t = _validate_t(t)
     z0 = complex(z0)
@@ -439,10 +429,6 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         out = np.zeros((len(t), words.total), dtype=complex)
         out[:, 0] = 1.0
         return out
-    key = (h.digest, z0, t.tobytes(), D, cfg)
-    hit = _J_CACHE.get(key)
-    if hit is not None:
-        return hit.copy()
 
     tables = _ode_tables(words, monos)
 
@@ -492,6 +478,4 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
                 raise IterIntError("step budget exhausted")
         h_step *= float(np.clip(0.9 * max(err, 1e-10) ** -0.2, 0.2, 5.0))
 
-    out = J.astype(np.complex128) if not cfg.extended else J
-    _J_CACHE[key] = out
-    return out.copy()
+    return J.astype(np.complex128) if not cfg.extended else J

@@ -28,7 +28,7 @@ del _k, _e
 
 
 class QuadratureError(Exception):
-    """Panel budget exhausted before the integrand resolved."""
+    """The integrand did not resolve within the panel budget or min_width."""
 
 
 def _coeffs_from_values(vals: np.ndarray) -> np.ndarray:
@@ -105,7 +105,8 @@ def adaptive_pw(fun, a: float, b: float, tol: float = 1e-12,
     round evaluates every pending panel's 16 nodes in a single call.  A panel
     is accepted when |c[14]| + |c[15]| <= tol * scale, with scale the running
     max coefficient magnitude over the whole build (so the criterion is
-    relative to the function's global size, not per-panel).
+    relative to the function's global size, not per-panel).  A panel that
+    would have to split below min_width raises QuadratureError.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -127,8 +128,12 @@ def adaptive_pw(fun, a: float, b: float, tol: float = 1e-12,
             c = _coeffs_from_values(vals[i])
             scale = max(scale, float(np.max(np.abs(c))))
             tail = float(np.max(np.abs(c[-2]) + np.abs(c[-1])))
-            if tail <= tol * max(scale, 1e-300) or (phi - plo) <= min_width:
+            if tail <= tol * max(scale, 1e-300):
                 accepted.append((plo, phi, c))
+            elif (phi - plo) <= min_width:
+                raise QuadratureError(
+                    f"panel [{plo}, {phi}] of [{a}, {b}] still unresolved at width "
+                    f"{phi - plo:.1e} <= min_width; integrand too rough for tol={tol:.1e}")
             else:
                 mid = (plo + phi) / 2
                 nxt.extend([(plo, mid), (mid, phi)])

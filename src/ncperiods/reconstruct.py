@@ -26,13 +26,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cocycle import CuspCollection, psi, rows_inv, rows_mul, rows_slash
+from .cocycle import CuspCollection, psi, psi_evaluator, rows_inv, rows_mul, rows_slash
 from .config import RunConfig
 from .iterint import Endpoint, QuadConfig, r_direct
 from .modforms import cusp_space_basis, form_linear_combination
 from .ncpoly import (Alphabet, GradedWords, MultiplierSpec, TRIVIAL,
                      mono_eta_power, mono_str, mono_weight, parse_mono)
-from .sl2z import GroupElement, S, T, parse_gamma_label, parse_word
+from .sl2z import GroupElement, S, parse_gamma_label, parse_word
 
 __all__ = [
     "BasisCatalog",
@@ -158,14 +158,6 @@ def compare_recovery(coeffs: dict, report: PeelReport) -> tuple:
 
 # --- cocycle evaluators ------------------------------------------------------
 
-def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
-                  cfg: QuadConfig = QuadConfig()):
-    """The in-process evaluator (gamma, panel) -> Psi(h)_gamma rows."""
-    def ev(gamma: GroupElement, t):
-        return psi(h, gamma, z0, t, D, cfg)
-    return ev
-
-
 def _canon_key(gamma: GroupElement) -> tuple:
     # +-gamma act identically on the cocycle, fold the sign
     ent = gamma.entries()
@@ -203,25 +195,34 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
             m = parse_mono(key)
             if not m:
                 continue
-            arr = np.asarray(pairs, dtype=float)
+            bad = ValueError(f"{label}/{key}: need one [re,im] pair per panel point")
+            try:
+                arr = np.asarray(pairs, dtype=float)
+            except (TypeError, ValueError):
+                raise bad from None
             if arr.ndim == 1:
                 arr = arr[None, :]
             if arr.shape != (len(panel_pts), 2):
-                raise ValueError(f"{label}/{key}: need one [re,im] pair per panel point")
+                raise bad
             rows[:, words.index(m)] = arr[:, 0] + 1j * arr[:, 1]
         store[(_canon_key(parse_gamma_label(label)), panel_pts.tobytes())] = (panel_pts, rows)
 
     if not isinstance(data, dict):
         raise ValueError("cocycle values must be a JSON object")
     if "entries" in data:
+        if not isinstance(data["entries"], list):
+            raise ValueError("field 'entries' must be a list of objects")
         for i, ent in enumerate(data["entries"]):
             if not isinstance(ent, dict):
                 raise ValueError(f"entry {i}: must be an object")
             for name in ("gamma", "panel", "values"):
                 if name not in ent:
                     raise ValueError(f"entry {i}: missing field {name!r}")
-            add_entry(f"entry {i}", ent["gamma"],
-                      [complex(re, im) for re, im in ent["panel"]], ent["values"])
+            try:
+                pts = [complex(re, im) for re, im in ent["panel"]]
+            except (TypeError, ValueError):
+                raise ValueError(f"entry {i}: field 'panel' must list [re,im] pairs") from None
+            add_entry(f"entry {i}", ent["gamma"], pts, ent["values"])
     else:
         if default_panel is None:
             raise ValueError("bare panel-value files need an explicit panel")
@@ -255,6 +256,19 @@ PEEL_VALUE_GRID = (
     ("TS", None),
     ("SS", None),
 )
+
+
+def _grid_values(X, panel, grid=PEEL_VALUE_GRID) -> dict:
+    """X on the (label, move) entries of the grid, keyed by the entry; an
+    entry X has no stored value for is left out."""
+    out = {}
+    for label, move in grid:
+        pts = panel if move is None else parse_word(move).mobius(panel)
+        try:
+            out[label, move] = np.asarray(X(parse_gamma_label(label), pts), dtype=complex)
+        except UnavailableValue:
+            pass
+    return out
 
 
 def dump_cocycle_values(X, alphabet: Alphabet, D: int, panel) -> dict:
@@ -314,16 +328,18 @@ class PeelReport:
 _ABELIAN_PAIRS = (("S", "T"), ("T", "S"), ("S", "S"))
 
 
-def _abelian_check(X, h_prev, words, d, panel, z0, cfg) -> dict:
+def _abelian_check(xv, pv, words, d, panel, cfg) -> dict:
     """Residual of Ybar_{gd} = Ybar_g|d + Ybar_d on the generator pairs,
-    for Ybar the degree-d block of X - Psi(h_prev).  Run before fitting the
-    degree; a breach means X is not a cocycle compatible with the lower
-    degrees already recovered."""
+    for Ybar the degree-d block of X - Psi(h_prev), read from the grid
+    tables xv of X and pv of Psi(h_prev).  Run before fitting the degree; a
+    breach means X is not a cocycle compatible with the lower degrees
+    already recovered."""
     block = words.block(d)
 
-    def ybar(gamma, pts):
-        raw = np.asarray(X(gamma, pts), dtype=complex)
-        prev = psi(h_prev, gamma, z0, pts, words.D, cfg)
+    def ybar(label, move=None):
+        if (label, move) not in xv:
+            raise UnavailableValue(f"no stored values for {label} on the peel grid")
+        raw, prev = xv[label, move], pv[label, move]
         out = np.zeros_like(raw)
         out[:, block] = raw[:, block] - prev[:, block]
         # the raw magnitude is what the difference cancels against
@@ -334,11 +350,10 @@ def _abelian_check(X, h_prev, words, d, panel, z0, cfg) -> dict:
     details = {}
     try:
         for gl, dl in _ABELIAN_PAIRS:
-            g, dd = parse_word(gl), parse_word(dl)
-            lhs, s1 = ybar(g * dd, panel)
-            moved, _ = ybar(g, dd.mobius(panel))
-            rhs_g = rows_slash(words, moved, dd, panel)
-            rhs_d, s3 = ybar(dd, panel)
+            lhs, s1 = ybar(gl + dl)
+            moved, _ = ybar(gl, dl)
+            rhs_g = rows_slash(words, moved, parse_word(dl), panel)
+            rhs_d, s3 = ybar(dl)
             resid = float(np.max(np.abs((lhs - rhs_g - rhs_d)[:, block])))
             details[f"{gl},{dl}"] = resid
             worst = max(worst, resid)
@@ -382,25 +397,29 @@ def peel(X, catalog: BasisCatalog, D: int | None = None, panel=None, tol: float 
 
     unit = np.zeros((len(panel), words.total), dtype=complex)
     unit[:, 0] = 1.0
-    try:
-        x_t = np.asarray(X(T, panel), dtype=complex)
+    xv = _grid_values(X, panel)
+    x_t, x_s = xv.get(("T", None)), xv.get(("S", None))
+    if x_t is None:
+        report.parabolic_check = "skipped (values unavailable)"
+    else:
         worst_t = float(np.max(np.abs(x_t - unit)) / max(1.0, np.max(np.abs(x_t))))
         if worst_t > 10.0 * tol:
             raise PeelError(f"X_T differs from 1 by {worst_t:.2e} relative; "
                             "peel needs the parabolic normalization at the base point oo")
         report.parabolic_check = f"ok ({worst_t:.2e})"
-    except UnavailableValue:
-        report.parabolic_check = "skipped (values unavailable)"
-
-    x_s = np.asarray(X(S, panel), dtype=complex)
+    if x_s is None:
+        raise UnavailableValue("peel needs X_S on its panel")
 
     # coefficients grow with the kernel power, so every tolerance below is
     # taken relative to the magnitude of the values whose cancellation
     # produced the quantity under test
     entries = {}
+    P = None
     for d in range(1, D + 1):
-        h_prev = CuspCollection(alphabet, dict(entries))
-        stage = {"degree": d, "abelian": _abelian_check(X, h_prev, words, d, panel, z0, cfg)}
+        if P is None:  # Psi(h_<d) of a collection no earlier stage has read
+            P = psi_evaluator(CuspCollection(alphabet, dict(entries)), D, z0, cfg)
+            pv = _grid_values(P, panel, xv)
+        stage = {"degree": d, "abelian": _abelian_check(xv, pv, words, d, panel, cfg)}
         if stage["abelian"]["status"] == "failed":
             report.degrees.append(stage)
             raise PeelError(
@@ -408,7 +427,7 @@ def peel(X, catalog: BasisCatalog, D: int | None = None, panel=None, tol: float 
                 f"(max {stage['abelian']['max']:.2e} > {stage['abelian']['threshold']:.2e}); "
                 "input is not a cocycle over the recovered lower degrees")
 
-        prev_rows = psi(h_prev, S, z0, panel, D, cfg)
+        prev_rows = pv["S", None]
         delta = x_s - prev_rows
         blk = words.block(d)
         block_scale = max(1.0, float(np.max(np.abs(x_s[:, blk]))),
@@ -453,9 +472,13 @@ def peel(X, catalog: BasisCatalog, D: int | None = None, panel=None, tol: float 
         stage.update(fits=fits, recovered=recovered, absent_max=absent_rel,
                      block_scale=block_scale)
         report.degrees.append(stage)
+        if recovered:
+            P = None
 
     h_rec = CuspCollection(alphabet, dict(entries))
-    final = np.abs(x_s - psi(h_rec, S, z0, panel, D, cfg))
+    if P is None:
+        P = psi_evaluator(h_rec, D, z0, cfg)
+    final = np.abs(x_s - P(S, panel))
     report.final_residual = float(np.max(final / np.maximum(1.0, np.abs(x_s))))
     return h_rec, report
 

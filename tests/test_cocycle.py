@@ -131,6 +131,27 @@ def test_psi_parabolic_unit(delta):
         assert np.max(np.abs(rows[:, 1:])) == 0.0
 
 
+def test_evaluator_solves_each_ray_once(delta, monkeypatch):
+    """Psi_ST(t) and Psi_S(T t) share the ray J(z0) at ST t: one evaluator
+    solves it once, so the pair costs three vertical solves, not four."""
+    import ncperiods.cocycle as cocycle
+    from ncperiods.config import DEFAULT_PANEL
+
+    panel = np.asarray(DEFAULT_PANEL, dtype=complex)
+    solve = cocycle.vertical_J
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cocycle, "vertical_J", counting)
+    P = cocycle.psi_evaluator(_one_letter(delta), 2, Z0)
+    P(parse_word("ST"), panel)
+    P(S, T.mobius(panel))
+    assert len(calls) == 3
+
+
 def test_psi_degree_zero_is_one(delta):
     h = _one_letter(delta)
     rows = psi(h, S, Z0, PANEL, 2)

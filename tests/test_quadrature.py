@@ -66,6 +66,12 @@ def test_panel_budget_counts_each_panel_once():
     assert len(pw.breaks) - 1 == 40
 
 
+def test_unresolved_panel_is_refused():
+    # a jump never resolves: bisection reaches min_width at s = 0.3
+    with pytest.raises(QuadratureError, match=r"panel \[0\.29"):
+        adaptive_pw(lambda s: np.where(s < 0.3, 0.0, 1.0), 0.0, 1.0, tol=1e-12)
+
+
 def test_resolution_tail_small_when_converged():
     pw = adaptive_pw(lambda s: np.sin(s) ** 2, 0.0, 3.0, tol=1e-13)
     assert pw.resolution_tail() < 1e-13 * max(1.0, np.max(np.abs(pw.coeffs)))

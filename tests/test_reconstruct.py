@@ -1,5 +1,7 @@
 """Catalog construction, peeling cocycles back to collections, injectivity."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ncperiods.mlv import period_polynomial
 from ncperiods.modforms import form_linear_combination, level_one_basis
 from ncperiods.ncpoly import Alphabet, GradedWords, Letter, slash_factors
 from ncperiods.reconstruct import (
+    PEEL_VALUE_GRID,
     PeelError,
     UnavailableValue,
     _extend_panel,
@@ -107,6 +110,20 @@ def test_peel_from_dumped_json(delta, g16):
         assert stage["abelian"]["status"] == "ok"
 
 
+def test_peel_reads_each_grid_value_once(catalog, delta):
+    """peel asks X for each PEEL_VALUE_GRID entry at most once."""
+    X0 = psi_evaluator(CuspCollection(AB2, {(1,): delta}), 3)
+    calls = Counter()
+
+    def X(gamma, t):
+        calls[gamma.entries(), np.asarray(t, dtype=complex).tobytes()] += 1
+        return X0(gamma, t)
+
+    peel(X, catalog)
+    assert sum(calls.values()) <= len(PEEL_VALUE_GRID)
+    assert max(calls.values()) == 1
+
+
 def test_peel_bare_json_skips_unavailable(delta):
     """Bare shape stores only X_S on one panel: the parabolic and abelian
     checks report skipped instead of failing, the fit still lands."""
@@ -142,6 +159,12 @@ def test_cocycle_from_json_unavailable():
     ({"entries": ["S"]}, ("entry 0", "object")),
     ({"S": [[1.0, 0.0]] * 5}, ("entry 'S'", "values")),
     ([{"S": {}}], ("JSON object",)),
+    ({"entries": [{"gamma": "S", "panel": [[1.0]], "values": {}}]}, ("entry 0", "panel")),
+    ({"entries": [{"gamma": "S", "panel": [["a", "b"]], "values": {}}]},
+     ("entry 0", "panel")),
+    ({"entries": 5}, ("entries", "list")),
+    ({"entries": [{"gamma": "S", "panel": [[0.0, -1.0]], "values": {"A1": [["a", "b"]]}}]},
+     ("S/A1", "pair")),
 ])
 def test_cocycle_from_json_names_malformed_entry(data, named):
     with pytest.raises(ValueError) as err:
