@@ -63,6 +63,7 @@ from .mlv import (
     double_period_polynomial,
     verify_shuffle,
     lambda_probe,
+    clear_caches,
 )
 from .reconstruct import (
     BasisCatalog,
@@ -78,11 +79,4 @@ from .reconstruct import (
 )
 from .config import RunConfig, DEFAULT_PANEL, parse_alphabet, parse_panel
 
-from . import mlv as _mlv
-
 __version__ = "0.1.0"
-
-
-def clear_caches():
-    """Drop the cached moment antiderivatives of mlv (determinism checks)."""
-    _mlv.clear_caches()

@@ -109,10 +109,10 @@ def parse_panel(spec) -> tuple:
 class RunConfig:
     alphabet: str = "10:trivial"
     degree: int = 3
-    rtol: float = 1e-9
-    atol: float = 1e-11
-    quad_tol: float = 1e-11
-    max_steps: int = 100_000
+    rtol: float = QuadConfig.rtol
+    atol: float = QuadConfig.atol
+    quad_tol: float = QuadConfig.quad_tol
+    max_steps: int = QuadConfig.max_steps
     precision: str = "double"  # "double" | "extended"
     panel: tuple = DEFAULT_PANEL
     format: str = "json"  # "json" | "csv"
@@ -175,17 +175,7 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """JSON-ready dict of every field, embedded in all reports."""
-        return {
-            "alphabet": self.alphabet,
-            "degree": self.degree,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "quad_tol": self.quad_tol,
-            "max_steps": self.max_steps,
-            "precision": self.precision,
-            "panel": [[p.real, p.imag] for p in self.panel],
-            "format": self.format,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "z0": [self.z0.real, self.z0.imag],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["panel"] = [[p.real, p.imag] for p in self.panel]
+        out["z0"] = [self.z0.real, self.z0.imag]
+        return out

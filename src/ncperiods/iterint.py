@@ -71,7 +71,6 @@ class QuadConfig:
     atol: float = 1e-11
     quad_tol: float = 1e-11
     max_steps: int = 100_000
-    max_panels: int = 4096
     extended: bool = False
 
 
@@ -285,8 +284,7 @@ def r_direct(forms, y, x, t, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
                 if inner is not None:
                     base = base * inner.seg_eval(i, s)
                 return base
-            pw = adaptive_pw(integrand, 0.0, 1.0, tol=cfg.quad_tol,
-                             max_panels=cfg.max_panels)
+            pw = adaptive_pw(integrand, 0.0, 1.0, tol=cfg.quad_tol)
             A = pw.antiderivative()
             pws.append(A)
             jumps.append(acc.copy())

@@ -20,6 +20,7 @@ at integer arguments is Lambda(f, s) = M_{s-1} / i^s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -40,12 +41,6 @@ __all__ = [
     "lambda_probe",
     "clear_caches",
 ]
-
-_PW_CACHE: dict = {}
-
-
-def clear_caches():
-    _PW_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -78,25 +73,35 @@ def _check_trivial(f: CuspForm) -> int:
     return int(w)
 
 
-def _moment_antideriv(f: CuspForm, lo: float, cfg: QuadConfig):
+@lru_cache(maxsize=64)
+def _moment_antideriv(f: CuspForm, lo: float, ycut: float, quad_tol: float):
     """PwPoly antiderivatives F_m(Y) = int_lo^Y f(iu) u^m du, m = 0..w, of a
-    nonzero form, and the cutoff height Y they run up to."""
-    w = _check_trivial(f)
-    ycut = cutoff_height([f], w, None, cfg.atol)
-    key = (f.digest, lo, ycut, cfg.quad_tol, cfg.max_panels)
-    hit = _PW_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ms = np.arange(w + 1)
+    nonzero form, resolved to quad_tol on [lo, ycut]."""
+    ms = np.arange(int(f.shifted_weight) + 1)
 
     def fun(y):
         fv = eval_forms([f], 1j * y)[0]
         return fv[:, None] * y[:, None] ** ms[None, :]
 
-    pw = adaptive_pw(fun, lo, ycut, tol=cfg.quad_tol, max_panels=cfg.max_panels)
-    F = pw.antiderivative()
-    _PW_CACHE[key] = (F, ycut)
-    return F, ycut
+    return adaptive_pw(fun, lo, ycut, tol=quad_tol).antiderivative()
+
+
+clear_caches = _moment_antideriv.cache_clear
+
+
+def moments_table(f: CuspForm, split: float = 1.0,
+                  cfg: QuadConfig = QuadConfig()) -> np.ndarray:
+    """M_k(f) = int_0^{ioo} f(tau) tau^k dtau for k = 0..w, split at
+    y = split: one antiderivative read at the cutoff, split and 1/split."""
+    w = _check_trivial(f)
+    if f.is_zero:
+        return np.zeros(w + 1, dtype=complex)
+    ycut = cutoff_height([f], w, None, cfg.atol)
+    F = _moment_antideriv(f, min(split, 1.0 / split) * 0.999, ycut, cfg.quad_tol)
+    top = F(ycut)
+    upper = top - F(split)
+    lower = 1j ** (w + 2) * (top - F(1.0 / split))[::-1]
+    return 1j ** np.arange(1, w + 2) * (upper + lower)
 
 
 def moment(f: CuspForm, k: int, split: float = 1.0,
@@ -105,26 +110,13 @@ def moment(f: CuspForm, k: int, split: float = 1.0,
     w = _check_trivial(f)
     if not 0 <= k <= w:
         raise ValueError(f"moment index k must be in 0..{w}")
-    if f.is_zero:
-        return 0j
-    lo = min(split, 1.0 / split) * 0.999
-    F, ycut = _moment_antideriv(f, lo, cfg)
-    top = F(ycut)
-    upper = top[k] - F(split)[k]
-    lower = 1j ** (w + 2) * (top[w - k] - F(1.0 / split)[w - k])
-    return complex(1j ** (k + 1) * (upper + lower))
-
-
-def moments_table(f: CuspForm, split: float = 1.0,
-                  cfg: QuadConfig = QuadConfig()) -> np.ndarray:
-    w = _check_trivial(f)
-    return np.array([moment(f, k, split, cfg) for k in range(w + 1)])
+    return complex(moments_table(f, split, cfg)[k])
 
 
 def lambda_value(f: CuspForm, s: int, split: float = 1.0,
                  cfg: QuadConfig = QuadConfig()) -> complex:
     """Completed L-value Lambda(f, s) = M_{s-1} / i^s for s = 1..w+1."""
-    return complex(moment(f, s - 1, split, cfg) / 1j**s)
+    return moment(f, s - 1, split, cfg) / 1j**s
 
 
 def period_polynomial(f: CuspForm, cfg: QuadConfig = QuadConfig()) -> PeriodPolynomial:
@@ -146,7 +138,8 @@ def double_moments(f1: CuspForm, f2: CuspForm,
     w2 = _check_trivial(f2)
     if f1.is_zero or f2.is_zero:
         return np.zeros((w1 + 1, w2 + 1), dtype=complex)
-    F2, ycut2 = _moment_antideriv(f2, 0.999, cfg)
+    ycut2 = cutoff_height([f2], w2, None, cfg.atol)
+    F2 = _moment_antideriv(f2, 0.999, ycut2, cfg.quad_tol)
     top2 = F2(ycut2)
     F1v = F2(1.0)
     k1s = np.arange(w1 + 1)
@@ -166,7 +159,7 @@ def double_moments(f1: CuspForm, f2: CuspForm,
         G = yk[:, :, None] * A[:, None, :] + 1j ** (w1 + 2) * ykr[:, :, None] * Arec[:, None, :]
         return fv[:, None, None] * G
 
-    pw = adaptive_pw(outer, 1.0, ycut1, tol=cfg.quad_tol, max_panels=cfg.max_panels)
+    pw = adaptive_pw(outer, 1.0, ycut1, tol=cfg.quad_tol)
     return 1j ** (k1s + 1)[:, None] * pw.integral()
 
 
@@ -217,11 +210,13 @@ def lambda_probe(f: CuspForm, splits=(0.7, 1.3),
     w = _check_trivial(f)
     k = w + 2
     sign = (-1) ** (k // 2)
+    Ma = moments_table(f, splits[0], cfg)
+    Mb = moments_table(f, splits[1], cfg)
     rows = []
     worst = 0.0
     for s in range(1, w + 2):
-        La = lambda_value(f, s, splits[0], cfg)
-        Lb = lambda_value(f, k - s, splits[1], cfg)
+        La = complex(Ma[s - 1]) / 1j**s
+        Lb = complex(Mb[k - s - 1]) / 1j**(k - s)
         rel = abs(La - sign * Lb) / abs(La)
         worst = max(worst, rel)
         rows.append({"s": s, "lambda": [La.real, La.imag], "rel_err": rel})

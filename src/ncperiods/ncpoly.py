@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -188,8 +188,6 @@ class GradedWords:
         for d in range(D + 1):
             self.offsets.append(self.offsets[-1] + ell**d)
         self.total = self.offsets[-1]
-        self._weights = None
-        self._eta_powers = None
 
     def __eq__(self, other):
         return (
@@ -234,18 +232,16 @@ class GradedWords:
     def block(self, d: int) -> slice:
         return slice(self.offsets[d], self.offsets[d + 1])
 
-    # cached per-word weight/eta-power tables used by the slash action
+    @cached_property
     def _tables(self):
-        if self._weights is None:
-            w = np.empty(self.total, dtype=float)
-            n = np.empty(self.total, dtype=np.int64)
-            for idx in range(self.total):
-                m = self.word(idx)
-                w[idx] = float(mono_weight(self.alphabet, m))
-                n[idx] = mono_eta_power(self.alphabet, m)
-            self._weights = w
-            self._eta_powers = n
-        return self._weights, self._eta_powers
+        """Per-word weight and eta-power tables used by the slash action."""
+        w = np.empty(self.total, dtype=float)
+        n = np.empty(self.total, dtype=np.int64)
+        for idx in range(self.total):
+            m = self.word(idx)
+            w[idx] = float(mono_weight(self.alphabet, m))
+            n[idx] = mono_eta_power(self.alphabet, m)
+        return w, n
 
 
 @dataclass(frozen=True)
@@ -387,7 +383,7 @@ def slash_factors(words: GradedWords, gamma: GroupElement, t) -> np.ndarray:
     compensated exactly by the integer exponent.  t may be a scalar or a 1-d
     array; the result has shape (..., n_words).
     """
-    wvec, nvec = words._tables()
+    wvec, nvec = words._tables
     nred = nvec % 24
     iexp = np.rint(wvec - nred / 2.0).astype(np.int64)
     eps = eta_epsilon(gamma)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cocycle import CuspCollection, psi, psi_evaluator, rows_inv, rows_mul, rows_slash
+from .cocycle import CuspCollection, psi, psi_evaluator, rows_slash, untwist_rows
 from .config import RunConfig
 from .iterint import Endpoint, QuadConfig, r_direct
 from .modforms import cusp_space_basis, form_linear_combination
@@ -186,26 +186,38 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
     store = {}
 
     def add_entry(where, label, panel_pts, values):
+        if not isinstance(label, str):
+            raise ValueError(f"{where}: field 'gamma' must be a label string")
+        try:
+            gamma = parse_gamma_label(label)
+        except ValueError as e:
+            raise ValueError(f"{where}: bad gamma label {label!r}: {e}") from None
         if not isinstance(values, dict):
             raise ValueError(f"{where}: values must map monomials to [re,im] pairs")
         panel_pts = np.asarray(panel_pts, dtype=complex)
+        if not len(panel_pts) or not np.all(np.isfinite(panel_pts) & (panel_pts.imag < 0)):
+            raise ValueError(f"{where}: panel points must be finite and in the lower half plane")
         rows = np.zeros((len(panel_pts), words.total), dtype=complex)
         rows[:, 0] = 1.0
         for key, pairs in values.items():
-            m = parse_mono(key)
+            try:
+                m = parse_mono(key)
+                col = words.index(m)
+            except ValueError as e:
+                raise ValueError(f"{where}: bad monomial {key!r}: {e}") from None
             if not m:
                 continue
             bad = ValueError(f"{label}/{key}: need one [re,im] pair per panel point")
             try:
                 arr = np.asarray(pairs, dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise bad from None
             if arr.ndim == 1:
                 arr = arr[None, :]
             if arr.shape != (len(panel_pts), 2):
                 raise bad
-            rows[:, words.index(m)] = arr[:, 0] + 1j * arr[:, 1]
-        store[(_canon_key(parse_gamma_label(label)), panel_pts.tobytes())] = (panel_pts, rows)
+            rows[:, col] = arr[:, 0] + 1j * arr[:, 1]
+        store[(_canon_key(gamma), panel_pts.tobytes())] = (panel_pts, rows)
 
     if not isinstance(data, dict):
         raise ValueError("cocycle values must be a JSON object")
@@ -220,7 +232,7 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
                     raise ValueError(f"entry {i}: missing field {name!r}")
             try:
                 pts = [complex(re, im) for re, im in ent["panel"]]
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"entry {i}: field 'panel' must list [re,im] pairs") from None
             add_entry(f"entry {i}", ent["gamma"], pts, ent["values"])
     else:
@@ -295,13 +307,20 @@ def dump_cocycle_values(X, alphabet: Alphabet, D: int, panel) -> dict:
 
 def deconjugate(X, n, words: GradedWords):
     """Undo a known twist: gamma, t -> (n|gamma)(t)^(-1) X_gamma(t) n(t),
-    for n a callable panel -> rows with constant term 1."""
+    for n a callable panel -> rows with constant term 1.  The evaluator keeps
+    n's rows per panel bytes, so each distinct panel evaluates n once."""
+    n_rows = {}
+
+    def n_at(t):
+        key = t.tobytes()
+        if key not in n_rows:
+            n_rows[key] = np.asarray(n(t), dtype=complex)
+        return n_rows[key]
+
     def ev(gamma: GroupElement, t):
         t = np.atleast_1d(np.asarray(t, dtype=complex))
-        n_t = np.asarray(n(t), dtype=complex)
-        slashed = rows_slash(words, np.asarray(n(gamma.mobius(t)), dtype=complex), gamma, t)
-        mid = rows_mul(words, rows_inv(words, slashed), np.asarray(X(gamma, t), dtype=complex))
-        return rows_mul(words, mid, n_t)
+        return untwist_rows(words, np.asarray(X(gamma, t), dtype=complex),
+                            n_at(t), n_at(gamma.mobius(t)), gamma, t)
     return ev
 
 

@@ -20,6 +20,7 @@ from ncperiods.mlv import (
     verify_shuffle,
 )
 from ncperiods.modforms import CuspForm, QSeries, eta_form, form_linear_combination, level_one_basis
+from ncperiods.quadrature import PwPoly
 
 PANEL = np.array([-0.7j, -0.4 - 0.6j])
 
@@ -136,6 +137,24 @@ def test_determinism_and_cache(delta):
     clear_caches()
     b = moments_table(delta)
     assert a.tobytes() == b.tobytes()
+
+
+def test_moments_table_reads_antiderivative_once_per_height(delta, monkeypatch):
+    """A table reads its one antiderivative at the cutoff, split and 1/split;
+    the functional-equation probe reads one table per split."""
+    reads = []
+    call = PwPoly.__call__
+
+    def counting(self, s):
+        reads.append(s)
+        return call(self, s)
+
+    monkeypatch.setattr(PwPoly, "__call__", counting)
+    moments_table(delta)
+    assert len(reads) <= 3
+    reads.clear()
+    lambda_probe(delta)
+    assert len(reads) <= 6
 
 
 def test_moment_independent_of_call_order(delta):

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncperiods.cocycle import CuspCollection
 from ncperiods.config import DEFAULT_PANEL
@@ -165,12 +167,48 @@ def test_cocycle_from_json_unavailable():
     ({"entries": 5}, ("entries", "list")),
     ({"entries": [{"gamma": "S", "panel": [[0.0, -1.0]], "values": {"A1": [["a", "b"]]}}]},
      ("S/A1", "pair")),
+    ({"entries": [{"gamma": 5, "panel": [[0.0, -1.0]], "values": {}}]}, ("entry 0", "gamma")),
+    ({"entries": [{"gamma": "m:1,0,0", "panel": [[0.0, -1.0]], "values": {}}]},
+     ("entry 0", "m:1,0,0")),
+    ({"entries": [{"gamma": "m:2,0,0,1", "panel": [[0.0, -1.0]], "values": {}}]},
+     ("entry 0", "m:2,0,0,1")),
+    ({"entries": [{"gamma": "X", "panel": [[0.0, -1.0]], "values": {}}]}, ("entry 0", "'X'")),
+    ({"entries": [{"gamma": "S", "panel": [[0.0, -1.0]], "values": {"A": [[1.0, 0.0]]}}]},
+     ("entry 0", "'A'")),
+    ({"entries": [{"gamma": "S", "panel": [[0, 1]], "values": {}}]},
+     ("entry 0", "lower half plane")),
 ])
 def test_cocycle_from_json_names_malformed_entry(data, named):
     with pytest.raises(ValueError) as err:
         cocycle_from_json(data, AB1, 1, default_panel=PANEL)
     for text in named:
         assert text in str(err.value)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=12)
+_PAIRS = st.lists(st.lists(st.floats(allow_nan=False, min_value=-2.0, max_value=2.0),
+                           min_size=2, max_size=2), min_size=1, max_size=2)
+_ENTRY = st.fixed_dictionaries({}, optional={
+    "gamma": st.sampled_from(["S", "T", "ST^-1", "m:1,1,0,1", "m:1,0,0", "X"]) | _JSON,
+    "panel": _PAIRS | _JSON,
+    "values": st.dictionaries(st.sampled_from(["1", "A1", "A2", "A", "A1*A1"]) | st.text(max_size=4),
+                              _PAIRS | _JSON, max_size=3) | _JSON,
+})
+
+
+@given(st.fixed_dictionaries({"entries": st.lists(_ENTRY | _JSON, max_size=3) | _JSON})
+       | st.dictionaries(st.sampled_from(["S", "T", "Q"]) | st.text(max_size=4), _JSON, max_size=3)
+       | _JSON)
+def test_cocycle_from_json_fuzz_raises_only_value_error(data):
+    """Whatever JSON-shaped input arrives, a malformed file surfaces as a
+    ValueError and nothing else."""
+    try:
+        cocycle_from_json(data, AB1, 1, default_panel=PANEL)
+    except ValueError:
+        pass
 
 
 def test_peel_panel_mismatch(catalog):
@@ -249,6 +287,25 @@ def test_deconjugate_round_trip(delta):
     assert np.max(np.abs(a - b)) < 1e-10
     # and the twist itself is not a no-op
     assert np.max(np.abs(np.asarray(Y(S, PANEL)) - a)) > 1e-3
+
+
+def test_deconjugate_evaluates_n_once_per_panel(delta):
+    """Reading the peel grid of a twisted cocycle evaluates the twist once per
+    distinct panel, however many grid entries share it."""
+    words = GradedWords(AB1, 2)
+    calls = Counter()
+
+    def n(t):
+        calls[t.tobytes()] += 1
+        rows = np.zeros((len(t), words.total), dtype=complex)
+        rows[:, 0] = 1.0
+        rows[:, 1] = 0.3 * t**2
+        return rows
+
+    X = psi_evaluator(CuspCollection(AB1, {(1,): delta}), 2)
+    dump_cocycle_values(deconjugate(X, n, words), AB1, 2, PANEL)
+    assert len(calls) == 7
+    assert set(calls.values()) == {1}
 
 
 def test_injectivity_probe(delta, g16):
