@@ -14,7 +14,7 @@ import numpy as np
 
 from ncperiods.config import DEFAULT_PANEL
 from ncperiods.iterint import QuadConfig
-from ncperiods.mlv import lambda_probe, lambda_value, verify_shuffle
+from ncperiods.mlv import lambda_probe, moments_table, verify_shuffle
 from ncperiods.modforms import level_one_basis
 
 
@@ -40,8 +40,9 @@ def main(argv=None):
         print(f"\n{f.label}  (weight {k}, sign {probe['sign']:+d}, "
               f"funceq rel {probe['max_rel']:.1e}, "
               f"shuffle vs {delta.label} {shuffle['max']:.1e})")
+        M = moments_table(f, cfg=cfg)
         for s in range(1, k):
-            lam = lambda_value(f, s, cfg=cfg)
+            lam = complex(M[s - 1]) / 1j**s
             mark = "" if abs(lam.imag) > 1e-12 * abs(lam) else "   (real)"
             print(f"  Lambda({s:2d}) = {lam.real:+.12e}{mark}")
     return 0

@@ -112,7 +112,6 @@ class RunConfig:
     rtol: float = QuadConfig.rtol
     atol: float = QuadConfig.atol
     quad_tol: float = QuadConfig.quad_tol
-    max_steps: int = QuadConfig.max_steps
     precision: str = "double"  # "double" | "extended"
     panel: tuple = DEFAULT_PANEL
     format: str = "json"  # "json" | "csv"
@@ -163,7 +162,6 @@ class RunConfig:
             rtol=self.rtol,
             atol=self.atol,
             quad_tol=self.quad_tol,
-            max_steps=self.max_steps,
             extended=(self.precision == "extended"),
         )
 

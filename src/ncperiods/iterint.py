@@ -11,7 +11,10 @@ they can cross-check each other:
 
 * vertical_J: the full generating series J(h; z0, oo; t) of all words up to
   degree D at once, as the solution of dJ/dz = Omega(z) J integrated down a
-  vertical ray from a certified cutoff height, J(cutoff) = 1.
+  vertical ray from a certified cutoff height, J(cutoff) = 1.  Omega raises
+  word degree, so on each Chebyshev panel D Picard sweeps, one per degree,
+  are exact up to the panel's interpolation error; rtol/atol set how finely
+  the panels resolve the integrand.
 
 Paths run point -> vertical -> horizontal connector -> vertical -> point.
 A cusp endpoint is traversed in a frame gamma with gamma(oo) = cusp: the
@@ -33,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .modforms import eval_forms, transformation_factor
 from .ncpoly import GradedWords, mono_weight
@@ -61,16 +65,17 @@ class IterIntError(Exception):
 class QuadConfig:
     """Numerical knobs shared by both integration routes.
 
-    rtol/atol control the ODE stepper; quad_tol is the panel resolution
-    criterion of the layered route; atol also sets where both routes cut the
-    path off at the cusp (see cutoff_height); extended switches the ODE state
-    to 80-bit floats.
+    rtol/atol are the panel resolution criterion of the ray ODE: a Chebyshev
+    panel is accepted when the trailing coefficients of its integrand stay
+    below atol + rtol |J|; quad_tol is the panel resolution criterion of the
+    layered route; atol also sets where both routes cut the path off at the
+    cusp (see cutoff_height); extended switches the ODE state to 80-bit
+    floats.
     """
 
     rtol: float = 1e-9
     atol: float = 1e-11
     quad_tol: float = 1e-11
-    max_steps: int = 100_000
     extended: bool = False
 
 
@@ -335,77 +340,65 @@ def path_split_check(forms, z, y, x, t, cfg: QuadConfig = QuadConfig()) -> dict:
 
 @lru_cache(maxsize=64)
 def _ode_tables(words: GradedWords, support: tuple):
-    """Gather/scatter plan of Omega J, one entry per (supported prefix B,
-    word m = B C): the slot len(B) - 1, the index of m, the support index of
-    B and the index of the suffix C, as aligned index arrays, plus the slot
-    count."""
-    slot, tgt, bidx, src = [], [], [], []
-    for b, B in enumerate(support):
-        k = len(B)
-        for i in range(1, words.total):
-            m = words.word(i)
-            if len(m) >= k and m[:k] == B:
-                slot.append(k - 1)
-                tgt.append(i)
-                bidx.append(b)
-                src.append(words.index(m[k:]))
-    arrays = tuple(np.asarray(v, dtype=np.intp) for v in (slot, tgt, bidx, src))
-    return arrays + (max(len(B) for B in support),)
+    """Gather/scatter plans of Omega J, one per target degree k = 1..D.
+
+    The plan of degree k has one entry per (supported prefix B, word m = B C
+    of degree k): the slot len(B) - 1, the position of m in block k, the
+    support index of B and the index of the suffix C, as aligned index
+    arrays, plus the slot count and the block width."""
+    ell = words.alphabet.ell
+    plans = []
+    for k in range(1, words.D + 1):
+        slot, tgt, bidx, src = [], [], [], []
+        for b, B in enumerate(support):
+            j = len(B)
+            if j > k:
+                continue
+            n = ell ** (k - j)
+            slot.append(np.full(n, j - 1))
+            tgt.append((words.index(B) - words.offsets[j]) * n + np.arange(n))
+            bidx.append(np.full(n, b))
+            src.append(words.offsets[k - j] + np.arange(n))
+        arrays = tuple(np.concatenate(v or [[]]).astype(np.intp) for v in (slot, tgt, bidx, src))
+        plans.append(arrays + (int(arrays[0].max(initial=-1)) + 1, ell**k))
+    return tuple(plans)
 
 
-def _ode_rhs(tables, om_row, J):
-    """-i Omega J for the rows J, shape (n_t, n_words), where om_row holds
-    the kernel-weighted form of each support monomial, shape (n_t, n_support).
+def _ode_rhs(plan, om_row, J):
+    """Block k of -i Omega J for the rows J, shape (n_rows, n_words), where
+    om_row holds the kernel-weighted form of each support monomial, shape
+    (n_rows, n_support), and plan is the degree-k entry of _ode_tables.
 
     A word has at most one prefix of each length, so the slots of the pad
-    hold distinct targets; summing them in ascending prefix length adds each
-    word's terms in the order of the (length-sorted) support."""
-    slot, tgt, bidx, src, nslots = tables
-    pad = np.zeros((J.shape[0], nslots, J.shape[1]), dtype=J.dtype)
+    hold distinct targets; block k reads only the blocks of J below k."""
+    slot, tgt, bidx, src, nslots, width = plan
+    pad = np.zeros((J.shape[0], nslots, width), dtype=J.dtype)
     pad[:, slot, tgt] = om_row[:, bidx] * J[:, src]
-    out = np.zeros_like(J)
-    for k in range(nslots):
-        out += pad[:, k]
+    out = pad.sum(axis=1)
     out *= -1j  # dz/ds = -i going down the ray
     return out
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = _DP_B - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-
-def _dp_combo(h, coefs, ks):
-    """h * sum(c * k) over the nonzero coefficients, accumulated in place in
-    term order."""
-    acc = None
-    for c, k in zip(coefs, ks):
-        if not c:
-            continue
-        if acc is None:
-            acc = c * k
-        else:
-            acc += c * k
-    acc *= h
-    return acc
-
-
-def _collection_data(h):
-    """Support monomials, their forms, and kernel powers w(B), aligned."""
-    monos = tuple(h.support_monos)
-    forms = list(h.support_forms)
-    wvec = np.array([float(mono_weight(h.alphabet, m)) for m in monos])
-    return monos, forms, wvec
+# Chebyshev-Picard panels on second-kind points x_k of [-1, 1], both ends
+# included.  The T_j are discretely orthogonal on these points, which gives
+# the map from values to interpolant coefficients in closed form (end points
+# and first and last coefficients halved; no linear solve, so importing the
+# module loads no LAPACK).  _CHEB_INT takes integrand values to the integral
+# of their interpolant from -1 to each point; _CHEB_TAIL to the two trailing
+# coefficients.
+_NODES = 16
+_CHEB_X = chebyshev.chebpts2(_NODES)
+_VALS_TO_COEFS = chebyshev.chebvander(_CHEB_X, _NODES - 1).T * (2.0 / (_NODES - 1))
+_VALS_TO_COEFS[:, [0, -1]] /= 2
+_VALS_TO_COEFS[[0, -1]] /= 2
+_CHEB_INT = chebyshev.chebval(_CHEB_X, chebyshev.chebint(_VALS_TO_COEFS, lbnd=-1)).T
+_CHEB_TAIL = _VALS_TO_COEFS[-2:]
+# a smooth integrand at height y is analytic in the disk of radius y about
+# it, so it is resolved on panels far wider than this share of y
+_MIN_WIDTH = 2.0**-20
+# panel points solved at once, bounding the (nodes, points, words) arrays:
+# at 64 a 256-point psi grid peaked 1.4 MB higher in memory
+_MAX_ROWS = 32
 
 
 def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
@@ -413,67 +406,71 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
 
     Words are indexed by GradedWords(h.alphabet, D); row r is the truncated
     series at t[r].  Solves dJ/dz = Omega(z) J down the vertical ray from the
-    cutoff height (where J = 1 holds to below atol) with an adaptive
-    Dormand-Prince 5(4) stepper; the linear right side lets each step batch
-    its five fresh form evaluations into one call.
+    cutoff height (where J = 1 holds to below atol) on adaptive Chebyshev
+    panels.  Omega raises word degree, so on each panel block k of J is the
+    exact integral of Omega J read from the blocks below k: one form
+    evaluation at the panel's points, then one Picard sweep per degree.  A
+    panel is accepted when the trailing Chebyshev coefficients of every
+    integrand block stay below atol + rtol |J|, and halved otherwise.  The
+    panel points are solved _MAX_ROWS at a time, each group on its own
+    panels, which bounds the (nodes, points, words) arrays.
     """
     t = _validate_t(t)
     z0 = complex(z0)
     if z0.imag <= 0:
         raise ValueError("base point must have Im z0 > 0")
     words = GradedWords(h.alphabet, D)
-    monos, forms, wvec = _collection_data(h)
+    monos = tuple(h.support_monos)
     if not monos:
         out = np.zeros((len(t), words.total), dtype=complex)
         out[:, 0] = 1.0
         return out
 
-    tables = _ode_tables(words, monos)
-
+    forms = list(h.support_forms)
+    wvec = np.array([float(mono_weight(h.alphabet, m)) for m in monos])  # kernel powers w(B)
+    dtype = np.clongdouble if cfg.extended else complex
+    plans = _ode_tables(words, monos)
     polw = D * max(float(np.max(wvec)), 0.0) + D + 2
     ymax = max(cutoff_height(forms, polw, t, cfg.atol), z0.imag + 1.0)
-    x0 = z0.real
     L = ymax - z0.imag
 
-    def omega_at(s_arr):
-        """(npts, n_t, n_support) kernel-weighted form values at heights ymax - s."""
-        z = x0 + 1j * (ymax - s_arr)
-        fv = eval_forms(forms, z)  # (n_support, npts)
-        logzt = np.log(z[:, None] - t[None, :])
-        return fv.T[:, None, :] * np.exp(wvec[None, None, :] * logzt[:, :, None])
+    def solve(tc):
+        """The ray for the panel points tc, from J = 1 at the cutoff height."""
+        J = np.zeros((len(tc), words.total), dtype=dtype)
+        J[:, 0] = 1.0
+        s = 0.0
+        width = min(1.0, L / 10)
+        while L - s > 1e-13 * L:
+            y = ymax - s
+            if width < _MIN_WIDTH * y:
+                raise IterIntError(f"ray unresolved at height {y:.3f}: panel width {width:.2e} "
+                                   "and the integrand's Chebyshev tail still above tolerance")
+            width = min(width, L - s)  # a short last panel is not a failure to resolve
+            z = z0.real + 1j * (y - (_CHEB_X + 1) * (width / 2))
+            om = eval_forms(forms, z).T[:, None, :] * np.exp(
+                wvec * np.log(z[:, None] - tc)[:, :, None])
+            om = om.reshape(-1, len(monos))
+            nodes = np.repeat(J[None], _NODES, axis=0)
+            worst = 0.0
+            for k, plan in enumerate(plans, 1):
+                g = _ode_rhs(plan, om, nodes.reshape(len(om), -1)).reshape(_NODES, len(tc), -1)
+                blk = nodes[:, :, words.block(k)]
+                blk += np.tensordot(_CHEB_INT * (width / 2), g, axes=1)
+                tail = width * np.abs(np.tensordot(_CHEB_TAIL, g, axes=1)).sum(axis=0)
+                scale = cfg.atol + cfg.rtol * np.maximum(np.abs(blk[0]), np.abs(blk[-1]))
+                err = float(np.max(tail / scale))
+                if not math.isfinite(err):
+                    raise IterIntError(f"ODE state went non-finite at height {y:.3f}")
+                worst = max(worst, err)
+                if worst > 1.0:
+                    width /= 2
+                    break
+            else:
+                s += width
+                J = nodes[-1].copy()
+                # the tail shrinks like width^_NODES: grow towards a 1e-3 tail, at most twofold
+                width *= min(2.0, max(1.0, (1e-3 / max(worst, 1e-300)) ** (1 / _NODES)))
+        return J
 
-    dtype = np.clongdouble if cfg.extended else np.complex128
-    J = np.zeros((len(t), words.total), dtype=dtype)
-    J[:, 0] = 1.0
-    s = 0.0
-    h_step = min(1.0, L / 10)
-    h_min = L / cfg.max_steps
-    k1 = _ode_rhs(tables, omega_at(np.array([s]))[0], J)
-    nsteps = 0
-    while s < L - 1e-13 * L:
-        if h_step < h_min and L - s > h_min:
-            raise IterIntError(
-                f"step underflow at height {ymax - s:.3f} (h = {h_step:.2e}); "
-                "raise max_steps or loosen tolerances")
-        h_step = min(h_step, L - s)
-        om = omega_at(s + h_step * _DP_C)
-        ks = [k1]
-        for j, arow in enumerate(_DP_A):
-            ks.append(_ode_rhs(tables, om[j], J + _dp_combo(h_step, arow, ks)))
-        ynew = J + _dp_combo(h_step, _DP_B, ks)
-        ks.append(_ode_rhs(tables, om[4], ynew))  # FSAL stage, same height as stage 6
-        errv = _dp_combo(h_step, _DP_E, ks)
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(J), np.abs(ynew))
-        err = float(np.max(np.abs(errv) / scale))
-        if not math.isfinite(err):
-            raise IterIntError(f"ODE state went non-finite at height {ymax - s:.3f}")
-        if err <= 1.0:
-            s += h_step
-            J = ynew
-            k1 = ks[-1]
-            nsteps += 1
-            if nsteps > cfg.max_steps:
-                raise IterIntError("step budget exhausted")
-        h_step *= float(np.clip(0.9 * max(err, 1e-10) ** -0.2, 0.2, 5.0))
-
-    return J.astype(np.complex128) if not cfg.extended else J
+    J = np.concatenate([solve(t[i:i + _MAX_ROWS]) for i in range(0, len(t), _MAX_ROWS)])
+    return J if cfg.extended else J.astype(complex)

@@ -20,7 +20,6 @@ needs only vertical solves for the partial collections it accumulates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -168,7 +167,7 @@ def _canon_key(gamma: GroupElement) -> tuple:
 
 
 def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
-    """Evaluator backed by a file of precomputed panel values.
+    """Evaluator backed by the parsed JSON of precomputed panel values.
 
     Two shapes are accepted.  The full shape is
         {"entries": [{"gamma": "S", "panel": [[re,im],...],
@@ -179,9 +178,6 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
     constant term is fixed at 1.  Requests off the stored grid raise
     UnavailableValue (peel then records the affected checks as skipped).
     """
-    if isinstance(data, (str, bytes)):
-        with open(data) as fh:
-            data = json.load(fh)
     words = GradedWords(alphabet, D)
     store = {}
 
@@ -272,14 +268,19 @@ PEEL_VALUE_GRID = (
 
 def _grid_values(X, panel, grid=PEEL_VALUE_GRID) -> dict:
     """X on the (label, move) entries of the grid, keyed by the entry; an
-    entry X has no stored value for is left out."""
+    entry X has no stored value for is left out, one with a non-finite value
+    is refused."""
     out = {}
     for label, move in grid:
         pts = panel if move is None else parse_word(move).mobius(panel)
         try:
-            out[label, move] = np.asarray(X(parse_gamma_label(label), pts), dtype=complex)
+            rows = np.asarray(X(parse_gamma_label(label), pts), dtype=complex)
         except UnavailableValue:
-            pass
+            continue
+        if not np.all(np.isfinite(rows)):
+            where = "t" if move is None else f"{move} t"
+            raise PeelError(f"X_{label} at {where}: non-finite cocycle value")
+        out[label, move] = rows
     return out
 
 
@@ -389,8 +390,8 @@ def peel(X, catalog: BasisCatalog, D: int | None = None, panel=None, tol: float 
          z0=RunConfig.z0, cfg: QuadConfig = QuadConfig()) -> tuple:
     """Reconstruct a collection from cocycle panel values.
 
-    X is either a callable (gamma, panel) -> rows, or a dict/path in the
-    shapes cocycle_from_json accepts.  Returns (CuspCollection, PeelReport).
+    X is either a callable (gamma, panel) -> rows, or a dict in the shapes
+    cocycle_from_json accepts.  Returns (CuspCollection, PeelReport).
     Raises PeelError when a degree's discrepancy cannot be explained by the
     catalog to within tol, or when the abelian pre-check fails.
     """

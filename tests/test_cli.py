@@ -79,6 +79,12 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["verify", "rel2", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+def test_removed_max_steps_field_is_refused(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"max_steps": 1000}))
+    assert main(["verify", "rel2", "--config", str(bad)]) == 1
+
+
 def test_csv_format(tmp_path):
     code, text = run(tmp_path, "verify", "rel2", "--format", "csv", name="out.csv")
     assert code == 0

@@ -140,6 +140,22 @@ def test_nonfinite_state_names_the_height(delta, monkeypatch):
         vertical_J(h, 1.45j, PANEL, 2)
 
 
+def test_unresolvable_ray_names_the_height(delta, monkeypatch):
+    """Finite noise in place of the forms never resolves on any panel: the
+    solve is refused at a named height instead of halving without end."""
+    import ncperiods.iterint as iterint
+
+    rng = np.random.default_rng(0)
+
+    def noise(forms, tau, tol=1e-13):
+        return rng.standard_normal((len(forms), len(tau))) + 0j
+
+    monkeypatch.setattr(iterint, "eval_forms", noise)
+    h = CuspCollection.from_letters(Alphabet((Letter.trivial(10),)), [delta])
+    with pytest.raises(IterIntError, match=r"unresolved at height \d+\.\d{3}"):
+        vertical_J(h, 1.45j, PANEL, 2)
+
+
 def test_extended_precision_agrees(delta):
     ab = Alphabet((Letter.trivial(10),))
     h = CuspCollection.from_letters(ab, [delta])
@@ -229,13 +245,15 @@ def rhs_cases(draw):
 
 @given(rhs_cases())
 def test_ode_rhs_plan_is_series_product(case):
-    """The stepper's gather/scatter right side is -i Omega J in the series
-    ring, Omega carrying om_row[:, b] at support monomial b."""
+    """The per-degree gather/scatter right sides, joined, are -i Omega J in
+    the series ring, Omega carrying om_row[:, b] at support monomial b."""
     words, support, om_row, J = case
     omega = np.zeros_like(J)
     for b, m in enumerate(support):
         omega[:, words.index(m)] = om_row[:, b]
     want = -1j * series_mul(words, omega, J)
-    got = _ode_rhs(_ode_tables(words, support), om_row, J)
+    blocks = [np.zeros_like(J[:, :1])]
+    blocks += [_ode_rhs(plan, om_row, J) for plan in _ode_tables(words, support)]
+    got = np.concatenate(blocks, axis=1)
     assert got.dtype == J.dtype
     np.testing.assert_allclose(got, want.astype(complex), rtol=0, atol=1e-13)

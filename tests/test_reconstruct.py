@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ncperiods.cocycle import CuspCollection
@@ -139,6 +139,18 @@ def test_peel_bare_json_skips_unavailable(delta):
     assert report.degrees[0]["fits"]["A1"]["coefficients"][0] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_peel_refuses_nonfinite_cocycle_value(delta):
+    """A NaN in a dumped X_S must stop peel, not pass every `> tol` gate."""
+    cat1 = build_catalog(AB1, 1, PANEL)
+    blob = dump_cocycle_values(psi_evaluator(CuspCollection.from_letters(AB1, [delta]), 1),
+                               AB1, 1, PANEL)
+    entry = next(e for e in blob["entries"]
+                 if e["gamma"] == "S" and np.allclose(complex(*e["panel"][0]), PANEL[0]))
+    entry["values"]["A1"][0] = [float("nan"), 0.0]
+    with pytest.raises(PeelError, match="X_S at t: non-finite"):
+        peel(blob, cat1)
+
+
 def test_cocycle_from_json_unavailable():
     ev = cocycle_from_json({"S": {"A1": [[1.0, 0.0]] * 5}}, AB1, 1, default_panel=PANEL)
     got = ev(S, PANEL)
@@ -202,6 +214,8 @@ _ENTRY = st.fixed_dictionaries({}, optional={
 @given(st.fixed_dictionaries({"entries": st.lists(_ENTRY | _JSON, max_size=3) | _JSON})
        | st.dictionaries(st.sampled_from(["S", "T", "Q"]) | st.text(max_size=4), _JSON, max_size=3)
        | _JSON)
+@example("")
+@example(".")
 def test_cocycle_from_json_fuzz_raises_only_value_error(data):
     """Whatever JSON-shaped input arrives, a malformed file surfaces as a
     ValueError and nothing else."""
