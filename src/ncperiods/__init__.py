@@ -37,7 +37,6 @@ from .modforms import (
 from .iterint import (
     QuadConfig,
     Endpoint,
-    IterIntSpec,
     r_direct,
     path_split_check,
     vertical_J,

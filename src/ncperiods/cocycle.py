@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig
-from .iterint import Endpoint, QuadConfig, r_direct, vertical_J
+from .iterint import Endpoint, QuadConfig, j_rows_direct, vertical_J
 from .ncpoly import (Alphabet, GradedWords, TRIVIAL, MultiplierSpec,
                      mono_str, mono_weight, mono_eta_power, series_inv, series_mul,
                      slash_factors)
@@ -129,23 +129,6 @@ class CuspCollection:
     def words(self, D: int) -> GradedWords:
         return GradedWords(self.alphabet, D)
 
-    def block_splits(self, m) -> list:
-        """All ways to break the word m into consecutive supported blocks."""
-        m = tuple(m)
-        monos = set(self.support_monos)
-        out = []
-
-        def rec(rest, acc):
-            if not rest:
-                out.append(tuple(acc))
-                return
-            for L in range(1, len(rest) + 1):
-                if rest[:L] in monos:
-                    rec(rest[L:], acc + [rest[:L]])
-
-        rec(m, [])
-        return out
-
 
 # --- batched series arithmetic on value rows -------------------------------
 
@@ -236,26 +219,6 @@ def j_between(h: CuspCollection, y, x, t, D: int,
     Jy = vertical_J(h, complex(y), t, D, cfg)
     Jx = vertical_J(h, complex(x), t, D, cfg)
     return rows_mul(words, Jy, rows_inv(words, Jx))
-
-
-def j_rows_direct(h: CuspCollection, y, x, t, D: int,
-                  cfg: QuadConfig = QuadConfig()) -> np.ndarray:
-    """Generating series rows with every coefficient assembled from layered
-    integrals; the slow oracle route.
-
-    The word-B coefficient is the sum over decompositions of B into
-    consecutive supported blocks of the iterated integral of the block forms
-    (one form per level, kernel power the block weight).  For a collection
-    supported on single letters this is one nested integral per word.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
-    words = h.words(D)
-    out = np.zeros((len(t), words.total), dtype=complex)
-    out[:, 0] = 1.0
-    for i in range(1, words.total):
-        for split in h.block_splits(words.word(i)):
-            out[:, i] += r_direct([h.form_of(b) for b in split], y, x, t, cfg)
-    return out
 
 
 def phi_twist(h: CuspCollection, gamma: GroupElement, z, t, D: int,

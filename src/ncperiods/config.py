@@ -112,7 +112,6 @@ class RunConfig:
     rtol: float = QuadConfig.rtol
     atol: float = QuadConfig.atol
     quad_tol: float = QuadConfig.quad_tol
-    precision: str = "double"  # "double" | "extended"
     panel: tuple = DEFAULT_PANEL
     format: str = "json"  # "json" | "csv"
     seed: int = 0
@@ -122,8 +121,6 @@ class RunConfig:
     def __post_init__(self):
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
-        if self.precision not in ("double", "extended"):
-            raise ConfigError(f"precision must be double or extended, got {self.precision!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         object.__setattr__(self, "panel", parse_panel(self.panel))
@@ -158,12 +155,7 @@ class RunConfig:
         return replace(self, **kw)
 
     def quad(self) -> QuadConfig:
-        return QuadConfig(
-            rtol=self.rtol,
-            atol=self.atol,
-            quad_tol=self.quad_tol,
-            extended=(self.precision == "extended"),
-        )
+        return QuadConfig(rtol=self.rtol, atol=self.atol, quad_tol=self.quad_tol)
 
     def the_alphabet(self) -> Alphabet:
         return parse_alphabet(self.alphabet)

@@ -3,11 +3,17 @@
 Two independent routes to the same quantities, kept separate on purpose so
 they can cross-check each other:
 
-* r_direct: the iterated integral R_l(f_1,...,f_l; y, x; t) by layered
-  quadrature.  Level m integrates f_{l-m+1}(z) (z-t)^w I_{m-1}(z) along a
-  fixed path from x to y; the running antiderivative of one level is the
-  inner factor of the next, so an l-fold integral costs l one-dimensional
-  adaptive passes, not a nested mesh.
+* j_rows_direct: the generating series J(h; y, x; t) by layered
+  quadrature, from the integral form of dJ = Omega J along a fixed path from
+  x to y.  The running antiderivative of a word m is
+
+      J_m(z) = int_x^z sum_{m = B C} h(B)(u) (u-t)^w(B) J_C(u) du,
+
+  summed over the supported prefixes B of m, with J_() = 1: one
+  one-dimensional adaptive pass per word and path segment, reading the
+  antiderivatives of shorter suffixes, not a nested mesh.  r_direct, the
+  iterated integral R_l(f_1,...,f_l; y, x; t), is the chain case: one form
+  per level, level m integrating f_{l-m+1}(z) (z-t)^w against level m-1.
 
 * vertical_J: the full generating series J(h; z0, oo; t) of all words up to
   degree D at once, as the solution of dJ/dz = Omega(z) J integrated down a
@@ -47,11 +53,11 @@ __all__ = [
     "QuadConfig",
     "IterIntError",
     "Endpoint",
-    "IterIntSpec",
     "cusp_frame",
     "cutoff_height",
     "zt_pow",
     "r_direct",
+    "j_rows_direct",
     "path_split_check",
     "vertical_J",
 ]
@@ -69,14 +75,12 @@ class QuadConfig:
     panel is accepted when the trailing coefficients of its integrand stay
     below atol + rtol |J|; quad_tol is the panel resolution criterion of the
     layered route; atol also sets where both routes cut the path off at the
-    cusp (see cutoff_height); extended switches the ODE state to 80-bit
-    floats.
+    cusp (see cutoff_height).
     """
 
     rtol: float = 1e-9
     atol: float = 1e-11
     quad_tol: float = 1e-11
-    extended: bool = False
 
 
 @dataclass(frozen=True)
@@ -256,6 +260,32 @@ def _validate_t(t) -> np.ndarray:
     return t
 
 
+def _layer(path, t, terms, cfg: QuadConfig) -> _PathAntideriv:
+    """Running antiderivative along the path of the sum over terms (f, w, inner)
+    of f(z) (z-t)^w inner(z), inner a _PathAntideriv or None for the constant
+    1: one adaptive pass per segment."""
+    pws = []
+    jumps = []
+    acc = np.zeros(len(t), dtype=complex)
+    for i, seg in enumerate(path):
+        def integrand(s, seg=seg, i=i):
+            zs = seg.z(s)
+            dz = seg.dz(s)
+            total = None
+            for f, w, inner in terms:
+                fv = seg.form_values([f], s)[0]
+                base = (fv * dz)[:, None] * zt_pow(zs[:, None], t[None, :], w)
+                if inner is not None:
+                    base = base * inner.seg_eval(i, s)
+                total = base if total is None else total + base
+            return total
+        A = adaptive_pw(integrand, 0.0, 1.0, tol=cfg.quad_tol).antiderivative()
+        pws.append(A)
+        jumps.append(acc)
+        acc = acc + A(1.0)
+    return _PathAntideriv(pws, jumps)
+
+
 def r_direct(forms, y, x, t, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     """R_l(f_1,...,f_l; y, x; t) for the t panel; forms[0] is the outermost.
 
@@ -273,41 +303,42 @@ def r_direct(forms, y, x, t, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         return np.zeros(len(t), dtype=complex)
     polw = sum(max(float(f.shifted_weight), 0.0) for f in forms) + len(forms) + 2
     path = build_path(x, y, cutoff_height(forms, polw, t, cfg.atol))
-
     inner = None  # level-0 inner factor is the constant 1
-    for m in range(1, len(forms) + 1):
-        f = forms[len(forms) - m]
-        w = float(f.shifted_weight)
-        pws = []
-        jumps = []
-        acc = np.zeros(len(t), dtype=complex)
-        for i, seg in enumerate(path):
-            def integrand(s, seg=seg, i=i):
-                fv = seg.form_values([f], s)[0]
-                zs = seg.z(s)
-                base = (fv * seg.dz(s))[:, None] * zt_pow(zs[:, None], t[None, :], w)
-                if inner is not None:
-                    base = base * inner.seg_eval(i, s)
-                return base
-            pw = adaptive_pw(integrand, 0.0, 1.0, tol=cfg.quad_tol)
-            A = pw.antiderivative()
-            pws.append(A)
-            jumps.append(acc.copy())
-            acc = acc + A(1.0)
-        inner = _PathAntideriv(pws, jumps)
+    for f in reversed(forms):
+        inner = _layer(path, t, [(f, float(f.shifted_weight), inner)], cfg)
     return inner.end_value
 
 
-@dataclass(frozen=True)
-class IterIntSpec:
-    """A specific iterated integral: ordered forms and endpoints."""
+def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
+    """J(h; y, x; t) rows, shape (n_t, n_words), by layered quadrature; the
+    oracle for vertical_J.
 
-    forms: tuple
-    y: Endpoint
-    x: Endpoint
-
-    def r(self, t, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
-        return r_direct(list(self.forms), self.y, self.x, t, cfg)
+    The running antiderivative of word m is the integral of the sum over its
+    supported prefixes B, m = B C, of h(B)(z) (z-t)^w(B) times the running
+    antiderivative of C (1 for empty C): one adaptive pass per word and path
+    segment, each suffix built once and read by every word ending in it.  A
+    word without a prefix whose suffix is nonzero has coefficient 0.
+    """
+    t = _validate_t(t)
+    y = Endpoint.coerce(y)
+    x = Endpoint.coerce(x)
+    words = GradedWords(h.alphabet, D)
+    out = np.zeros((len(t), words.total), dtype=complex)
+    out[:, 0] = 1.0
+    if y == x or not h.support:
+        return out
+    support = {B: (f, float(f.shifted_weight)) for B, f in h.support}
+    polw = D * max(max(w for _, w in support.values()), 0.0) + D + 2
+    path = build_path(x, y, cutoff_height(h.support_forms, polw, t, cfg.atol))
+    anti = {(): None}  # running antiderivative of each nonzero word
+    for i in range(1, words.total):  # degree by degree, so suffixes come first
+        m = words.word(i)
+        terms = [(*support[m[:j]], anti[m[j:]])
+                 for j in range(1, len(m) + 1) if m[:j] in support and m[j:] in anti]
+        if terms:
+            anti[m] = _layer(path, t, terms, cfg)
+            out[:, i] = anti[m].end_value
+    return out
 
 
 def path_split_check(forms, z, y, x, t, cfg: QuadConfig = QuadConfig()) -> dict:
@@ -428,7 +459,6 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
 
     forms = list(h.support_forms)
     wvec = np.array([float(mono_weight(h.alphabet, m)) for m in monos])  # kernel powers w(B)
-    dtype = np.clongdouble if cfg.extended else complex
     plans = _ode_tables(words, monos)
     polw = D * max(float(np.max(wvec)), 0.0) + D + 2
     ymax = max(cutoff_height(forms, polw, t, cfg.atol), z0.imag + 1.0)
@@ -436,7 +466,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
 
     def solve(tc):
         """The ray for the panel points tc, from J = 1 at the cutoff height."""
-        J = np.zeros((len(tc), words.total), dtype=dtype)
+        J = np.zeros((len(tc), words.total), dtype=complex)
         J[:, 0] = 1.0
         s = 0.0
         width = min(1.0, L / 10)
@@ -472,5 +502,4 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
                 width *= min(2.0, max(1.0, (1e-3 / max(worst, 1e-300)) ** (1 / _NODES)))
         return J
 
-    J = np.concatenate([solve(t[i:i + _MAX_ROWS]) for i in range(0, len(t), _MAX_ROWS)])
-    return J if cfg.extended else J.astype(complex)
+    return np.concatenate([solve(t[i:i + _MAX_ROWS]) for i in range(0, len(t), _MAX_ROWS)])

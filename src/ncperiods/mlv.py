@@ -206,18 +206,24 @@ def lambda_probe(f: CuspForm, splits=(0.7, 1.3),
                  cfg: QuadConfig = QuadConfig()) -> dict:
     """Functional-equation consistency Lambda(s) = (-1)^((w+2)/2)
     Lambda(w+2-s), the two sides split at different heights so the identity
-    is not a symmetry of the formula."""
+    is not a symmetry of the formula.
+
+    Each row's rel_err is relative to |Lambda(s)|, except the central row of
+    a sign -1 form: there the equation forces Lambda(k/2) = 0, so that row is
+    relative to the table scale max_s |Lambda(s)|."""
     w = _check_trivial(f)
     k = w + 2
     sign = (-1) ** (k // 2)
     Ma = moments_table(f, splits[0], cfg)
     Mb = moments_table(f, splits[1], cfg)
+    lam = [complex(Ma[s - 1]) / 1j**s for s in range(1, w + 2)]
+    table_scale = max(abs(La) for La in lam)
     rows = []
     worst = 0.0
-    for s in range(1, w + 2):
-        La = complex(Ma[s - 1]) / 1j**s
+    for s, La in enumerate(lam, 1):
         Lb = complex(Mb[k - s - 1]) / 1j**(k - s)
-        rel = abs(La - sign * Lb) / abs(La)
+        size = table_scale if sign < 0 and 2 * s == k else abs(La)
+        rel = abs(La - sign * Lb) / size
         worst = max(worst, rel)
         rows.append({"s": s, "lambda": [La.real, La.imag], "rel_err": rel})
     return {"identity": "functional_equation", "form": f.label,

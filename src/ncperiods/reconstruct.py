@@ -386,29 +386,25 @@ def _abelian_check(xv, pv, words, d, panel, cfg) -> dict:
             "scale": scale, "threshold": thresh}
 
 
-def peel(X, catalog: BasisCatalog, D: int | None = None, panel=None, tol: float = 1e-6,
-         z0=RunConfig.z0, cfg: QuadConfig = QuadConfig()) -> tuple:
+def peel(X, catalog: BasisCatalog, tol: float = 1e-6, z0=RunConfig.z0,
+         cfg: QuadConfig = QuadConfig()) -> tuple:
     """Reconstruct a collection from cocycle panel values.
 
     X is either a callable (gamma, panel) -> rows, or a dict in the shapes
-    cocycle_from_json accepts.  Returns (CuspCollection, PeelReport).
+    cocycle_from_json accepts; it is read on the catalog's panel, where the
+    period samples live, up to the catalog's degree.  Returns
+    (CuspCollection, PeelReport).
     Raises PeelError when a degree's discrepancy cannot be explained by the
     catalog to within tol, or when the abelian pre-check fails.
     """
-    D = catalog.D if D is None else int(D)
-    if panel is None:
-        panel = np.asarray(catalog.panel, dtype=complex)
-    else:
-        panel = np.atleast_1d(np.asarray(panel, dtype=complex))
-        if len(panel) != len(catalog.panel) or not np.allclose(
-                panel, np.asarray(catalog.panel), rtol=0, atol=1e-12):
-            raise ValueError("peel panel must match the catalog panel (the samples live there)")
+    D = catalog.D
+    panel = np.asarray(catalog.panel, dtype=complex)
     alphabet = catalog.alphabet
     words = GradedWords(alphabet, D)
     if not callable(X):
         X = cocycle_from_json(X, alphabet, D, default_panel=panel)
 
-    ndim_max = max((e.dim for e in catalog.entries if len(e.mono) <= D), default=0)
+    ndim_max = max((e.dim for e in catalog.entries), default=0)
     if len(panel) < 2 * ndim_max:
         raise PeelError(f"panel too small: {len(panel)} points for fit dimension {ndim_max}")
 

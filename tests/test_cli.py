@@ -80,9 +80,11 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_removed_max_steps_field_is_refused(tmp_path):
+    """A config file naming a removed field is refused as unknown."""
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"max_steps": 1000}))
-    assert main(["verify", "rel2", "--config", str(bad)]) == 1
+    for removed in ({"max_steps": 1000}, {"precision": "extended"}):
+        bad.write_text(json.dumps(removed))
+        assert main(["verify", "rel2", "--config", str(bad)]) == 1
 
 
 def test_csv_format(tmp_path):

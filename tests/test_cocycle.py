@@ -71,11 +71,6 @@ def test_block_splits(delta):
     s22 = level_one_basis(22)[0]
     ab = Alphabet((Letter.trivial(10),))
     h = CuspCollection(ab, {(1,): delta, (1, 1): s22})
-    assert h.block_splits((1,)) == [((1,),)]
-    splits2 = set(h.block_splits((1, 1)))
-    assert splits2 == {((1,), (1,)), ((1, 1),)}
-    splits3 = set(h.block_splits((1, 1, 1)))
-    assert splits3 == {((1,), (1,), (1,)), ((1,), (1, 1)), ((1, 1), (1,))}
     assert h.form_of((1, 1)) == s22
     assert h.form_of((1, 1, 1)) is None
 

@@ -10,12 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ncperiods import iterint
 from ncperiods.cocycle import CuspCollection, j_rows_direct
 from ncperiods.iterint import (
     Endpoint,
     IterIntError,
-    IterIntSpec,
     QuadConfig,
+    build_path,
     cusp_frame,
     path_split_check,
     r_direct,
@@ -105,6 +106,40 @@ def test_dual_route_agreement(delta, g16):
     assert np.max(np.abs(ode - quad)) < 1e-8
 
 
+def test_dual_route_agreement_multi_prefix(delta):
+    """A collection supported on words of degree 1, 2 and 3: a degree-3 word
+    has three supported prefixes, so the layered route sums several terms in
+    one integrand.  Checked against the ray ODE."""
+    ab = Alphabet((Letter.trivial(10),))
+    h = CuspCollection(ab, {(1,): delta, (1, 1): level_one_basis(22)[0],
+                            (1, 1, 1): level_one_basis(32)[0]})
+    z0 = 0.25 + 1.3j
+    ode = vertical_J(h, z0, PANEL, 3)
+    quad = j_rows_direct(h, z0, None, PANEL, 3)
+    assert np.max(np.abs(ode - quad)) <= 1e-12 * np.max(np.abs(ode))
+
+
+def test_one_pass_per_word_and_segment(monkeypatch, delta, g16):
+    """The layered route integrates each word once per path segment, reading
+    the running antiderivatives of its suffixes: 14 words at D=3 over two
+    letters, not one pass per level of every word."""
+    calls = []
+    real = iterint.adaptive_pw
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(iterint, "adaptive_pw", counting)
+    ab = Alphabet((Letter.trivial(10), Letter.trivial(14)))
+    h = CuspCollection.from_letters(ab, [delta, g16])
+    y, x = Endpoint.point(0.5 + 1.3j), Endpoint.point(-0.3 + 0.8j)
+    j_rows_direct(h, y, x, PANEL, 3)
+    segments = len(build_path(x, y, cutoff=0.0))
+    assert segments == 3
+    assert len(calls) == 14 * segments
+
+
 def test_vertical_J_unit_at_degree_zero(delta):
     ab = Alphabet((Letter.trivial(10),))
     h = CuspCollection.from_letters(ab, [delta])
@@ -154,15 +189,6 @@ def test_unresolvable_ray_names_the_height(delta, monkeypatch):
     h = CuspCollection.from_letters(Alphabet((Letter.trivial(10),)), [delta])
     with pytest.raises(IterIntError, match=r"unresolved at height \d+\.\d{3}"):
         vertical_J(h, 1.45j, PANEL, 2)
-
-
-def test_extended_precision_agrees(delta):
-    ab = Alphabet((Letter.trivial(10),))
-    h = CuspCollection.from_letters(ab, [delta])
-    a = vertical_J(h, 1.4j, PANEL, 2, QuadConfig())
-    b = vertical_J(h, 1.4j, PANEL, 2, QuadConfig(extended=True))
-    assert b.dtype == np.clongdouble
-    assert np.max(np.abs(a - b.astype(complex))) < 1e-9
 
 
 def test_determinism_and_cache(delta):
@@ -215,13 +241,6 @@ def test_zt_pow_branch():
     # principal log directly
     w = 3.5
     assert zt_pow(z, t, w)[0] == pytest.approx(np.exp(w * np.log(z[0] - t[0])))
-
-
-def test_iterint_spec(delta):
-    spec = IterIntSpec((delta,), Endpoint.cusp(None), Endpoint.point(1.3j))
-    got = spec.r(PANEL)
-    want = r_direct([delta], None, Endpoint.point(1.3j), PANEL)
-    assert np.array_equal(got, want)
 
 
 @st.composite

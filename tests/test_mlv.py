@@ -69,6 +69,18 @@ def test_lambda_probe_report(delta):
     assert len(rep["rows"]) == 11
 
 
+@pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(rtol=1e-12, atol=1e-14, quad_tol=1e-11)],
+                         ids=["default", "rtol1e-12"])
+def test_lambda_probe_sign_minus_forms(cfg):
+    """A sign -1 form has Lambda(k/2) = 0 exactly: the central row is measured
+    against the table scale, not against the vanishing value itself."""
+    for k in (18, 22, 26):
+        f = level_one_basis(k)[0]
+        rep = lambda_probe(f, cfg=cfg)
+        assert rep["sign"] == -1
+        assert rep["max_rel"] <= 1e-9
+
+
 def test_period_polynomial_vs_layered_route(delta, g16):
     """p(t) against the single iterated integral, fully independent routes."""
     for f in (delta, g16):

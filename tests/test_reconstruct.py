@@ -225,14 +225,6 @@ def test_cocycle_from_json_fuzz_raises_only_value_error(data):
         pass
 
 
-def test_peel_panel_mismatch(catalog):
-    X = psi_evaluator(CuspCollection(AB2, {}), 3)
-    with pytest.raises(ValueError):
-        peel(X, catalog, panel=PANEL * 1.01)
-    with pytest.raises(ValueError):
-        peel(X, catalog, panel=PANEL[:3])
-
-
 def test_peel_panel_too_small(delta):
     small = np.array([-0.8j, -1.5j])
     cat = build_catalog(AB2, 3, small)  # A1*A1*A1 has dim 2, needs 4 points
