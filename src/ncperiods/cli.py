@@ -31,11 +31,12 @@ from .cocycle import (
     verify_multiplicativity,
 )
 from .iterint import IterIntError, path_split_check
-from .mlv import double_moments, lambda_probe, moments_table, verify_shuffle
-from .modforms import EvalError, cusp_space_basis, level_one_basis
+from .mlv import double_moments, moments_table, verify_shuffle
+from .modforms import EvalError, cusp_space_basis, eta_form, level_one_basis
 from .ncpoly import mono_str, parse_mono
 from .quadrature import QuadratureError
 from .reconstruct import (
+    PEEL_VALUE_GRID,
     PeelError,
     build_catalog,
     compare_recovery,
@@ -135,18 +136,22 @@ def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | No
 def _parse_form(spec: str):
     """Form lookup: 'S<k>.<i>' from the level-one echelon basis, 'eta<N>'."""
     spec = spec.strip()
+    bad = f"bad form spec {spec!r} (want S<k>.<i> or eta<N>)"
     if spec.startswith("eta"):
-        from .modforms import eta_form
-
-        return eta_form(int(spec[3:]))
+        try:
+            return eta_form(int(spec[3:]))
+        except ValueError as e:
+            raise ConfigError(f"{bad}: {e}")
     if spec.startswith("S") and "." in spec:
-        ktext, itext = spec[1:].split(".", 1)
-        basis = level_one_basis(int(ktext))
-        i = int(itext)
+        try:
+            k, i = (int(part) for part in spec[1:].split(".", 1))
+        except ValueError as e:
+            raise ConfigError(f"{bad}: {e}")
+        basis = level_one_basis(k)
         if not 1 <= i <= len(basis):
             raise ConfigError(f"{spec!r}: space has dimension {len(basis)}")
         return basis[i - 1]
-    raise ConfigError(f"bad form spec {spec!r} (want S<k>.<i> or eta<N>)")
+    raise ConfigError(bad)
 
 
 def cmd_mlv(cfg: RunConfig, form_specs: list, max_order: int) -> tuple:
@@ -203,7 +208,7 @@ def _hidden_from_file(path: str, catalog) -> dict:
         try:
             m = parse_mono(key)
             vec = np.asarray(val, dtype=float)
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise ConfigError(f"{key}: {e}")
         entry = catalog.entry(m)
         if entry is None:
@@ -251,24 +256,13 @@ def cmd_catalog(cfg: RunConfig) -> tuple:
 
 
 def cmd_psi(cfg: RunConfig, gamma: str | None) -> tuple:
+    grid = PEEL_VALUE_GRID
+    if gamma is not None:
+        _parse_gamma(gamma)  # a bad label is a config error
+        grid = ((gamma, None),)
     h = default_collection(cfg)
     X = psi_evaluator(h, cfg.degree, cfg.z0, cfg.quad())
-    panel = cfg.panel_array()
-    if gamma is None:
-        return dump_cocycle_values(X, h.alphabet, cfg.degree, panel), 0
-    g = _parse_gamma(gamma)
-    rows = X(g, panel)
-    words = h.words(cfg.degree)
-    values = {}
-    for i in range(words.total):
-        col = rows[:, i]
-        if np.max(np.abs(col)) > 0:
-            values[mono_str(words.word(i))] = [[v.real, v.imag] for v in col]
-    return {"entries": [{
-        "gamma": "m:%d,%d,%d,%d" % g.entries(),
-        "panel": [[p.real, p.imag] for p in panel],
-        "values": values,
-    }]}, 0
+    return dump_cocycle_values(X, h.alphabet, cfg.degree, cfg.panel_array(), grid), 0
 
 
 def _emit(report: dict, cfg: RunConfig, out: str | None):

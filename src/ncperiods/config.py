@@ -9,7 +9,7 @@ field names; explicit flags override file values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -90,19 +90,33 @@ def format_alphabet(alphabet: Alphabet) -> str:
     return ",".join(parts)
 
 
+def _point(p) -> complex:
+    """One point from a number, an "re+imj" string or an [re, im] pair."""
+    if isinstance(p, str):
+        return complex(p.replace(" ", ""))
+    if isinstance(p, (list, tuple)) and len(p) == 2:
+        return complex(*p)
+    return complex(p)
+
+
 def parse_panel(spec) -> tuple:
     """Panel points from "re+imj;re+imj;..." or a list of [re, im] pairs."""
-    if isinstance(spec, str):
-        vals = [complex(p.replace(" ", "")) for p in spec.split(";") if p.strip()]
-    else:
-        vals = [complex(p[0], p[1]) if isinstance(p, (list, tuple)) else complex(p)
-                for p in spec]
+    try:
+        parts = [p for p in spec.split(";") if p.strip()] if isinstance(spec, str) else spec
+        vals = [_point(p) for p in parts]
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"bad panel {spec!r} (want \"re+imj;...\" or [re, im] pairs): {e}")
     if not vals:
         raise ConfigError("empty panel")
     for v in vals:
         if v.imag >= 0:
             raise ConfigError(f"panel point {v} not in the lower half plane")
     return tuple(vals)
+
+
+# numeric fields and the types a config file may give them (bools refused)
+_NUMBER_FIELDS = {"degree": (int,), "seed": (int,), "rtol": (int, float),
+                  "atol": (int, float), "quad_tol": (int, float), "threshold": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -119,13 +133,22 @@ class RunConfig:
     z0: complex = 2.0j
 
     def __post_init__(self):
+        for name, kinds in _NUMBER_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{name} must be {kinds[-1].__name__}, got {value!r}")
+        if not isinstance(self.alphabet, str):
+            raise ConfigError(f"alphabet must be a spec string, got {self.alphabet!r}")
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         object.__setattr__(self, "panel", parse_panel(self.panel))
         parse_alphabet(self.alphabet)  # validate early
-        z0 = complex(self.z0)
+        try:
+            z0 = _point(self.z0)
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"bad z0 {self.z0!r} (want a number or an [re, im] pair): {e}")
         if z0.imag <= 0:
             raise ConfigError("z0 must lie in the upper half plane")
         object.__setattr__(self, "z0", z0)
@@ -145,10 +168,6 @@ class RunConfig:
                 raise ConfigError(f"unknown config fields: {sorted(unknown)}")
             data.update(raw)
         data.update({k: v for k, v in overrides.items() if v is not None})
-        if "panel" in data:
-            data["panel"] = parse_panel(data["panel"])
-        if "z0" in data and isinstance(data["z0"], (list, tuple)):
-            data["z0"] = complex(data["z0"][0], data["z0"][1])
         return cls(**data)
 
     def with_(self, **kw) -> "RunConfig":

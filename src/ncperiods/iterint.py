@@ -39,13 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .modforms import eval_forms, transformation_factor
-from .ncpoly import GradedWords, mono_weight
+from .ncpoly import GradedWords, mono_weight, series_block
 from .quadrature import adaptive_pw
 from .sl2z import I2, GroupElement
 
@@ -369,47 +368,6 @@ def path_split_check(forms, z, y, x, t, cfg: QuadConfig = QuadConfig()) -> dict:
 # generating series along a vertical ray
 
 
-@lru_cache(maxsize=64)
-def _ode_tables(words: GradedWords, support: tuple):
-    """Gather/scatter plans of Omega J, one per target degree k = 1..D.
-
-    The plan of degree k has one entry per (supported prefix B, word m = B C
-    of degree k): the slot len(B) - 1, the position of m in block k, the
-    support index of B and the index of the suffix C, as aligned index
-    arrays, plus the slot count and the block width."""
-    ell = words.alphabet.ell
-    plans = []
-    for k in range(1, words.D + 1):
-        slot, tgt, bidx, src = [], [], [], []
-        for b, B in enumerate(support):
-            j = len(B)
-            if j > k:
-                continue
-            n = ell ** (k - j)
-            slot.append(np.full(n, j - 1))
-            tgt.append((words.index(B) - words.offsets[j]) * n + np.arange(n))
-            bidx.append(np.full(n, b))
-            src.append(words.offsets[k - j] + np.arange(n))
-        arrays = tuple(np.concatenate(v or [[]]).astype(np.intp) for v in (slot, tgt, bidx, src))
-        plans.append(arrays + (int(arrays[0].max(initial=-1)) + 1, ell**k))
-    return tuple(plans)
-
-
-def _ode_rhs(plan, om_row, J):
-    """Block k of -i Omega J for the rows J, shape (n_rows, n_words), where
-    om_row holds the kernel-weighted form of each support monomial, shape
-    (n_rows, n_support), and plan is the degree-k entry of _ode_tables.
-
-    A word has at most one prefix of each length, so the slots of the pad
-    hold distinct targets; block k reads only the blocks of J below k."""
-    slot, tgt, bidx, src, nslots, width = plan
-    pad = np.zeros((J.shape[0], nslots, width), dtype=J.dtype)
-    pad[:, slot, tgt] = om_row[:, bidx] * J[:, src]
-    out = pad.sum(axis=1)
-    out *= -1j  # dz/ds = -i going down the ray
-    return out
-
-
 # Chebyshev-Picard panels on second-kind points x_k of [-1, 1], both ends
 # included.  The T_j are discretely orthogonal on these points, which gives
 # the map from values to interpolant coefficients in closed form (end points
@@ -440,7 +398,8 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     cutoff height (where J = 1 holds to below atol) on adaptive Chebyshev
     panels.  Omega raises word degree, so on each panel block k of J is the
     exact integral of Omega J read from the blocks below k: one form
-    evaluation at the panel's points, then one Picard sweep per degree.  A
+    evaluation at the panel's points, then one Picard sweep per degree, each
+    the series_block product over the support's degrees.  A
     panel is accepted when the trailing Chebyshev coefficients of every
     integrand block stay below atol + rtol |J|, and halved otherwise.  The
     panel points are solved _MAX_ROWS at a time, each group on its own
@@ -459,15 +418,22 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
 
     forms = list(h.support_forms)
     wvec = np.array([float(mono_weight(h.alphabet, m)) for m in monos])  # kernel powers w(B)
-    plans = _ode_tables(words, monos)
     polw = D * max(float(np.max(wvec)), 0.0) + D + 2
     ymax = max(cutoff_height(forms, polw, t, cfg.atol), z0.imag + 1.0)
     L = ymax - z0.imag
+    # Omega: the support truncated at D (the cutoff above keeps the whole
+    # support), held up to its top degree (a buffer of all words only crowds
+    # the cache)
+    keep = [b for b, m in enumerate(monos) if len(m) <= D]
+    cols = [words.index(monos[b]) for b in keep]
+    degrees = sorted({len(monos[b]) for b in keep})
+    n_om = words.block(max(degrees, default=0)).stop
 
     def solve(tc):
         """The ray for the panel points tc, from J = 1 at the cutoff height."""
         J = np.zeros((len(tc), words.total), dtype=complex)
         J[:, 0] = 1.0
+        om = np.zeros((_NODES, len(tc), n_om), dtype=complex)  # Omega at the panel's nodes
         s = 0.0
         width = min(1.0, L / 10)
         while L - s > 1e-13 * L:
@@ -477,13 +443,14 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
                                    "and the integrand's Chebyshev tail still above tolerance")
             width = min(width, L - s)  # a short last panel is not a failure to resolve
             z = z0.real + 1j * (y - (_CHEB_X + 1) * (width / 2))
-            om = eval_forms(forms, z).T[:, None, :] * np.exp(
-                wvec * np.log(z[:, None] - tc)[:, :, None])
-            om = om.reshape(-1, len(monos))
+            om[:, :, cols] = eval_forms(forms, z)[keep].T[:, None, :] * np.exp(
+                wvec[keep] * np.log(z[:, None] - tc)[:, :, None])
             nodes = np.repeat(J[None], _NODES, axis=0)
             worst = 0.0
-            for k, plan in enumerate(plans, 1):
-                g = _ode_rhs(plan, om, nodes.reshape(len(om), -1)).reshape(_NODES, len(tc), -1)
+            for k in range(1, D + 1):
+                # block k of -i Omega J reads only the blocks of J below k (dz/ds = -i going down)
+                g = series_block(words, om, nodes, k, degrees)
+                g *= -1j
                 blk = nodes[:, :, words.block(k)]
                 blk += np.tensordot(_CHEB_INT * (width / 2), g, axes=1)
                 tail = width * np.abs(np.tensordot(_CHEB_TAIL, g, axes=1)).sum(axis=0)

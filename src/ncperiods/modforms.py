@@ -15,7 +15,6 @@ monomial over a Trivial/EtaPower alphabet can ask for.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property

@@ -13,9 +13,9 @@ error, never an implicit re-truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "mono_multiplier",
     "mono_str",
     "parse_mono",
+    "series_block",
     "series_mul",
     "series_inv",
     "nc_mul",
@@ -312,6 +313,25 @@ def _check_same(x: NcPoly, y: NcPoly):
         raise ValueError("mixed truncation degree or alphabet")
 
 
+def series_block(words: GradedWords, xs, ys, d: int, x_degrees) -> np.ndarray:
+    """Block d of the concatenation product of (..., n_words) coefficient
+    arrays, in their common dtype; leading axes broadcast.
+
+    Sums the outer products of block d1 of xs with block d - d1 of ys over
+    the ascending degrees x_degrees, the only degrees at which xs may be
+    nonzero (degrees above d contribute nothing and are passed over).  Only
+    those blocks of xs are read, so xs may end after its top one.
+    """
+    lead = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+    out = np.zeros(lead + (words.offsets[d + 1] - words.offsets[d],),
+                   dtype=np.result_type(xs, ys))
+    for d1 in x_degrees:
+        if d1 <= d:
+            outer = xs[..., words.block(d1), None] * ys[..., None, words.block(d - d1)]
+            out += outer.reshape(lead + (-1,))
+    return out
+
+
 def series_mul(words: GradedWords, xs, ys) -> np.ndarray:
     """Concatenation product of (..., n_words) coefficient arrays, truncated
     at D; leading axes broadcast, so one call multiplies a whole panel of rows.
@@ -324,14 +344,8 @@ def series_mul(words: GradedWords, xs, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=np.clongdouble)
     if xs.shape[-1] != words.total or ys.shape[-1] != words.total:
         raise ValueError("coefficient vector length mismatch")
-    lead = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
-    out = np.zeros(lead + (words.total,), dtype=np.clongdouble)
-    for d in range(words.D + 1):
-        acc = out[..., words.block(d)]
-        for d1 in range(d + 1):
-            outer = xs[..., words.block(d1), None] * ys[..., None, words.block(d - d1)]
-            acc += outer.reshape(lead + (-1,))
-    return out
+    return np.concatenate([series_block(words, xs, ys, d, range(d + 1))
+                           for d in range(words.D + 1)], axis=-1)
 
 
 def series_inv(words: GradedWords, xs) -> np.ndarray:

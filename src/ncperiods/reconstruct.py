@@ -284,12 +284,13 @@ def _grid_values(X, panel, grid=PEEL_VALUE_GRID) -> dict:
     return out
 
 
-def dump_cocycle_values(X, alphabet: Alphabet, D: int, panel) -> dict:
-    """Evaluate X on the grid peel consumes and pack it in the full JSON shape."""
+def dump_cocycle_values(X, alphabet: Alphabet, D: int, panel, grid=PEEL_VALUE_GRID) -> dict:
+    """Evaluate X on the (label, move) entries of the grid, by default the one
+    peel consumes, and pack it in the full JSON shape."""
     panel = np.atleast_1d(np.asarray(panel, dtype=complex))
     words = GradedWords(alphabet, D)
     entries = []
-    for label, move in PEEL_VALUE_GRID:
+    for label, move in grid:
         pts = panel if move is None else parse_word(move).mobius(panel)
         rows = np.asarray(X(parse_gamma_label(label), pts), dtype=complex)
         values = {}

@@ -58,6 +58,14 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["roundtrip"]) == 1
     assert main(["mlv", "S12.9"]) == 1
     assert main(["verify", "cocycle", "--gamma", "XYZ", "--degree", "1"]) == 1
+    assert main(["mlv", "S12.x"]) == 1
+    assert main(["mlv", "eta4x"]) == 1
+    assert main(["verify", "rel2", "--panel", "abc"]) == 1
+    assert main(["verify", "rel2", "--panel", "1+2j;x"]) == 1
+    cfgfile = tmp_path / "cfg.json"
+    for bad in ({"degree": "3"}, {"panel": [[1]]}, {"rtol": "x"}, {"z0": [1]}):
+        cfgfile.write_text(json.dumps(bad))
+        assert main(["verify", "rel2", "--config", str(cfgfile)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -225,7 +233,8 @@ def test_matrix_label_needs_m_prefix(capsys):
     assert "error: bad group element" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ['{"B1": [1.0]}', '{"A1": ["x"]}', '{"A1": [NaN]}'])
+@pytest.mark.parametrize("content", ['{"B1": [1.0]}', '{"A1": ["x"]}', '{"A1": [NaN]}',
+                                     pytest.param('{"A1": [1%s]}' % ("0" * 400), id="400-digit-int")])
 def test_roundtrip_rejects_malformed_hidden_file(tmp_path, capsys, content):
     hidden = tmp_path / "h.json"
     hidden.write_text(content)

@@ -22,11 +22,9 @@ from ncperiods.iterint import (
     r_direct,
     vertical_J,
     zt_pow,
-    _ode_rhs,
-    _ode_tables,
 )
 from ncperiods.modforms import level_one_basis
-from ncperiods.ncpoly import Alphabet, GradedWords, Letter, series_mul
+from ncperiods.ncpoly import Alphabet, GradedWords, Letter, series_block, series_mul
 
 PANEL = np.array([-0.7j, -0.4 - 0.6j])
 
@@ -263,16 +261,20 @@ def rhs_cases(draw):
 
 
 @given(rhs_cases())
-def test_ode_rhs_plan_is_series_product(case):
-    """The per-degree gather/scatter right sides, joined, are -i Omega J in
-    the series ring, Omega carrying om_row[:, b] at support monomial b."""
+def test_series_block_over_support_degrees(case):
+    """Block k of Omega J summed over the support's degrees only, as the ray
+    ODE sweeps it, is bitwise the block summed over every degree, keeps the
+    rows' dtype and agrees with block k of series_mul; Omega carries
+    om_row[:, b] at support monomial b."""
     words, support, om_row, J = case
     omega = np.zeros_like(J)
     for b, m in enumerate(support):
         omega[:, words.index(m)] = om_row[:, b]
-    want = -1j * series_mul(words, omega, J)
-    blocks = [np.zeros_like(J[:, :1])]
-    blocks += [_ode_rhs(plan, om_row, J) for plan in _ode_tables(words, support)]
-    got = np.concatenate(blocks, axis=1)
-    assert got.dtype == J.dtype
-    np.testing.assert_allclose(got, want.astype(complex), rtol=0, atol=1e-13)
+    degrees = sorted({len(m) for m in support})
+    want = series_mul(words, omega, J)
+    for k in range(words.D + 1):
+        got = series_block(words, omega, J, k, degrees)
+        assert got.dtype == J.dtype
+        assert got.tobytes() == series_block(words, omega, J, k, range(k + 1)).tobytes()
+        np.testing.assert_allclose(got, want[:, words.block(k)].astype(complex),
+                                   rtol=0, atol=1e-13)
