@@ -232,7 +232,11 @@ def cmd_roundtrip(cfg: RunConfig, hidden_path: str | None, random: bool) -> tupl
         coeffs = {e.mono: rng.uniform(-2.0, 2.0, size=e.dim) for e in catalog.entries}
     else:
         coeffs = _hidden_from_file(hidden_path, catalog)
-    X = psi_evaluator(hidden_collection(catalog, coeffs), cfg.degree, cfg.z0, quad)
+    try:
+        h = hidden_collection(catalog, coeffs)
+    except ValueError as e:
+        raise ConfigError(str(e))
+    X = psi_evaluator(h, cfg.degree, cfg.z0, quad)
     _, rep = peel(X, catalog, z0=cfg.z0, cfg=quad)
     comparison, worst = compare_recovery(coeffs, rep)
     ok = worst <= 1e-4

@@ -165,9 +165,7 @@ def apply_to_endpoint(gamma: GroupElement, e: Endpoint) -> Endpoint:
     if e.kind == "point":
         return Endpoint.point(gamma.mobius(e.z))
     if e.is_infinity:
-        if gamma.c == 0:
-            return e
-        return Endpoint.cusp(Fraction(gamma.a, gamma.c))
+        return Endpoint.cusp(gamma.cusp())
     p, q = e.cusp_value.numerator, e.cusp_value.denominator
     num, den = gamma.a * p + gamma.b * q, gamma.c * p + gamma.d * q
     return Endpoint.cusp(None) if den == 0 else Endpoint.cusp(Fraction(num, den))

@@ -228,9 +228,11 @@ def eval_forms(forms, tau, tol: float = 1e-13) -> np.ndarray:
     for f in forms:
         tb = _tail_bound(f, ymin)
         if not tb < tol:
+            amax = float(np.max(np.abs(f.expansion.coeffs), initial=0.0))
             raise EvalError(
-                f"{f!r}: tail bound {tb:.2e} > tol {tol:.1e} at Im tau = {ymin:.4f}; "
-                "expansion too short for this height"
+                f"{f!r}: tail bound {tb:.2e} > tol {tol:.1e} at Im tau = {ymin:.4f} "
+                f"(largest stored coefficient {amax:.2e}); expansion too short for this "
+                "height or its coefficients too large"
             )
     Mmax = max(f.expansion.M for f in forms)
     q24 = np.exp(2j * np.pi * tau / 24)
@@ -275,11 +277,14 @@ def form_linear_combination(coeffs, forms) -> CuspForm:
     M = min(f.expansion.M + (f.expansion.r24 - r0) // 24 for f in forms)
     acc = np.zeros(M + 1, dtype=complex)
     bound = np.zeros(M + 1)  # per-index input magnitude, to spot cancellation zeros
-    for c, f in zip(coeffs, forms):
-        off = (f.expansion.r24 - r0) // 24
-        n = min(M + 1 - off, f.expansion.M + 1)
-        acc[off : off + n] += c * f.expansion.coeffs[:n]
-        bound[off : off + n] += abs(c) * np.abs(f.expansion.coeffs[:n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, f in zip(coeffs, forms):
+            off = (f.expansion.r24 - r0) // 24
+            n = min(M + 1 - off, f.expansion.M + 1)
+            acc[off : off + n] += c * f.expansion.coeffs[:n]
+            bound[off : off + n] += abs(c) * np.abs(f.expansion.coeffs[:n])
+    if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(bound))):
+        raise ValueError("combination overflows: its q-expansion coefficients are not finite")
     live = np.abs(acc) > 1e-12 * bound
     if not live.any():
         return CuspForm(w, mult, QSeries(Fraction(r0, 24), np.zeros(M + 1, complex)), label="zero")

@@ -6,6 +6,10 @@ for polynomials of degree <= 15, so the top two coefficients measure how
 unresolved the panel is.  Antiderivatives stay in the same representation,
 which is what makes layered iterated integrals cheap: integrate once, then
 reevaluate the antiderivative anywhere.
+
+Every panel has the same order, so the fit (TMAT), evaluation (a Legendre
+Vandermonde row per point) and the antiderivative (legint of the identity)
+are fixed linear maps, each applied to all panels in one product.
 """
 
 from __future__ import annotations
@@ -13,27 +17,22 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import legendre as L
 
-__all__ = ["NPTS", "NODES", "WEIGHTS", "PwPoly", "QuadratureError", "adaptive_pw"]
+__all__ = ["NPTS", "NODES", "WEIGHTS", "MAX_PANELS", "MIN_WIDTH", "INIT_PANELS",
+           "PwPoly", "QuadratureError", "adaptive_pw"]
 
 NPTS = 16
 NODES, WEIGHTS = L.leggauss(NPTS)
+MAX_PANELS = 4096
+MIN_WIDTH = 1e-12
+INIT_PANELS = 4
 
-# row k: (2k+1)/2 * w_i * P_k(x_i); values @ TMAT.T == Legendre coefficients
-TMAT = np.empty((NPTS, NPTS))
-for _k in range(NPTS):
-    _e = np.zeros(_k + 1)
-    _e[_k] = 1.0
-    TMAT[_k] = (2 * _k + 1) / 2.0 * WEIGHTS * L.legval(NODES, _e)
-del _k, _e
+# row k: (2k+1)/2 * w_i * P_k(x_i); TMAT @ values == Legendre coefficients
+TMAT = L.legvander(NODES, NPTS - 1).T * WEIGHTS * (np.arange(NPTS) + 0.5)[:, None]
 
 
 class QuadratureError(Exception):
-    """The integrand did not resolve within the panel budget or min_width."""
-
-
-def _coeffs_from_values(vals: np.ndarray) -> np.ndarray:
-    """(..., NPTS, *extra) node values -> same-shape Legendre coefficients."""
-    return np.tensordot(TMAT, vals, axes=([1], [0])) if vals.ndim > 1 else TMAT @ vals
+    """The integrand did not resolve within MAX_PANELS panels, or a panel
+    still unresolved would have to split below MIN_WIDTH."""
 
 
 class PwPoly:
@@ -53,37 +52,24 @@ class PwPoly:
     def extra_shape(self):
         return self.coeffs.shape[2:]
 
-    def _panel_index(self, s: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breaks, s, side="right") - 1
-        return np.clip(idx, 0, len(self.breaks) - 2)
-
     def __call__(self, s):
+        """Values at s; points outside the breaks extrapolate the edge panel."""
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        idx = self._panel_index(s)
-        out = np.empty((len(s),) + self.extra_shape, dtype=self.coeffs.dtype)
-        for p in np.unique(idx):
-            sel = idx == p
-            a, b = self.breaks[p], self.breaks[p + 1]
-            x = (2 * s[sel] - a - b) / (b - a)
-            out[sel] = np.tensordot(L.legvander(x, self.coeffs.shape[1] - 1),
-                                    self.coeffs[p], axes=([1], [0]))
+        idx = np.clip(np.searchsorted(self.breaks, s, side="right") - 1, 0, len(self.breaks) - 2)
+        a, b = self.breaks[idx], self.breaks[idx + 1]
+        V = L.legvander((2 * s - a - b) / (b - a), self.coeffs.shape[1] - 1)
+        out = np.einsum("nk,nk...->n...", V, self.coeffs[idx])
         return out[0] if scalar else out
 
     def antiderivative(self) -> "PwPoly":
         """Antiderivative vanishing at breaks[0], continuous across panels."""
-        widths = np.diff(self.breaks)
-        K, ncoef = self.coeffs.shape[:2]
-        out = np.zeros((K, ncoef + 1) + self.extra_shape,
-                       dtype=np.result_type(self.coeffs, float))
+        half = (np.diff(self.breaks) / 2).reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
+        # column j: antiderivative of P_j on [-1, 1] vanishing at -1
+        legint = L.legint(np.eye(self.coeffs.shape[1]), lbnd=-1)
+        out = np.einsum("ij,pj...->pi...", legint, self.coeffs * half)
         # integral of panel p is width * c0 (only P_0 survives over [-1,1])
-        panel_ints = self.coeffs[:, 0] * widths.reshape((-1,) + (1,) * len(self.extra_shape))
-        csum = np.cumsum(panel_ints, axis=0)
-        for p in range(K):
-            ai = L.legint(self.coeffs[p], m=1, lbnd=-1, scl=widths[p] / 2, axis=0)
-            out[p, : ai.shape[0]] = ai
-            if p:
-                out[p, 0] += csum[p - 1]
+        out[1:, 0] += np.cumsum(2 * half[:, 0] * self.coeffs[:, 0], axis=0)[:-1]
         return PwPoly(self.breaks, out)
 
     def integral(self):
@@ -96,49 +82,48 @@ class PwPoly:
         return float(np.max(tail))
 
 
-def adaptive_pw(fun, a: float, b: float, tol: float = 1e-12,
-                max_panels: int = 4096, min_width: float = 1e-12,
-                init_panels: int = 4) -> PwPoly:
+def adaptive_pw(fun, a: float, b: float, tol: float = 1e-12) -> PwPoly:
     """Build a PwPoly for fun on [a, b] by bisection until resolved.
 
     fun maps a flat array of parameter values to (npts, *extra) samples; each
-    round evaluates every pending panel's 16 nodes in a single call.  A panel
-    is accepted when |c[14]| + |c[15]| <= tol * scale, with scale the running
-    max coefficient magnitude over the whole build (so the criterion is
-    relative to the function's global size, not per-panel).  A panel that
-    would have to split below min_width raises QuadratureError.
+    round evaluates every pending panel's 16 nodes in a single call and fits
+    them in one product.  A panel is accepted when |c[14]| + |c[15]| <= tol *
+    scale, with scale the running max coefficient magnitude over the whole
+    build in panel order (so the criterion is relative to the function's
+    global size, not per-panel).  The build starts from INIT_PANELS equal
+    panels; more than MAX_PANELS panels, or a panel that would have to split
+    below MIN_WIDTH, raises QuadratureError.
     """
     if not b > a:
         raise ValueError("need b > a")
-    edges = np.linspace(a, b, init_panels + 1)
-    pending = [(edges[i], edges[i + 1]) for i in range(init_panels)]
+    edges = np.linspace(a, b, INIT_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
     accepted = []
     scale = 0.0
-    while pending:
-        if len(accepted) + len(pending) > max_panels:
+    while len(lo):
+        if len(accepted) + len(lo) > MAX_PANELS:
             raise QuadratureError(
-                f"exceeded {max_panels} panels on [{a}, {b}]; integrand too rough for tol={tol:.1e}")
-        lo = np.array([p[0] for p in pending])
-        hi = np.array([p[1] for p in pending])
+                f"exceeded {MAX_PANELS} panels on [{a}, {b}]; integrand too rough for tol={tol:.1e}")
         pts = (NODES[None, :] * (hi - lo)[:, None] / 2 + (hi + lo)[:, None] / 2).ravel()
         vals = np.asarray(fun(pts))
-        vals = vals.reshape((len(pending), NPTS) + vals.shape[1:])
-        nxt = []
-        for i, (plo, phi) in enumerate(pending):
-            c = _coeffs_from_values(vals[i])
-            scale = max(scale, float(np.max(np.abs(c))))
-            tail = float(np.max(np.abs(c[-2]) + np.abs(c[-1])))
-            if tail <= tol * max(scale, 1e-300):
-                accepted.append((plo, phi, c))
-            elif (phi - plo) <= min_width:
+        vals = vals.reshape((len(lo), NPTS) + vals.shape[1:])
+        coeffs = np.moveaxis(np.tensordot(TMAT, vals, axes=([1], [1])), 0, 1)
+        mags = np.abs(coeffs).reshape(len(lo), -1).max(axis=1)
+        tails = (np.abs(coeffs[:, -2]) + np.abs(coeffs[:, -1])).reshape(len(lo), -1).max(axis=1)
+        split = np.zeros(len(lo), dtype=bool)
+        for i in range(len(lo)):
+            scale = max(scale, mags[i])
+            if tails[i] <= tol * max(scale, 1e-300):
+                accepted.append((lo[i], hi[i], coeffs[i]))
+            elif hi[i] - lo[i] <= MIN_WIDTH:
                 raise QuadratureError(
-                    f"panel [{plo}, {phi}] of [{a}, {b}] still unresolved at width "
-                    f"{phi - plo:.1e} <= min_width; integrand too rough for tol={tol:.1e}")
+                    f"panel [{lo[i]}, {hi[i]}] of [{a}, {b}] still unresolved at width "
+                    f"{hi[i] - lo[i]:.1e} <= MIN_WIDTH; integrand too rough for tol={tol:.1e}")
             else:
-                mid = (plo + phi) / 2
-                nxt.extend([(plo, mid), (mid, phi)])
-        pending = nxt
+                split[i] = True
+        mid = (lo[split] + hi[split]) / 2
+        lo = np.stack([lo[split], mid], axis=1).ravel()
+        hi = np.stack([mid, hi[split]], axis=1).ravel()
     accepted.sort(key=lambda t: t[0])
     breaks = np.array([p[0] for p in accepted] + [accepted[-1][1]])
-    coeffs = np.stack([p[2] for p in accepted])
-    return PwPoly(breaks, coeffs)
+    return PwPoly(breaks, np.stack([p[2] for p in accepted]))

@@ -126,9 +126,13 @@ def build_catalog(alphabet: Alphabet, D: int, panel,
 def hidden_collection(catalog: BasisCatalog, coeffs: dict) -> CuspCollection:
     """The collection whose form at each monomial m is the combination
     coeffs[m] of the catalog basis at m (the input a round trip hides)."""
-    return CuspCollection(catalog.alphabet, {
-        m: form_linear_combination(c, catalog.entry(m).forms) for m, c in coeffs.items()
-    })
+    forms = {}
+    for m, c in coeffs.items():
+        try:
+            forms[m] = form_linear_combination(c, catalog.entry(m).forms)
+        except ValueError as e:
+            raise ValueError(f"{mono_str(m)}: {e}") from None
+    return CuspCollection(catalog.alphabet, forms)
 
 
 def compare_recovery(coeffs: dict, report: PeelReport) -> tuple:
@@ -240,12 +244,9 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
 
     def ev(gamma: GroupElement, t):
         t = np.atleast_1d(np.asarray(t, dtype=complex))
-        hit = store.get((_canon_key(gamma), t.tobytes()))
-        if hit is not None:
-            return hit[1].copy()
+        key = _canon_key(gamma)
         for (gk, _), (pts, rows) in store.items():
-            if gk == _canon_key(gamma) and len(pts) == len(t) \
-                    and np.allclose(pts, t, rtol=0, atol=1e-12):
+            if gk == key and len(pts) == len(t) and np.allclose(pts, t, rtol=0, atol=1e-12):
                 return rows.copy()
         raise UnavailableValue(f"no stored values for {gamma.entries()} at this panel")
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -233,10 +234,19 @@ def test_matrix_label_needs_m_prefix(capsys):
     assert "error: bad group element" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ['{"B1": [1.0]}', '{"A1": ["x"]}', '{"A1": [NaN]}',
-                                     pytest.param('{"A1": [1%s]}' % ("0" * 400), id="400-digit-int")])
-def test_roundtrip_rejects_malformed_hidden_file(tmp_path, capsys, content):
+@pytest.mark.parametrize("content,message", [
+    pytest.param(c, m, id=c) for c, m in [
+        ('{"B1": [1.0]}', "error: "),
+        ('{"A1": ["x"]}', "error: "),
+        ('{"A1": [NaN]}', "error: "),
+        # overflows while the hidden form is combined
+        ('{"A1": [1e300]}', "error: A1: combination overflows"),
+        # finite, but too large for any stored expansion to certify
+        ('{"A1": [1e200]}', r"numerical failure: .*\(largest stored coefficient 5\.44e\+212\)"),
+    ]
+] + [pytest.param('{"A1": [1%s]}' % ("0" * 400), "error: ", id="400-digit-int")])
+def test_roundtrip_rejects_malformed_hidden_file(tmp_path, capsys, content, message):
     hidden = tmp_path / "h.json"
     hidden.write_text(content)
     assert main(["roundtrip", str(hidden), "--alphabet", "10:trivial", "--degree", "1"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert re.match(message, capsys.readouterr().err)

@@ -246,6 +246,7 @@ def test_eta_example_small():
 def test_apply_to_endpoint():
     assert apply_to_endpoint(S, Endpoint.cusp(None)).cusp_value == 0
     assert apply_to_endpoint(S, Endpoint.cusp(0)).is_infinity
+    assert apply_to_endpoint(T, Endpoint.cusp(None)).is_infinity
     e = apply_to_endpoint(T, Endpoint.cusp(0))
     assert e.cusp_value == 1
     p = apply_to_endpoint(S, Endpoint.point(2.0j))

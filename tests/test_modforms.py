@@ -109,6 +109,8 @@ def test_form_linear_combination():
     assert zero.is_zero
     with pytest.raises(ValueError):
         form_linear_combination([1.0, 1.0], [b[0], level_one_basis(12)[0]])
+    with pytest.raises(ValueError, match="not finite"):
+        form_linear_combination([1e300, 0.0], b)
 
 
 def test_json_round_trip():

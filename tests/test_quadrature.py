@@ -1,10 +1,14 @@
 """Piecewise-Legendre quadrature building blocks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import legendre as L
 
+from ncperiods import quadrature
 from ncperiods.quadrature import NODES, NPTS, PwPoly, QuadratureError, WEIGHTS, adaptive_pw
 
 
@@ -52,22 +56,22 @@ def test_vector_valued():
     assert pw.extra_shape == (3,)
 
 
-def test_panel_budget():
+def test_panel_budget(monkeypatch):
     # needle far too sharp for 8 panels
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     with pytest.raises(QuadratureError):
-        adaptive_pw(lambda s: 1.0 / (1e-12 + (s - 0.3) ** 2), 0.0, 1.0,
-                    tol=1e-13, max_panels=8)
+        adaptive_pw(lambda s: 1.0 / (1e-12 + (s - 0.3) ** 2), 0.0, 1.0, tol=1e-13)
 
 
-def test_panel_budget_counts_each_panel_once():
+def test_panel_budget_counts_each_panel_once(monkeypatch):
     # resolves in 40 panels, so a budget of 48 must suffice
-    pw = adaptive_pw(lambda s: 1.0 / (1e-6 + (s - 0.3) ** 2), 0.0, 1.0,
-                     tol=1e-13, max_panels=48)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 48)
+    pw = adaptive_pw(lambda s: 1.0 / (1e-6 + (s - 0.3) ** 2), 0.0, 1.0, tol=1e-13)
     assert len(pw.breaks) - 1 == 40
 
 
 def test_unresolved_panel_is_refused():
-    # a jump never resolves: bisection reaches min_width at s = 0.3
+    # a jump never resolves: bisection reaches MIN_WIDTH at s = 0.3
     with pytest.raises(QuadratureError, match=r"panel \[0\.29"):
         adaptive_pw(lambda s: np.where(s < 0.3, 0.0, 1.0), 0.0, 1.0, tol=1e-12)
 
@@ -81,12 +85,65 @@ def test_resolution_tail_small_when_converged():
 def test_polynomial_exactness(cs):
     """Degree <= 7 polynomials are captured exactly by a single panel fit."""
     p = np.polynomial.Polynomial(cs)
-    pw = adaptive_pw(lambda s: p(s), -1.0, 2.0, tol=1e-12, init_panels=1)
+    with mock.patch.object(quadrature, "INIT_PANELS", 1):
+        pw = adaptive_pw(lambda s: p(s), -1.0, 2.0, tol=1e-12)
     exact = p.integ()(2.0) - p.integ()(-1.0)
     scale = max(1.0, np.max(np.abs(pw.coeffs)))
     assert abs(pw.integral() - exact) < 1e-11 * scale
     s = np.linspace(-1.0, 2.0, 9)
     assert np.max(np.abs(pw(s) - p(s))) < 1e-10 * scale
+
+
+@st.composite
+def pwpolys(draw):
+    """Random sorted breaks (1-6 panels) and complex (K, 16[, 3]) coefficients."""
+    K = draw(st.integers(1, 6))
+    start = draw(st.floats(-5, 5))
+    widths = draw(st.lists(st.floats(0.01, 3), min_size=K, max_size=K))
+    shape = (K, NPTS) + draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs *= draw(st.floats(1e-3, 1e3))
+    return PwPoly(start + np.concatenate([[0.0], np.cumsum(widths)]), coeffs)
+
+
+def _reference(pw, s):
+    """Per-panel numpy.polynomial values in the local coordinate, and the
+    size sum_k |c_k P_k| of the terms each value sums."""
+    vals, sizes = [], []
+    for v in s:
+        p = int(np.clip(np.searchsorted(pw.breaks, v, side="right") - 1, 0, len(pw.breaks) - 2))
+        a, b = pw.breaks[p], pw.breaks[p + 1]
+        x = (2 * v - a - b) / (b - a)
+        vals.append(L.legval(x, pw.coeffs[p]))
+        sizes.append(np.max(np.abs(L.legvander(x, NPTS - 1)) @ np.abs(pw.coeffs[p].reshape(NPTS, -1))))
+    return np.array(vals), max(1.0, max(sizes))
+
+
+@given(pwpolys())
+def test_pwpoly_matches_per_panel_reference(pw):
+    br = pw.breaks
+    s = np.concatenate([br, (br[:-1] + br[1:]) / 2, [br[0] - 0.7, br[-1] + 0.4]])
+    want, size = _reference(pw, s)
+    assert np.max(np.abs(pw(s) - want)) <= 1e-13 * size
+    scale = max(1.0, float(np.max(np.abs(pw.coeffs))))
+
+    # antiderivative: legint per panel, offset by the integrals of earlier panels
+    F = pw.antiderivative()
+    offset = 0.0
+    for p in range(len(br) - 1):
+        width = br[p + 1] - br[p]
+        want = L.legint(pw.coeffs[p], lbnd=-1, scl=width / 2)
+        want[0] += offset
+        size = scale * max(1.0, width + np.max(np.abs(offset)))
+        assert np.max(np.abs(F.coeffs[p] - want)) <= 1e-13 * size
+        offset = offset + width * pw.coeffs[p, 0]
+
+    # scalar in, scalar out
+    mid = (br[0] + br[1]) / 2
+    assert np.shape(pw(mid)) == pw.extra_shape
+    assert np.shape(F(mid)) == pw.extra_shape
+    assert np.array_equal(pw(mid), pw(np.array([mid]))[0])
 
 
 def test_pwpoly_shape_validation():

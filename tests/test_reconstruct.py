@@ -157,6 +157,8 @@ def test_cocycle_from_json_unavailable():
     assert got.shape == (5, 2)
     got[0, 0] = 77.0  # stored rows must not alias the returned array
     assert ev(S, PANEL)[0, 0] == 1.0
+    # a panel within 1e-12 of the stored one reads the stored rows
+    assert ev(S, PANEL + 1e-14)[0, 0] == 1.0
     with pytest.raises(UnavailableValue):
         ev(T, PANEL)
     with pytest.raises(UnavailableValue):
