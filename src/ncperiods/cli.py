@@ -30,7 +30,7 @@ from .cocycle import (
     verify_equivariance,
     verify_multiplicativity,
 )
-from .iterint import IterIntError, path_split_check
+from .iterint import IterIntError, path_split_check, report_passes
 from .mlv import double_moments, moments_table, verify_shuffle
 from .modforms import EvalError, cusp_space_basis, eta_form, level_one_basis
 from .ncpoly import mono_str, parse_mono
@@ -91,12 +91,6 @@ def _first_trivial_forms(cfg: RunConfig, count: int) -> list:
     return forms[:count]
 
 
-def _passes(rep: dict, threshold: float) -> bool:
-    """The pass/fail gate: max / max(1, scale) <= threshold for reports that
-    carry a scale (rel2, rel3, shuffle), the absolute max otherwise."""
-    return rep["max"] / max(1.0, rep.get("scale", 1.0)) <= threshold
-
-
 def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | None) -> tuple:
     panel = cfg.panel_array()
     quad = cfg.quad()
@@ -127,7 +121,7 @@ def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | No
         rep = verify_shuffle(f1, f2, panel, quad)
     else:
         raise ConfigError(f"unknown identity {identity!r}; choose from {IDENTITIES}")
-    ok = _passes(rep, cfg.threshold)
+    ok = report_passes(rep, cfg.threshold)
     rep["threshold"] = cfg.threshold
     rep["pass"] = bool(ok)
     return rep, (0 if ok else 2)
@@ -185,7 +179,7 @@ def cmd_mlv(cfg: RunConfig, form_specs: list, max_order: int) -> tuple:
         f1, f2 = (_parse_form(s) for s in form_specs)
         M = double_moments(f1, f2, quad)
         shuf = verify_shuffle(f1, f2, cfg.panel_array(), quad)
-        ok = _passes(shuf, cfg.threshold)
+        ok = report_passes(shuf, cfg.threshold)
         report["tables"].append({
             "forms": list(form_specs),
             "normalization": "M_{k1,k2} = int_0^ioo f1(tau1) tau1^k1 "
@@ -302,6 +296,14 @@ def _to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error (exit 1); exit 2 means a failed check.
+    The subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
@@ -315,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="seed for randomized suites")
     common.add_argument("--threshold", type=float, help="pass/fail residual bound")
 
-    p = argparse.ArgumentParser(prog="ncperiods", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="ncperiods", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", parents=[common], help="verify one identity")
@@ -341,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = RunConfig.from_sources(
             args.config,
             alphabet=args.alphabet,

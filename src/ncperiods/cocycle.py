@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig
-from .iterint import Endpoint, QuadConfig, j_rows_direct, vertical_J
+from .iterint import Endpoint, QuadConfig, identity_report, j_rows_direct, vertical_J
 from .ncpoly import (Alphabet, GradedWords, TRIVIAL, MultiplierSpec,
                      mono_str, mono_weight, mono_eta_power, series_inv, series_mul,
                      slash_factors)
@@ -236,23 +236,6 @@ def untwist_rows(words: GradedWords, phi1_rows: np.ndarray, n_rows_at_t: np.ndar
 
 # --- verification reports ---------------------------------------------------
 
-def _per_degree_max(words: GradedWords, diff: np.ndarray) -> list:
-    return [float(np.max(np.abs(diff[:, words.block(d)]))) for d in range(words.D + 1)]
-
-
-def _report(identity: str, words: GradedWords, diff: np.ndarray, t, **extra) -> dict:
-    per = _per_degree_max(words, diff)
-    rep = {
-        "identity": identity,
-        "panel": [[float(x.real), float(x.imag)] for x in np.atleast_1d(t)],
-        "degree": words.D,
-        "per_degree_max": per,
-        "max": max(per),
-    }
-    rep.update(extra)
-    return rep
-
-
 def verify_cocycle(h: CuspCollection, gamma: GroupElement, delta: GroupElement,
                    z0: complex, t, D: int, cfg: QuadConfig = QuadConfig()) -> dict:
     """Residual of Psi_{gamma delta} = (Psi_gamma|delta) Psi_delta at the panel."""
@@ -262,8 +245,8 @@ def verify_cocycle(h: CuspCollection, gamma: GroupElement, delta: GroupElement,
     lhs = P(gamma * delta, t)
     slashed = rows_slash(words, P(gamma, delta.mobius(t)), delta, t)
     rhs = rows_mul(words, slashed, P(delta, t))
-    return _report("cocycle", words, lhs - rhs, t,
-                   gamma=gamma.entries(), delta=delta.entries())
+    return identity_report("cocycle", lhs, rhs, t, words,
+                           gamma=gamma.entries(), delta=delta.entries())
 
 
 def verify_multiplicativity(h: CuspCollection, z, y, x, t, D: int,
@@ -276,7 +259,7 @@ def verify_multiplicativity(h: CuspCollection, z, y, x, t, D: int,
     lhs = j_rows_direct(h, z, x, t, D, cfg)
     rhs = rows_mul(words, j_rows_direct(h, z, y, t, D, cfg),
                    j_rows_direct(h, y, x, t, D, cfg))
-    return _report("multiplicativity", words, lhs - rhs, t)
+    return identity_report("multiplicativity", lhs, rhs, t, words)
 
 
 def verify_equivariance(h: CuspCollection, gamma: GroupElement, y, x, t, D: int,
@@ -290,16 +273,16 @@ def verify_equivariance(h: CuspCollection, gamma: GroupElement, y, x, t, D: int,
     gi = gamma.inv()
     lhs = rows_slash(words, j_rows_direct(h, y, x, gamma.mobius(t), D, cfg), gamma, t)
     rhs = j_rows_direct(h, apply_to_endpoint(gi, y), apply_to_endpoint(gi, x), t, D, cfg)
-    return _report("equivariance", words, lhs - rhs, t, gamma=gamma.entries())
+    return identity_report("equivariance", lhs, rhs, t, words, gamma=gamma.entries())
 
 
 def verify_base_point_independence(h: CuspCollection, gamma: GroupElement,
                                    z0a: complex, z0b: complex, t, D: int,
                                    cfg: QuadConfig = QuadConfig()) -> dict:
     t = np.atleast_1d(np.asarray(t, dtype=complex))
-    words = h.words(D)
-    diff = psi(h, gamma, z0a, t, D, cfg) - psi(h, gamma, z0b, t, D, cfg)
-    return _report("base_point_independence", words, diff, t, gamma=gamma.entries())
+    return identity_report("base_point_independence", psi(h, gamma, z0a, t, D, cfg),
+                           psi(h, gamma, z0b, t, D, cfg), t, h.words(D),
+                           gamma=gamma.entries())
 
 
 def eta_example_check(h: CuspCollection, z0: complex, t, D: int,
@@ -320,12 +303,12 @@ def eta_example_check(h: CuspCollection, z0: complex, t, D: int,
     psiS = P(S, t)
     sTp = rows_slash(words, P(S, Tp.mobius(t)), Tp, t)
     sT = rows_slash(words, P(S, T.mobius(t)), T, t)
-    diff1 = psiS - rows_mul(words, sTp, sT)
+    product = rows_mul(words, sTp, sT)
     sS = rows_slash(words, P(S, S.mobius(t)), S, t)
+    involution = rows_mul(words, sS, psiS)
     unit = np.zeros_like(psiS)
     unit[:, 0] = 1.0
-    diff2 = rows_mul(words, sS, psiS) - unit
-    rep = _report("eta_example", words, np.concatenate([diff1, diff2]), t)
-    rep["product_relation_max"] = float(np.max(np.abs(diff1)))
-    rep["involution_relation_max"] = float(np.max(np.abs(diff2)))
-    return rep
+    return identity_report(
+        "eta_example", np.concatenate([psiS, involution]), np.concatenate([product, unit]),
+        t, words, product_relation_max=float(np.max(np.abs(psiS - product))),
+        involution_relation_max=float(np.max(np.abs(involution - unit))))

@@ -9,6 +9,7 @@ field names; explicit flags override file values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -117,6 +118,10 @@ def parse_panel(spec) -> tuple:
 # numeric fields and the types a config file may give them (bools refused)
 _NUMBER_FIELDS = {"degree": (int,), "seed": (int,), "rtol": (int, float),
                   "atol": (int, float), "quad_tol": (int, float), "threshold": (int, float)}
+# tolerances: finite, and above 0 where a zero disables the cutoff height or
+# the panel test (atol 0 puts the cusp cutoff at infinity)
+_POSITIVE_FIELDS = ("atol", "quad_tol")
+_NONNEGATIVE_FIELDS = ("rtol", "threshold")
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,12 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"{name} must be {kinds[-1].__name__}, got {value!r}")
+        for name in _POSITIVE_FIELDS + _NONNEGATIVE_FIELDS:
+            value = getattr(self, name)
+            positive = name in _POSITIVE_FIELDS
+            if not ((value > 0 if positive else value >= 0) and value < math.inf):
+                bound = "> 0" if positive else ">= 0"
+                raise ConfigError(f"{name} must be finite and {bound}, got {value!r}")
         if not isinstance(self.alphabet, str):
             raise ConfigError(f"alphabet must be a spec string, got {self.alphabet!r}")
         if self.degree < 1:

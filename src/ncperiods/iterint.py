@@ -57,6 +57,8 @@ __all__ = [
     "zt_pow",
     "r_direct",
     "j_rows_direct",
+    "identity_report",
+    "report_passes",
     "path_split_check",
     "vertical_J",
 ]
@@ -188,6 +190,8 @@ def cutoff_height(forms, polw: float, t, atol: float) -> float:
     forms; polw is the polynomial weight the caller's integrand carries on top
     of the forms, and tfac = 1 + max |t| over the panel t (1 when t is None).
     """
+    if not atol > 0:
+        raise ValueError(f"atol must be > 0, got {atol!r}: the cutoff height would be infinite")
     kappa = min(f.kappa_min for f in forms)
     C = max(f.decay_C for f in forms)
     tfac = 1.0 if t is None else 1.0 + float(np.max(np.abs(t)))
@@ -197,6 +201,13 @@ def cutoff_height(forms, polw: float, t, atol: float) -> float:
     for _ in range(3):
         Y = max(3.0, (math.log(max(C, 1.0) / tol) + polw * math.log(max(Y * tfac, 2.0))) / two_pi_k)
     return Y + 1.0
+
+
+def _series_cutoff(h, D: int, t, atol: float) -> float:
+    """cutoff_height of collection h's whole support for its degree-D series:
+    D kernels of weight at most max w(B), plus D + 2."""
+    polw = D * max(max(float(f.shifted_weight) for f in h.support_forms), 0.0) + D + 2
+    return cutoff_height(h.support_forms, polw, t, atol)
 
 
 def _approach(e: Endpoint, H: float, cutoff: float):
@@ -327,8 +338,7 @@ def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndar
     if y == x or not h.support:
         return out
     support = {B: (f, float(f.shifted_weight)) for B, f in h.support}
-    polw = D * max(max(w for _, w in support.values()), 0.0) + D + 2
-    path = build_path(x, y, cutoff_height(h.support_forms, polw, t, cfg.atol))
+    path = build_path(x, y, _series_cutoff(h, D, t, cfg.atol))
     anti = {(): None}  # running antiderivative of each nonzero word
     for i in range(1, words.total):  # degree by degree, so suffixes come first
         m = words.word(i)
@@ -338,6 +348,36 @@ def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndar
             anti[m] = _layer(path, t, terms, cfg)
             out[:, i] = anti[m].end_value
     return out
+
+
+def identity_report(identity: str, lhs, rhs, t, words: GradedWords | None = None,
+                    **extra) -> dict:
+    """The report of one identity check lhs = rhs on the panel t.
+
+    max is max |lhs - rhs| and scale the largest |entry| on either side; for
+    word-indexed rows (words given) the report adds the truncation degree
+    and the per-degree maxima.  report_passes judges it."""
+    lhs = np.asarray(lhs)
+    rhs = np.asarray(rhs)
+    resid = np.abs(lhs - rhs)
+    rep = {
+        "identity": identity,
+        "panel": [[float(x.real), float(x.imag)] for x in np.atleast_1d(t)],
+        "max": float(np.max(resid)),
+        "scale": float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))),
+    }
+    if words is not None:
+        rep["degree"] = words.D
+        rep["per_degree_max"] = [float(np.max(resid[:, words.block(d)]))
+                                 for d in range(words.D + 1)]
+    rep.update(extra)
+    return rep
+
+
+def report_passes(rep: dict, threshold: float) -> bool:
+    """The pass rule of every identity report: max / max(1, scale) <= threshold
+    (a NaN residual fails)."""
+    return rep["max"] / max(1.0, rep["scale"]) <= threshold
 
 
 def path_split_check(forms, z, y, x, t, cfg: QuadConfig = QuadConfig()) -> dict:
@@ -354,14 +394,7 @@ def path_split_check(forms, z, y, x, t, cfg: QuadConfig = QuadConfig()) -> dict:
     acc = np.zeros_like(total)
     for j in range(l + 1):
         acc += r_direct(forms[:j], z, y, t, cfg) * r_direct(forms[j:], y, x, t, cfg)
-    resid = np.abs(total - acc)
-    return {
-        "identity": f"path_split_{l}",
-        "order": l,
-        "panel": [[float(v.real), float(v.imag)] for v in t],
-        "max": float(np.max(resid)),
-        "scale": float(np.max(np.abs(total))),
-    }
+    return identity_report(f"path_split_{l}", total, acc, t, order=l)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +451,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
 
     forms = list(h.support_forms)
     wvec = np.array([float(mono_weight(h.alphabet, m)) for m in monos])  # kernel powers w(B)
-    polw = D * max(float(np.max(wvec)), 0.0) + D + 2
-    ymax = max(cutoff_height(forms, polw, t, cfg.atol), z0.imag + 1.0)
+    ymax = max(_series_cutoff(h, D, t, cfg.atol), z0.imag + 1.0)
     L = ymax - z0.imag
     # Omega: the support truncated at D (the cutoff above keeps the whole
     # support), held up to its top degree (a buffer of all words only crowds

@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .iterint import QuadConfig, cutoff_height
+from .iterint import QuadConfig, cutoff_height, identity_report
 from .modforms import CuspForm, eval_forms
 from .quadrature import adaptive_pw
 
@@ -191,15 +191,7 @@ def verify_shuffle(f1: CuspForm, f2: CuspForm, panel,
     P1 = period_polynomial(f1, cfg)
     Q1 = period_polynomial(f2, cfg)
     lhs = P2(t) + t**w * P2(-1.0 / t)
-    rhs = P1(t) * Q1(t)
-    resid = np.abs(lhs - rhs)
-    return {
-        "identity": "shuffle",
-        "forms": [f1.label, f2.label],
-        "panel": [[float(x.real), float(x.imag)] for x in t],
-        "max": float(np.max(resid)),
-        "scale": float(np.max(np.abs(rhs))) if np.max(np.abs(rhs)) > 0 else 1.0,
-    }
+    return identity_report("shuffle", lhs, P1(t) * Q1(t), t, forms=[f1.label, f2.label])
 
 
 def lambda_probe(f: CuspForm, splits=(0.7, 1.3),

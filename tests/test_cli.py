@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from ncperiods.cli import main
+from ncperiods.cli import IDENTITIES, main
 from ncperiods.config import DEFAULT_PANEL
 
 
@@ -52,6 +52,14 @@ def test_determinism_byte_identical(tmp_path):
     assert a == b and a
 
 
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["verify", "mult", "--alphabet", "7:trivial"]) == 1
     assert main(["verify", "eta-example", "--alphabet", "10:trivial"]) == 1
@@ -67,6 +75,18 @@ def test_config_errors_exit_1(tmp_path, capsys):
     for bad in ({"degree": "3"}, {"panel": [[1]]}, {"rtol": "x"}, {"z0": [1]}):
         cfgfile.write_text(json.dumps(bad))
         assert main(["verify", "rel2", "--config", str(cfgfile)]) == 1
+    # tolerances that would silently break the solvers: atol 0 puts the
+    # cutoff at infinity (Psi identically 1), a negative rtol fails correct
+    # results, a NaN threshold cannot be written to the report
+    assert main(["verify", "cocycle", "--atol", "0", "--degree", "2"]) == 1
+    assert main(["psi", "--atol", "0", "--gamma", "S"]) == 1
+    assert main(["verify", "cocycle", "--rtol", "-1"]) == 1
+    assert main(["verify", "rel2", "--threshold", "nan"]) == 1
+    cfgfile.write_text(json.dumps({"quad_tol": -1}))
+    assert main(["verify", "rel2", "--config", str(cfgfile)]) == 1
+    # usage errors are config errors, not verification failures (exit 2)
+    assert main(["verify", "nonsense"]) == 1
+    assert main(["verify", "cocycle", "--degree", "x"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -140,6 +160,18 @@ def test_shuffle_gate_is_relative(tmp_path):
     rep = json.loads(text)
     assert rep["max"] > 1.0
     assert code == 0 and rep["pass"] is True
+    # one rule judges every identity report: at this alphabet the cocycle,
+    # equivariance, mult and rel3 residuals are also far above the threshold
+    # in absolute terms and at rounding level against their scale
+    for identity in IDENTITIES:
+        alphabet = "eta4" if identity == "eta-example" else "24:trivial,20:trivial"
+        code, text = run(tmp_path, "verify", identity, "--alphabet", alphabet,
+                         "--degree", "2", name=f"{identity}.json")
+        rep = json.loads(text)
+        assert rep["max"] / max(1.0, rep["scale"]) <= rep["threshold"], identity
+        assert code == 0 and rep["pass"] is True, identity
+        if identity in ("cocycle", "equivariance", "mult", "rel3"):
+            assert rep["max"] > 1.0, identity
 
 
 def test_roundtrip_zero_hidden(tmp_path):

@@ -18,8 +18,11 @@ from ncperiods.iterint import (
     QuadConfig,
     build_path,
     cusp_frame,
+    cutoff_height,
+    identity_report,
     path_split_check,
     r_direct,
+    report_passes,
     vertical_J,
     zt_pow,
 )
@@ -90,6 +93,35 @@ def test_path_split_orders_2_and_3(delta, g16):
                             Endpoint.point(0.3 + 1.4j), Endpoint.point(1.0j), PANEL)
     assert rep3["order"] == 3
     assert rep3["max"] < 1e-8
+
+
+def test_identity_report_and_pass_rule():
+    words = GradedWords(Alphabet((Letter.trivial(10), Letter.trivial(4))), 2)
+    lhs = np.zeros((2, words.total), dtype=complex)
+    lhs[:, 0] = 1.0
+    lhs[1, words.index((1, 2))] = 3e8
+    rhs = lhs.copy()
+    rhs[0, words.index((2,))] = 1e-9
+    rhs[1, words.index((1, 2))] = 3e8 + 2.0
+    rep = identity_report("demo", lhs, rhs, PANEL, words, extra=1)
+    assert rep["max"] == 2.0 and rep["scale"] == 3e8 + 2.0
+    assert rep["degree"] == 2 and rep["per_degree_max"] == [0.0, 1e-9, 2.0]
+    assert rep["panel"] == [[0.0, -0.7], [-0.4, -0.6]] and rep["extra"] == 1
+    assert report_passes(rep, 1e-8) and not report_passes(rep, 1e-9)
+    # small sides are judged on the absolute residual, NaN never passes
+    assert not report_passes(identity_report("demo", [0.5], [0.5 + 1e-6], PANEL[:1]), 1e-7)
+    assert not report_passes(identity_report("demo", [np.nan], [1.0], PANEL[:1]), 1.0)
+
+
+@pytest.mark.parametrize("atol", [0.0, -1e-11, float("nan")])
+def test_cutoff_refuses_nonpositive_atol(delta, atol):
+    """atol <= 0 would put the cutoff at infinity: the ray would never run and
+    Psi would read exactly 1."""
+    with pytest.raises(ValueError, match="atol must be > 0"):
+        cutoff_height([delta], 10, PANEL, atol)
+    h = CuspCollection.from_letters(Alphabet((Letter.trivial(10),)), [delta])
+    with pytest.raises(ValueError, match="atol must be > 0"):
+        vertical_J(h, 2j, PANEL, 2, QuadConfig(atol=atol))
 
 
 def test_dual_route_agreement(delta, g16):

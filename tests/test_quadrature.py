@@ -64,10 +64,18 @@ def test_panel_budget(monkeypatch):
 
 
 def test_panel_budget_counts_each_panel_once(monkeypatch):
-    # resolves in 40 panels, so a budget of 48 must suffice
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 48)
-    pw = adaptive_pw(lambda s: 1.0 / (1e-6 + (s - 0.3) ** 2), 0.0, 1.0, tol=1e-13)
-    assert len(pw.breaks) - 1 == 40
+    # a budget of exactly the panels an unbudgeted build accepts suffices and
+    # one fewer is refused, whatever that count is at the last bit of the fit
+    def build():
+        return adaptive_pw(lambda s: 1.0 / (1e-6 + (s - 0.3) ** 2), 0.0, 1.0, tol=1e-13)
+
+    breaks = build().breaks
+    n = len(breaks) - 1
+    monkeypatch.setattr(quadrature, "MAX_PANELS", n)
+    assert np.array_equal(build().breaks, breaks)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", n - 1)
+    with pytest.raises(QuadratureError, match=f"exceeded {n - 1} panels"):
+        build()
 
 
 def test_unresolved_panel_is_refused():
