@@ -311,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--degree", type=int, help="truncation degree D")
     common.add_argument("--rtol", type=float, help="ODE relative tolerance")
     common.add_argument("--atol", type=float, help="ODE absolute tolerance")
-    common.add_argument("--panel", help='t panel, e.g. "-0.8j;0.6-1.1j"')
+    common.add_argument("--panel", help='t panel, e.g. --panel="-0.8j;0.6-1.1j" (a value '
+                        'starting with "-" needs the "=" form)')
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), help="report format")
     common.add_argument("--seed", type=int, help="seed for randomized suites")

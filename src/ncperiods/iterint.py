@@ -10,10 +10,11 @@ they can cross-check each other:
       J_m(z) = int_x^z sum_{m = B C} h(B)(u) (u-t)^w(B) J_C(u) du,
 
   summed over the supported prefixes B of m, with J_() = 1: one
-  one-dimensional adaptive pass per word and path segment, reading the
-  antiderivatives of shorter suffixes, not a nested mesh.  r_direct, the
-  iterated integral R_l(f_1,...,f_l; y, x; t), is the chain case: one form
-  per level, level m integrating f_{l-m+1}(z) (z-t)^w against level m-1.
+  one-dimensional adaptive pass per degree and path segment, integrating all
+  words of that degree at once against the antiderivatives of the lower
+  degrees, not a nested mesh.  r_direct, the iterated integral
+  R_l(f_1,...,f_l; y, x; t), is the chain case: one column per level, level
+  m integrating f_{l-m+1}(z) (z-t)^w against level m-1.
 
 * vertical_J: the full generating series J(h; z0, oo; t) of all words up to
   degree D at once, as the solution of dJ/dz = Omega(z) J integrated down a
@@ -139,13 +140,10 @@ def cusp_frame(c: Fraction) -> GroupElement:
     return GroupElement(p, b, q, d)
 
 
-def zt_pow(z, t, w: float):
-    """(z - t)^w, principal branch; safe since Im z > 0 > Im t keeps the base
-    off the cut."""
-    base = np.asarray(z) - np.asarray(t)
-    if w == 0:
-        return np.ones_like(base)
-    return np.exp(w * np.log(base))
+def zt_pow(z, t, w):
+    """(z - t)^w, principal branch, broadcast over z, t and w (exactly 1 at
+    w = 0); safe since Im z > 0 > Im t keeps the base off the cut."""
+    return np.exp(np.asarray(w) * np.log(np.asarray(z) - np.asarray(t)))
 
 
 @dataclass(frozen=True)
@@ -248,21 +246,6 @@ def build_path(x: Endpoint, y: Endpoint, cutoff: float) -> list:
     return path
 
 
-class _PathAntideriv:
-    """Cumulative antiderivative along a segment chain, vanishing at the start."""
-
-    def __init__(self, pws, jumps):
-        self.pws = pws      # per-segment antiderivative PwPolys on [0, 1]
-        self.jumps = jumps  # value accumulated before each segment
-
-    def seg_eval(self, i, s):
-        return self.jumps[i] + self.pws[i](s)
-
-    @property
-    def end_value(self):
-        return self.jumps[-1] + self.pws[-1](1.0)
-
-
 def _validate_t(t) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=complex))
     if np.any(t.imag >= 0):
@@ -270,38 +253,45 @@ def _validate_t(t) -> np.ndarray:
     return t
 
 
-def _layer(path, t, terms, cfg: QuadConfig) -> _PathAntideriv:
-    """Running antiderivative along the path of the sum over terms (f, w, inner)
-    of f(z) (z-t)^w inner(z), inner a _PathAntideriv or None for the constant
-    1: one adaptive pass per segment."""
-    pws = []
-    jumps = []
-    acc = np.zeros(len(t), dtype=complex)
-    for i, seg in enumerate(path):
-        def integrand(s, seg=seg, i=i):
-            zs = seg.z(s)
-            dz = seg.dz(s)
-            total = None
-            for f, w, inner in terms:
-                fv = seg.form_values([f], s)[0]
-                base = (fv * dz)[:, None] * zt_pow(zs[:, None], t[None, :], w)
-                if inner is not None:
-                    base = base * inner.seg_eval(i, s)
-                total = base if total is None else total + base
-            return total
-        A = adaptive_pw(integrand, 0.0, 1.0, tol=cfg.quad_tol).antiderivative()
-        pws.append(A)
-        jumps.append(acc)
-        acc = acc + A(1.0)
-    return _PathAntideriv(pws, jumps)
+def _layers(path, t, level_forms, block, cfg: QuadConfig) -> list:
+    """End values of the running antiderivatives of degrees 1..D along the
+    path, each (n_t, n_cols), where level_forms[d-1] lists the forms degree d
+    reads: one adaptive pass per degree and segment.
+
+    At a node set of a segment those forms are evaluated once, giving kern,
+    the (npts, n_t, n_forms) values f(z) (z-t)^w(f) dz/ds, and every lower
+    degree's antiderivative is read once into lower, the (npts, n_t, ...)
+    concatenation of degrees 0..d-1 (degree 0 the constant 1); block(d, kern,
+    lower) is degree d's integrand."""
+    antis = []  # per degree: antiderivative PwPolys on [0, 1] and the value before each segment
+    ends = []
+    for d, forms in enumerate(level_forms, start=1):
+        w = np.array([float(f.shifted_weight) for f in forms])
+        pws = []
+        jumps = []
+        acc = 0.0
+        for i, seg in enumerate(path):
+            def integrand(s, seg=seg, i=i):
+                kern = ((seg.form_values(forms, s) * seg.dz(s)).T[:, None, :]
+                        * zt_pow(seg.z(s)[:, None, None], t[:, None], w))
+                lower = [np.ones(kern.shape[:2] + (1,))]
+                lower += [jump[i] + pw[i](s) for pw, jump in antis]
+                return block(d, kern, np.concatenate(lower, axis=-1))
+            A = adaptive_pw(integrand, 0.0, 1.0, tol=cfg.quad_tol).antiderivative()
+            pws.append(A)
+            jumps.append(acc)
+            acc = acc + A(1.0)
+        antis.append((pws, jumps))
+        ends.append(acc)
+    return ends
 
 
 def r_direct(forms, y, x, t, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     """R_l(f_1,...,f_l; y, x; t) for the t panel; forms[0] is the outermost.
 
-    Layered route: one adaptive pass per level along the path from x to y,
-    each level's running antiderivative feeding the next.  Returns shape
-    (len(t),).
+    Layered route, the chain case of j_rows_direct: one column per level and
+    one adaptive pass per level and path segment, level d integrating
+    f_{l-d+1}(z) (z-t)^w against level d-1.  Returns shape (len(t),).
     """
     t = _validate_t(t)
     forms = list(forms)
@@ -313,10 +303,9 @@ def r_direct(forms, y, x, t, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         return np.zeros(len(t), dtype=complex)
     polw = sum(max(float(f.shifted_weight), 0.0) for f in forms) + len(forms) + 2
     path = build_path(x, y, cutoff_height(forms, polw, t, cfg.atol))
-    inner = None  # level-0 inner factor is the constant 1
-    for f in reversed(forms):
-        inner = _layer(path, t, [(f, float(f.shifted_weight), inner)], cfg)
-    return inner.end_value
+    ends = _layers(path, t, [[f] for f in reversed(forms)],
+                   lambda d, kern, lower: kern * lower[..., [d - 1]], cfg)
+    return ends[-1][:, 0]
 
 
 def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
@@ -325,9 +314,10 @@ def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndar
 
     The running antiderivative of word m is the integral of the sum over its
     supported prefixes B, m = B C, of h(B)(z) (z-t)^w(B) times the running
-    antiderivative of C (1 for empty C): one adaptive pass per word and path
-    segment, each suffix built once and read by every word ending in it.  A
-    word without a prefix whose suffix is nonzero has coefficient 0.
+    antiderivative of C (1 for empty C).  All words of degree d form one
+    vector integrand, the series_block product of the support's kernels with
+    the lower degrees' antiderivatives: one adaptive pass per degree and path
+    segment, with one form evaluation serving the whole support.
     """
     t = _validate_t(t)
     y = Endpoint.coerce(y)
@@ -335,18 +325,21 @@ def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndar
     words = GradedWords(h.alphabet, D)
     out = np.zeros((len(t), words.total), dtype=complex)
     out[:, 0] = 1.0
-    if y == x or not h.support:
+    support = [(m, f) for m, f in h.support if len(m) <= D]
+    if y == x or not support:
         return out
-    support = {B: (f, float(f.shifted_weight)) for B, f in h.support}
+    cols = [words.index(m) for m, _ in support]
+    degrees = sorted({len(m) for m, _ in support})
+    n_om = words.block(degrees[-1]).stop
+
+    def block(d, kern, lower):
+        om = np.zeros(kern.shape[:2] + (n_om,), dtype=complex)
+        om[..., cols] = kern
+        return series_block(words, om, lower, d, degrees)
+
     path = build_path(x, y, _series_cutoff(h, D, t, cfg.atol))
-    anti = {(): None}  # running antiderivative of each nonzero word
-    for i in range(1, words.total):  # degree by degree, so suffixes come first
-        m = words.word(i)
-        terms = [(*support[m[:j]], anti[m[j:]])
-                 for j in range(1, len(m) + 1) if m[:j] in support and m[j:] in anti]
-        if terms:
-            anti[m] = _layer(path, t, terms, cfg)
-            out[:, i] = anti[m].end_value
+    ends = _layers(path, t, [[f for _, f in support]] * D, block, cfg)
+    out[:, 1:] = np.concatenate(ends, axis=-1)
     return out
 
 

@@ -60,6 +60,19 @@ def test_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+def test_documented_panel_example_runs(tmp_path, capsys):
+    """The --panel help's example runs as written, although its first point
+    starts with "-", which argparse would otherwise read as an option."""
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    example = re.search(r'--panel="([^"]+)"', capsys.readouterr().out).group(1)
+    assert example.startswith("-")
+    code, text = run(tmp_path, "verify", "rel2", f"--panel={example}")
+    assert code == 0
+    panel = [complex(p) for p in example.split(";")]
+    assert json.loads(text)["panel"] == [[p.real, p.imag] for p in panel]
+
+
 def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["verify", "mult", "--alphabet", "7:trivial"]) == 1
     assert main(["verify", "eta-example", "--alphabet", "10:trivial"]) == 1

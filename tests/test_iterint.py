@@ -126,7 +126,7 @@ def test_cutoff_refuses_nonpositive_atol(delta, atol):
 
 def test_dual_route_agreement(delta, g16):
     """vertical_J (ODE down the ray) against j_rows_direct (layered quadrature
-    per word): two fully independent computations of J(h; z0, oo; t)."""
+    per degree): two fully independent computations of J(h; z0, oo; t)."""
     ab = Alphabet((Letter.trivial(10), Letter.trivial(14)))
     h = CuspCollection.from_letters(ab, [delta, g16])
     z0 = 0.25 + 1.3j
@@ -149,25 +149,59 @@ def test_dual_route_agreement_multi_prefix(delta):
     assert np.max(np.abs(ode - quad)) <= 1e-12 * np.max(np.abs(ode))
 
 
-def test_one_pass_per_word_and_segment(monkeypatch, delta, g16):
-    """The layered route integrates each word once per path segment, reading
-    the running antiderivatives of its suffixes: 14 words at D=3 over two
-    letters, not one pass per level of every word."""
-    calls = []
-    real = iterint.adaptive_pw
+def test_one_pass_per_degree_and_segment(monkeypatch, delta, g16):
+    """The layered route integrates all words of one degree as one vector
+    integrand per path segment, reading the running antiderivatives of the
+    lower degrees: D passes per segment, not one per word; and each adaptive
+    round makes one form evaluation for the whole support."""
+    passes = []
+    rounds = []
+    evals = []
+    real_pw = iterint.adaptive_pw
+    real_eval = iterint.eval_forms
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting_pw(fun, *args, **kwargs):
+        passes.append(1)
 
-    monkeypatch.setattr(iterint, "adaptive_pw", counting)
+        def counted(s):
+            rounds.append(1)
+            return fun(s)
+        return real_pw(counted, *args, **kwargs)
+
+    def counting_eval(forms, *args, **kwargs):
+        evals.append(len(forms))
+        return real_eval(forms, *args, **kwargs)
+
+    monkeypatch.setattr(iterint, "adaptive_pw", counting_pw)
+    monkeypatch.setattr(iterint, "eval_forms", counting_eval)
     ab = Alphabet((Letter.trivial(10), Letter.trivial(14)))
     h = CuspCollection.from_letters(ab, [delta, g16])
     y, x = Endpoint.point(0.5 + 1.3j), Endpoint.point(-0.3 + 0.8j)
     j_rows_direct(h, y, x, PANEL, 3)
     segments = len(build_path(x, y, cutoff=0.0))
     assert segments == 3
-    assert len(calls) == 14 * segments
+    assert len(passes) == 3 * segments
+    assert len(evals) == len(rounds)
+    assert set(evals) == {len(h.support)}
+
+
+@pytest.mark.parametrize("y", [2.2j, 0.5 + 1.3j])
+def test_shared_scale_keeps_every_word_accurate(delta, g16, y):
+    """One adaptive pass per degree judges all words of the degree against
+    one running scale, while their sizes span seven orders of magnitude at
+    weights 10 and 14.  Every word must still match a run at 100x tighter
+    quad_tol, relative to max(1, that word's own size); interior endpoints,
+    since at the tighter tolerance a cusp leg exceeds the panel budget."""
+    ab = Alphabet((Letter.trivial(10), Letter.trivial(14)))
+    h = CuspCollection.from_letters(ab, [delta, g16])
+    rng = np.random.default_rng(13)
+    panel = rng.uniform(-1.3, 1.3, size=5) + 1j * rng.uniform(-1.5, -0.4, size=5)
+    cfg = QuadConfig(rtol=1e-11, atol=1e-13, quad_tol=1e-12)
+    got = j_rows_direct(h, y, -0.3 + 0.8j, panel, 3, cfg)
+    ref = j_rows_direct(h, y, -0.3 + 0.8j, panel, 3, QuadConfig(1e-11, 1e-13, 1e-14))
+    size = np.max(np.abs(ref), axis=0)
+    assert np.max(size) / np.min(size[1:]) > 1e6
+    assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-12 * np.maximum(1.0, size))
 
 
 def test_vertical_J_unit_at_degree_zero(delta):
