@@ -31,8 +31,6 @@ from .modforms import (
     eval_forms,
     eval_form,
     form_linear_combination,
-    form_to_json,
-    form_from_json,
 )
 from .iterint import (
     QuadConfig,
@@ -45,7 +43,6 @@ from .cocycle import (
     CuspCollection,
     psi,
     j_between,
-    slash_eval,
     verify_cocycle,
     verify_multiplicativity,
     verify_equivariance,

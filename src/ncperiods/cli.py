@@ -128,14 +128,19 @@ def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | No
 
 
 def _parse_form(spec: str):
-    """Form lookup: 'S<k>.<i>' from the level-one echelon basis, 'eta<N>'."""
+    """Form lookup: 'S<k>.<i>' from the level-one echelon basis, 'eta<N>'.
+    Moments need a trivial multiplier, so eta<N> is refused unless N = 24."""
     spec = spec.strip()
     bad = f"bad form spec {spec!r} (want S<k>.<i> or eta<N>)"
     if spec.startswith("eta"):
         try:
-            return eta_form(int(spec[3:]))
+            f = eta_form(int(spec[3:]))
         except ValueError as e:
             raise ConfigError(f"{bad}: {e}")
+        if f.multiplier.kind != "trivial":
+            raise ConfigError(f"{spec!r}: L-value tables need a trivial-multiplier form, "
+                              f"this one has multiplier eta^{f.multiplier.N}")
+        return f
     if spec.startswith("S") and "." in spec:
         try:
             k, i = (int(part) for part in spec[1:].split(".", 1))
@@ -150,6 +155,8 @@ def _parse_form(spec: str):
 
 def cmd_mlv(cfg: RunConfig, form_specs: list, max_order: int) -> tuple:
     quad = cfg.quad()
+    if not form_specs:
+        raise ConfigError("mlv needs at least one form spec")
     report = {"tables": []}
     if max_order == 1:
         for spec in form_specs:

@@ -35,7 +35,6 @@ __all__ = [
     "rows_mul",
     "rows_inv",
     "rows_slash",
-    "slash_eval",
     "psi_evaluator",
     "psi",
     "j_between",
@@ -115,10 +114,6 @@ class CuspCollection:
     def support_forms(self) -> tuple:
         return tuple(f for _, f in self.support)
 
-    @property
-    def max_support_degree(self) -> int:
-        return max((len(m) for m, _ in self.support), default=0)
-
     def form_of(self, m):
         m = tuple(m)
         for mm, f in self.support:
@@ -146,18 +141,6 @@ def rows_slash(words: GradedWords, rows_at_gamma_t: np.ndarray,
                gamma: GroupElement, t: np.ndarray) -> np.ndarray:
     """(F|gamma)(t) rows from F's rows at gamma t."""
     return slash_factors(words, gamma, np.asarray(t)) * rows_at_gamma_t
-
-
-def slash_eval(F, words: GradedWords, gamma: GroupElement, t) -> np.ndarray:
-    """(F|gamma) at the panel t, for F a callable panel -> rows.
-
-    Evaluates F at the moved panel gamma t and multiplies in the per-word
-    factor v(B)(gamma)^(-1) (ct+d)^(w(B)); the identity is a strict no-op.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
-    if gamma.a == gamma.d == 1 and gamma.b == gamma.c == 0:
-        return np.asarray(F(t), dtype=complex)
-    return rows_slash(words, np.asarray(F(gamma.mobius(t)), dtype=complex), gamma, t)
 
 
 def apply_to_endpoint(gamma: GroupElement, e: Endpoint) -> Endpoint:

@@ -152,6 +152,8 @@ class RunConfig:
             raise ConfigError(f"alphabet must be a spec string, got {self.alphabet!r}")
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         object.__setattr__(self, "panel", parse_panel(self.panel))

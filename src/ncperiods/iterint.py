@@ -167,10 +167,10 @@ class _Segment:
             return np.full(np.shape(s), d, dtype=complex)
         return d * self.frame.jfactor(self.tau(s)) ** -2
 
-    def form_values(self, forms, s, tol=1e-13):
+    def form_values(self, forms, s):
         """(n_forms, npts) values of the forms at the true points z(s)."""
         tau = self.tau(np.atleast_1d(s))
-        vals = eval_forms(forms, tau, tol=tol)
+        vals = eval_forms(forms, tau)
         if self.frame == I2:
             return vals
         fac = np.stack([transformation_factor(f, self.frame, tau) for f in forms])

@@ -37,8 +37,6 @@ __all__ = [
     "eval_forms",
     "transformation_factor",
     "form_linear_combination",
-    "form_to_json",
-    "form_from_json",
     "eta_epsilon",
 ]
 
@@ -291,34 +289,4 @@ def form_linear_combination(coeffs, forms) -> CuspForm:
     lead = int(np.argmax(live))
     return CuspForm(
         w, mult, QSeries(Fraction(r0 + 24 * lead, 24), acc[lead:]), label="combo"
-    )
-
-
-def form_to_json(f: CuspForm) -> dict:
-    mult = (
-        {"type": "trivial"}
-        if f.multiplier.kind == "trivial"
-        else {"type": "eta_power", "N": f.multiplier.N}
-    )
-    return {
-        "weight": str(f.shifted_weight),
-        "multiplier": mult,
-        "kappa": str(f.expansion.kappa),
-        "coeffs": [[float(c.real), float(c.imag)] for c in f.expansion.coeffs],
-        "label": f.label,
-    }
-
-
-def form_from_json(data: dict) -> CuspForm:
-    mult = (
-        TRIVIAL
-        if data["multiplier"]["type"] == "trivial"
-        else MultiplierSpec.eta_power(int(data["multiplier"]["N"]))
-    )
-    coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-    return CuspForm(
-        Fraction(data["weight"]),
-        mult,
-        QSeries(Fraction(data["kappa"]), coeffs),
-        label=data.get("label", ""),
     )

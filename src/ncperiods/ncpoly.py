@@ -29,7 +29,6 @@ __all__ = [
     "GradedWords",
     "NcPoly",
     "mono_weight",
-    "mono_multiplier",
     "mono_str",
     "parse_mono",
     "series_block",
@@ -139,14 +138,6 @@ def mono_weight(alphabet: Alphabet, m: Mono) -> Fraction:
 
 def mono_eta_power(alphabet: Alphabet, m: Mono) -> int:
     return sum(alphabet.letter(j).multiplier.eta_N for j in m)
-
-
-def mono_multiplier(alphabet: Alphabet, m: Mono, gamma: GroupElement) -> complex:
-    """v(B)(gamma): product of letter multipliers; order never matters."""
-    N = mono_eta_power(alphabet, m)
-    if N % 24 == 0:
-        return 1.0 + 0.0j
-    return eta_epsilon(gamma) ** (N % 24)
 
 
 def mono_str(m: Mono) -> str:

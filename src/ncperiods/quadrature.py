@@ -48,10 +48,6 @@ class PwPoly:
         if self.coeffs.shape[0] != len(self.breaks) - 1:
             raise ValueError("panel count mismatch")
 
-    @property
-    def extra_shape(self):
-        return self.coeffs.shape[2:]
-
     def __call__(self, s):
         """Values at s; points outside the breaks extrapolate the edge panel."""
         scalar = np.ndim(s) == 0
@@ -75,11 +71,6 @@ class PwPoly:
     def integral(self):
         widths = np.diff(self.breaks)
         return np.tensordot(widths, self.coeffs[:, 0], axes=([0], [0]))
-
-    def resolution_tail(self) -> float:
-        """max over panels/value-dims of |c[-2]| + |c[-1]|."""
-        tail = np.abs(self.coeffs[:, -2]) + np.abs(self.coeffs[:, -1])
-        return float(np.max(tail))
 
 
 def adaptive_pw(fun, a: float, b: float, tol: float = 1e-12) -> PwPoly:

@@ -87,13 +87,6 @@ class BasisCatalog:
                 return e
         return None
 
-    def of_degree(self, d: int) -> list:
-        return [e for e in self.entries if len(e.mono) == d]
-
-    @property
-    def monos(self) -> tuple:
-        return tuple(e.mono for e in self.entries)
-
 
 def _mono_space(alphabet: Alphabet, m) -> list:
     w = mono_weight(alphabet, m)
@@ -170,22 +163,37 @@ def _canon_key(gamma: GroupElement) -> tuple:
     raise ValueError("singular matrix")
 
 
-def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
+def cocycle_from_json(data, alphabet: Alphabet, D: int):
     """Evaluator backed by the parsed JSON of precomputed panel values.
 
-    Two shapes are accepted.  The full shape is
+    data has the shape that dump_cocycle_values and `ncperiods psi` write:
         {"entries": [{"gamma": "S", "panel": [[re,im],...],
                       "values": {"A1": [[re,im],...], ...}}, ...]}
-    with one values list per monomial, one pair per panel point.  The bare
-    shape maps gamma labels straight to {monomial: [re,im] | [[re,im],...]}
-    and is pinned to default_panel.  Monomials not listed are zero, the
-    constant term is fixed at 1.  Requests off the stored grid raise
-    UnavailableValue (peel then records the affected checks as skipped).
+    with one values list per monomial, one pair per panel point.  Monomials
+    not listed are zero, the constant term is fixed at 1.  Requests off the
+    stored grid raise UnavailableValue (peel then records the affected checks
+    as skipped).  Any other shape raises ValueError.
     """
     words = GradedWords(alphabet, D)
     store = {}
-
-    def add_entry(where, label, panel_pts, values):
+    if not isinstance(data, dict):
+        raise ValueError("cocycle values must be a JSON object")
+    if "entries" not in data:
+        raise ValueError("cocycle values need a field 'entries' (the shape ncperiods psi writes)")
+    if not isinstance(data["entries"], list):
+        raise ValueError("field 'entries' must be a list of objects")
+    for i, ent in enumerate(data["entries"]):
+        where = f"entry {i}"
+        if not isinstance(ent, dict):
+            raise ValueError(f"{where}: must be an object")
+        for name in ("gamma", "panel", "values"):
+            if name not in ent:
+                raise ValueError(f"{where}: missing field {name!r}")
+        try:
+            panel_pts = np.array([complex(re, im) for re, im in ent["panel"]], dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{where}: field 'panel' must list [re,im] pairs") from None
+        label, values = ent["gamma"], ent["values"]
         if not isinstance(label, str):
             raise ValueError(f"{where}: field 'gamma' must be a label string")
         try:
@@ -194,7 +202,6 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
             raise ValueError(f"{where}: bad gamma label {label!r}: {e}") from None
         if not isinstance(values, dict):
             raise ValueError(f"{where}: values must map monomials to [re,im] pairs")
-        panel_pts = np.asarray(panel_pts, dtype=complex)
         if not len(panel_pts) or not np.all(np.isfinite(panel_pts) & (panel_pts.imag < 0)):
             raise ValueError(f"{where}: panel points must be finite and in the lower half plane")
         rows = np.zeros((len(panel_pts), words.total), dtype=complex)
@@ -218,29 +225,6 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int, default_panel=None):
                 raise bad
             rows[:, col] = arr[:, 0] + 1j * arr[:, 1]
         store[(_canon_key(gamma), panel_pts.tobytes())] = (panel_pts, rows)
-
-    if not isinstance(data, dict):
-        raise ValueError("cocycle values must be a JSON object")
-    if "entries" in data:
-        if not isinstance(data["entries"], list):
-            raise ValueError("field 'entries' must be a list of objects")
-        for i, ent in enumerate(data["entries"]):
-            if not isinstance(ent, dict):
-                raise ValueError(f"entry {i}: must be an object")
-            for name in ("gamma", "panel", "values"):
-                if name not in ent:
-                    raise ValueError(f"entry {i}: missing field {name!r}")
-            try:
-                pts = [complex(re, im) for re, im in ent["panel"]]
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"entry {i}: field 'panel' must list [re,im] pairs") from None
-            add_entry(f"entry {i}", ent["gamma"], pts, ent["values"])
-    else:
-        if default_panel is None:
-            raise ValueError("bare panel-value files need an explicit panel")
-        pts = np.atleast_1d(np.asarray(default_panel, dtype=complex))
-        for label, values in data.items():
-            add_entry(f"entry {label!r}", label, pts, values)
 
     def ev(gamma: GroupElement, t):
         t = np.atleast_1d(np.asarray(t, dtype=complex))
@@ -392,9 +376,9 @@ def peel(X, catalog: BasisCatalog, tol: float = 1e-6, z0=RunConfig.z0,
          cfg: QuadConfig = QuadConfig()) -> tuple:
     """Reconstruct a collection from cocycle panel values.
 
-    X is either a callable (gamma, panel) -> rows, or a dict in the shapes
-    cocycle_from_json accepts; it is read on the catalog's panel, where the
-    period samples live, up to the catalog's degree.  Returns
+    X is an evaluator (gamma, panel) -> rows: psi_evaluator, or
+    cocycle_from_json for a values file.  It is read on the catalog's panel,
+    where the period samples live, up to the catalog's degree.  Returns
     (CuspCollection, PeelReport).
     Raises PeelError when a degree's discrepancy cannot be explained by the
     catalog to within tol, or when the abelian pre-check fails.
@@ -403,8 +387,6 @@ def peel(X, catalog: BasisCatalog, tol: float = 1e-6, z0=RunConfig.z0,
     panel = np.asarray(catalog.panel, dtype=complex)
     alphabet = catalog.alphabet
     words = GradedWords(alphabet, D)
-    if not callable(X):
-        X = cocycle_from_json(X, alphabet, D, default_panel=panel)
 
     ndim_max = max((e.dim for e in catalog.entries), default=0)
     if len(panel) < 2 * ndim_max:
@@ -459,9 +441,6 @@ def peel(X, catalog: BasisCatalog, tol: float = 1e-6, z0=RunConfig.z0,
             if entry is None:
                 absent_rel = max(absent_rel, float(np.max(np.abs(col))) / block_scale)
                 continue
-            if len(panel) < 2 * entry.dim:
-                raise PeelError(f"{mono_str(m)}: panel has {len(panel)} points, "
-                                f"fit needs at least {2 * entry.dim}")
             A = np.concatenate([(-entry.psi_samples).real, (-entry.psi_samples).imag])
             colnorm = np.linalg.norm(A, axis=0)
             colnorm[colnorm == 0.0] = 1.0

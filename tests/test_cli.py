@@ -85,7 +85,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["verify", "rel2", "--panel", "abc"]) == 1
     assert main(["verify", "rel2", "--panel", "1+2j;x"]) == 1
     cfgfile = tmp_path / "cfg.json"
-    for bad in ({"degree": "3"}, {"panel": [[1]]}, {"rtol": "x"}, {"z0": [1]}):
+    for bad in ({"degree": "3"}, {"panel": [[1]]}, {"rtol": "x"}, {"z0": [1]}, {"seed": -1}):
         cfgfile.write_text(json.dumps(bad))
         assert main(["verify", "rel2", "--config", str(cfgfile)]) == 1
     # tolerances that would silently break the solvers: atol 0 puts the
@@ -136,6 +136,20 @@ def test_csv_format(tmp_path):
     assert "max" in rows
     assert "config.threshold" in rows
     json.loads(rows["max"])  # values are json scalars
+
+
+@pytest.mark.parametrize("argv", [["eta4"], ["eta4", "S12.1", "--max-order", "2"]])
+def test_mlv_refuses_nontrivial_multiplier(tmp_path, capsys, argv):
+    """Moments need a trivial multiplier: the spec is named, no traceback."""
+    code, text = run(tmp_path, "mlv", *argv)
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'eta4'") and "trivial-multiplier" in err
+
+
+def test_mlv_refuses_no_form_spec(tmp_path, capsys):
+    assert run(tmp_path, "mlv") == (1, "")
+    assert capsys.readouterr().err == "error: mlv needs at least one form spec\n"
 
 
 def test_mlv_table(tmp_path):

@@ -16,7 +16,6 @@ from ncperiods.cocycle import (
     psi,
     rows_inv,
     rows_mul,
-    slash_eval,
     untwist_rows,
     verify_base_point_independence,
     verify_cocycle,
@@ -64,7 +63,6 @@ def test_collection_validation(delta, g16):
     zero = CuspForm(_F(10), delta.multiplier, QSeries(_F(1), _np.zeros(5, complex)))
     h = CuspCollection(ab, {(1,): zero})
     assert h.support == ()
-    assert h.max_support_degree == 0
 
 
 def test_block_splits(delta):
@@ -193,23 +191,6 @@ def test_j_between_consistency(delta):
     a = j_between(h, y, x, PANEL, 2)
     b = j_rows_direct(h, y, x, PANEL, 2)
     assert np.max(np.abs(a - b)) < 1e-8
-
-
-def test_slash_eval_identity_strict(delta):
-    from ncperiods.iterint import vertical_J
-
-    h = _one_letter(delta)
-    words = h.words(2)
-    calls = []
-
-    def F(t):
-        calls.append(np.asarray(t))
-        return vertical_J(h, Z0, t, 2)
-
-    got = slash_eval(F, words, I2, PANEL)
-    assert len(calls) == 1
-    assert np.array_equal(calls[0], PANEL)
-    assert np.array_equal(got, vertical_J(h, Z0, PANEL, 2))
 
 
 def test_untwist_round_trip(delta):

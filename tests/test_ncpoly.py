@@ -11,7 +11,6 @@ from ncperiods.ncpoly import (
     Letter,
     MultiplierSpec,
     NcPoly,
-    mono_multiplier,
     mono_str,
     mono_weight,
     nc_inv,
@@ -19,7 +18,7 @@ from ncperiods.ncpoly import (
     parse_mono,
     slash_factors,
 )
-from ncperiods.sl2z import S, T, parse_word
+from ncperiods.sl2z import S, T, eta_epsilon, parse_word
 
 AB2 = Alphabet((Letter.trivial(10), Letter.trivial(4)))
 ETA4 = Alphabet((Letter.eta(4),))
@@ -69,13 +68,11 @@ def test_mono_str_round_trip():
 def test_mono_weight_and_multiplier():
     assert mono_weight(AB2, (1, 2)) == 14
     assert mono_weight(AB2, ()) == 0
-    # trivial letters: multiplier identically 1
-    assert mono_multiplier(AB2, (1, 2), parse_word("TST")) == 1.0
-    # eta^4 twice = eta^8 power
-    from ncperiods.sl2z import eta_epsilon
-
-    g = parse_word("TS")
-    assert mono_multiplier(ETA4, (1, 1), g) == pytest.approx(eta_epsilon(g) ** 8)
+    # the word's multiplier is carried by slash_factors: at T (c = 0, d = 1)
+    # the factor is v(B)(T)^(-1), and eta^4 twice is the eta^8 power
+    words = GradedWords(ETA4, 2)
+    fac = slash_factors(words, T, np.array([-0.5j]))
+    assert fac[0, words.index((1, 1))] == pytest.approx(eta_epsilon(T) ** -8)
 
 
 def test_ncpoly_basics():

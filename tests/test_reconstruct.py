@@ -55,7 +55,7 @@ def test_catalog_structure(catalog):
     assert catalog.entry((2, 2)) is None
     assert catalog.entry((2, 2, 2)) is None
     assert catalog.entry((1,)).forms[0].label == "S12.1"
-    assert [e.psi_samples.shape for e in catalog.of_degree(3)][0] == (5, 2)
+    assert [e.psi_samples.shape for e in catalog.entries if len(e.mono) == 3][0] == (5, 2)
 
 
 def test_catalog_samples_match_period_polynomials(catalog, delta, g16):
@@ -71,6 +71,14 @@ def test_catalog_samples_match_period_polynomials(catalog, delta, g16):
 def test_catalog_rejects_bad_panel():
     with pytest.raises(ValueError):
         build_catalog(AB1, 1, np.array([0.5 + 0.5j]))
+
+
+def _values_file(label, panel, columns) -> dict:
+    """A one-entry file in the shape dump_cocycle_values writes."""
+    def pairs(v):
+        return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    return {"entries": [{"gamma": label, "panel": pairs(panel),
+                         "values": {m: pairs(col) for m, col in columns.items()}}]}
 
 
 def test_peel_exact_collection(catalog, delta, g16):
@@ -105,7 +113,7 @@ def test_peel_from_dumped_json(delta, g16):
     X = psi_evaluator(hidden, 2)
     blob = dump_cocycle_values(X, AB2, 2, PANEL)
     assert {e["gamma"] for e in blob["entries"]} >= {"T", "S", "ST", "TS", "SS"}
-    h_rec, report = peel(blob, cat2)
+    h_rec, report = peel(cocycle_from_json(blob, AB2, 2), cat2)
     assert report.final_residual < 1e-7
     assert set(h_rec.support_monos) == {(1,), (1, 2)}
     for stage in report.degrees:
@@ -127,13 +135,12 @@ def test_peel_reads_each_grid_value_once(catalog, delta):
 
 
 def test_peel_bare_json_skips_unavailable(delta):
-    """Bare shape stores only X_S on one panel: the parabolic and abelian
+    """A file that stores only X_S on one panel: the parabolic and abelian
     checks report skipped instead of failing, the fit still lands."""
     cat1 = build_catalog(AB1, 1, PANEL)
     X = psi_evaluator(CuspCollection.from_letters(AB1, [delta]), 1)
-    col = X(S, PANEL)[:, 1]
-    bare = {"S": {"A1": [[float(v.real), float(v.imag)] for v in col]}}
-    h_rec, report = peel(bare, cat1)
+    only_s = _values_file("S", PANEL, {"A1": X(S, PANEL)[:, 1]})
+    h_rec, report = peel(cocycle_from_json(only_s, AB1, 1), cat1)
     assert report.parabolic_check == "skipped (values unavailable)"
     assert report.degrees[0]["abelian"]["status"] == "skipped (values unavailable)"
     assert report.degrees[0]["fits"]["A1"]["coefficients"][0] == pytest.approx(1.0, abs=1e-6)
@@ -148,11 +155,11 @@ def test_peel_refuses_nonfinite_cocycle_value(delta):
                  if e["gamma"] == "S" and np.allclose(complex(*e["panel"][0]), PANEL[0]))
     entry["values"]["A1"][0] = [float("nan"), 0.0]
     with pytest.raises(PeelError, match="X_S at t: non-finite"):
-        peel(blob, cat1)
+        peel(cocycle_from_json(blob, AB1, 1), cat1)
 
 
 def test_cocycle_from_json_unavailable():
-    ev = cocycle_from_json({"S": {"A1": [[1.0, 0.0]] * 5}}, AB1, 1, default_panel=PANEL)
+    ev = cocycle_from_json(_values_file("S", PANEL, {"A1": np.ones(5)}), AB1, 1)
     got = ev(S, PANEL)
     assert got.shape == (5, 2)
     got[0, 0] = 77.0  # stored rows must not alias the returned array
@@ -173,7 +180,7 @@ def test_cocycle_from_json_unavailable():
     ({"entries": [{"gamma": "S", "panel": [[0.0, -1.0]], "values": [1.0]}]},
      ("entry 0", "values")),
     ({"entries": ["S"]}, ("entry 0", "object")),
-    ({"S": [[1.0, 0.0]] * 5}, ("entry 'S'", "values")),
+    ({"S": [[1.0, 0.0]] * 5}, ("field 'entries'",)),
     ([{"S": {}}], ("JSON object",)),
     ({"entries": [{"gamma": "S", "panel": [[1.0]], "values": {}}]}, ("entry 0", "panel")),
     ({"entries": [{"gamma": "S", "panel": [["a", "b"]], "values": {}}]},
@@ -194,7 +201,7 @@ def test_cocycle_from_json_unavailable():
 ])
 def test_cocycle_from_json_names_malformed_entry(data, named):
     with pytest.raises(ValueError) as err:
-        cocycle_from_json(data, AB1, 1, default_panel=PANEL)
+        cocycle_from_json(data, AB1, 1)
     for text in named:
         assert text in str(err.value)
 
@@ -222,7 +229,7 @@ def test_cocycle_from_json_fuzz_raises_only_value_error(data):
     """Whatever JSON-shaped input arrives, a malformed file surfaces as a
     ValueError and nothing else."""
     try:
-        cocycle_from_json(data, AB1, 1, default_panel=PANEL)
+        cocycle_from_json(data, AB1, 1)
     except ValueError:
         pass
 

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in it or exported by its
-__all__; an AST scan, since the package carries no linter configuration."""
+__all__, and every name in __all__ is bound in the module; an AST scan,
+since the package carries no linter configuration."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,30 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def stale_exports(source: str) -> list:
+    """Names listed in __all__ that no top-level statement defines or imports."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported = ast.literal_eval(node.value)
+    return sorted(name for name in exported if name not in bound)
+
+
+def test_scan_finds_a_stale_export():
+    source = "import os\nfrom x import y as z\ndef f(): pass\nclass C: pass\nN: int = 1\n"
+    assert stale_exports(source + "__all__ = ['os', 'z', 'f', 'C', 'N']\n") == []
+    assert stale_exports(source + "__all__ = ['f', 'gone', 'y']\n") == ["gone", "y"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert stale_exports(path.read_text()) == []
