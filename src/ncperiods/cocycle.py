@@ -25,9 +25,8 @@ import numpy as np
 
 from .config import RunConfig
 from .iterint import Endpoint, QuadConfig, identity_report, j_rows_direct, vertical_J
-from .ncpoly import (Alphabet, GradedWords, TRIVIAL, MultiplierSpec,
-                     mono_str, mono_weight, mono_eta_power, series_inv, series_mul,
-                     slash_factors)
+from .ncpoly import (Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight,
+                     series_inv, series_mul, slash_factors)
 from .sl2z import GroupElement
 
 __all__ = [
@@ -79,9 +78,7 @@ class CuspCollection:
                 raise ValueError(
                     f"{mono_str(m)}: weight mismatch "
                     f"(monomial {mono_weight(self.alphabet, m)}, form {f.shifted_weight})")
-            n = mono_eta_power(self.alphabet, m) % 24
-            expected = TRIVIAL if n == 0 else MultiplierSpec.eta_power(n)
-            if f.multiplier != expected:
+            if f.multiplier != mono_multiplier(self.alphabet, m):
                 raise ValueError(f"{mono_str(m)}: multiplier mismatch")
             entries.append((m, f))
         entries.sort(key=lambda e: (len(e[0]), e[0]))

@@ -106,17 +106,13 @@ class Endpoint:
 
     @staticmethod
     def cusp(c) -> "Endpoint":
-        if c is None or c in ("oo", "inf"):
-            return Endpoint("cusp", cusp_value=None)
-        return Endpoint("cusp", cusp_value=Fraction(c))
+        return Endpoint("cusp", cusp_value=None if c is None else Fraction(c))
 
     @staticmethod
     def coerce(v) -> "Endpoint":
         if isinstance(v, Endpoint):
             return v
-        if v is None or (isinstance(v, str) and v in ("oo", "inf")):
-            return Endpoint.cusp(None)
-        if isinstance(v, (Fraction, int)):
+        if v is None or isinstance(v, (Fraction, int)):
             return Endpoint.cusp(v)
         return Endpoint.point(v)
 

@@ -42,6 +42,8 @@ __all__ = [
     "clear_caches",
 ]
 
+PROBE_SPLITS = (0.7, 1.3)  # the functional-equation probe's two split heights
+
 
 @dataclass(frozen=True)
 class PeriodPolynomial:
@@ -194,11 +196,10 @@ def verify_shuffle(f1: CuspForm, f2: CuspForm, panel,
     return identity_report("shuffle", lhs, P1(t) * Q1(t), t, forms=[f1.label, f2.label])
 
 
-def lambda_probe(f: CuspForm, splits=(0.7, 1.3),
-                 cfg: QuadConfig = QuadConfig()) -> dict:
+def lambda_probe(f: CuspForm, cfg: QuadConfig = QuadConfig()) -> dict:
     """Functional-equation consistency Lambda(s) = (-1)^((w+2)/2)
     Lambda(w+2-s), the two sides split at different heights so the identity
-    is not a symmetry of the formula.
+    is not a symmetry of the formula (PROBE_SPLITS).
 
     Each row's rel_err is relative to |Lambda(s)|, except the central row of
     a sign -1 form: there the equation forces Lambda(k/2) = 0, so that row is
@@ -206,8 +207,8 @@ def lambda_probe(f: CuspForm, splits=(0.7, 1.3),
     w = _check_trivial(f)
     k = w + 2
     sign = (-1) ** (k // 2)
-    Ma = moments_table(f, splits[0], cfg)
-    Mb = moments_table(f, splits[1], cfg)
+    Ma = moments_table(f, PROBE_SPLITS[0], cfg)
+    Mb = moments_table(f, PROBE_SPLITS[1], cfg)
     lam = [complex(Ma[s - 1]) / 1j**s for s in range(1, w + 2)]
     table_scale = max(abs(La) for La in lam)
     rows = []

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_M = 200
+TAIL_TOL = 1e-13  # the certified tail bound every evaluation must beat
 
 
 class EvalError(Exception):
@@ -146,21 +147,21 @@ class CuspForm:
         return f"CuspForm({name}, kappa={self.expansion.kappa})"
 
 
-def eta_qseries(N: int, M: int = DEFAULT_M) -> QSeries:
+def eta_qseries(N: int) -> QSeries:
     """q-expansion of eta^N: kappa = N/24, integer product coefficients."""
-    return QSeries(Fraction(N, 24), np.array(qexp.eta_power_coeffs(N, M), dtype=complex))
+    return QSeries(Fraction(N, 24), np.array(qexp.eta_power_coeffs(N, DEFAULT_M), dtype=complex))
 
 
-def eta_form(N: int, M: int = DEFAULT_M) -> CuspForm:
+def eta_form(N: int) -> CuspForm:
     mult = TRIVIAL if N == 24 else MultiplierSpec.eta_power(N)
-    return CuspForm(Fraction(N, 2) - 2, mult, eta_qseries(N, M), label=f"eta^{N}")
+    return CuspForm(Fraction(N, 2) - 2, mult, eta_qseries(N), label=f"eta^{N}")
 
 
-def level_one_basis(k: int, M: int = DEFAULT_M) -> list:
+def level_one_basis(k: int) -> list:
     """Echelonized basis of S_k(SL2(Z), trivial); [] when the space is zero."""
     if k % 2 or k < 12:
         return []
-    rows = qexp.cusp_basis_coeffs(k, M)
+    rows = qexp.cusp_basis_coeffs(k, DEFAULT_M)
     out = []
     for i, row in enumerate(rows):
         lead = i + 1  # row i is q^(i+1) + O(q^(d+1))
@@ -170,7 +171,7 @@ def level_one_basis(k: int, M: int = DEFAULT_M) -> list:
     return out
 
 
-def cusp_space_basis(w: Fraction, multiplier: MultiplierSpec, M: int = DEFAULT_M) -> list:
+def cusp_space_basis(w: Fraction, multiplier: MultiplierSpec) -> list:
     """Basis of S_{w+2}(SL2(Z), v) for v trivial or an eta power.
 
     Nontrivial eta power N' in 1..23: the space is eta^N' * M_{w+2-N'/2},
@@ -181,18 +182,18 @@ def cusp_space_basis(w: Fraction, multiplier: MultiplierSpec, M: int = DEFAULT_M
     if multiplier.kind == "trivial":
         if k.denominator != 1:
             return []
-        return level_one_basis(int(k), M)
+        return level_one_basis(int(k))
     N = multiplier.N % 24
     if N == 0:
-        return level_one_basis(int(k), M) if k.denominator == 1 else []
+        return level_one_basis(int(k)) if k.denominator == 1 else []
     m = k - Fraction(N, 2)
     if m.denominator != 1 or m < 0 or int(m) % 2:
         return []
-    mrows = qexp.modular_basis_coeffs(int(m), M)
-    eta_c = qexp.eta_power_coeffs(N, M)
+    mrows = qexp.modular_basis_coeffs(int(m), DEFAULT_M)
+    eta_c = qexp.eta_power_coeffs(N, DEFAULT_M)
     out = []
     for i, row in enumerate(mrows):
-        prod = qexp.mul_trunc(list(eta_c), [Fraction(x) for x in row], M)
+        prod = qexp.mul_trunc(list(eta_c), [Fraction(x) for x in row], DEFAULT_M)
         # leading term q^(N/24 + i): strip the known zero head
         coeffs = np.array([float(x) for x in prod[i:]], dtype=complex)
         assert coeffs[0] != 0
@@ -213,11 +214,11 @@ def _tail_bound(f: CuspForm, y: float) -> float:
     return float(first / (1 - rho))
 
 
-def eval_forms(forms, tau, tol: float = 1e-13) -> np.ndarray:
+def eval_forms(forms, tau) -> np.ndarray:
     """Evaluate several forms at points tau (Im tau > 0), sharing power tables.
 
     Returns shape (n_forms, n_tau).  Raises EvalError when any stored
-    expansion cannot push its tail below tol at min Im tau.
+    expansion cannot push its tail below TAIL_TOL at min Im tau.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=complex))
     ymin = float(np.min(tau.imag))
@@ -225,10 +226,10 @@ def eval_forms(forms, tau, tol: float = 1e-13) -> np.ndarray:
         raise ValueError("evaluation requires Im tau > 0")
     for f in forms:
         tb = _tail_bound(f, ymin)
-        if not tb < tol:
+        if not tb < TAIL_TOL:
             amax = float(np.max(np.abs(f.expansion.coeffs), initial=0.0))
             raise EvalError(
-                f"{f!r}: tail bound {tb:.2e} > tol {tol:.1e} at Im tau = {ymin:.4f} "
+                f"{f!r}: tail bound {tb:.2e} > tol {TAIL_TOL:.1e} at Im tau = {ymin:.4f} "
                 f"(largest stored coefficient {amax:.2e}); expansion too short for this "
                 "height or its coefficients too large"
             )
@@ -246,10 +247,10 @@ def eval_forms(forms, tau, tol: float = 1e-13) -> np.ndarray:
     return out
 
 
-def eval_form(f: CuspForm, tau, tol: float = 1e-13):
+def eval_form(f: CuspForm, tau):
     """Single-form wrapper; scalar in, scalar out."""
     scalar = np.ndim(tau) == 0
-    vals = eval_forms([f], tau, tol)[0]
+    vals = eval_forms([f], tau)[0]
     return complex(vals[0]) if scalar else vals
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "GradedWords",
     "NcPoly",
     "mono_weight",
+    "mono_multiplier",
     "mono_str",
     "parse_mono",
     "series_block",
@@ -41,6 +42,8 @@ __all__ = [
 
 # Monomials are tuples of 1-based letter indices, () for the empty word.
 Mono = tuple
+
+UNIT_TOL = 1e-9  # how far a constant term may sit from 1 and still count as a unit
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,12 @@ def mono_weight(alphabet: Alphabet, m: Mono) -> Fraction:
 
 def mono_eta_power(alphabet: Alphabet, m: Mono) -> int:
     return sum(alphabet.letter(j).multiplier.eta_N for j in m)
+
+
+def mono_multiplier(alphabet: Alphabet, m: Mono) -> MultiplierSpec:
+    """Multiplier eps^(N mod 24) of a monomial's cusp space, N its eta power."""
+    n = mono_eta_power(alphabet, m) % 24
+    return TRIVIAL if n == 0 else MultiplierSpec.eta_power(n)
 
 
 def mono_str(m: Mono) -> str:
@@ -248,18 +257,18 @@ class NcPoly:
             raise ValueError("coefficient vector length mismatch")
 
     @staticmethod
-    def zero(words: GradedWords, dtype=np.complex128) -> "NcPoly":
-        return NcPoly(words, np.zeros(words.total, dtype=dtype))
+    def zero(words: GradedWords) -> "NcPoly":
+        return NcPoly(words, np.zeros(words.total, dtype=complex))
 
     @staticmethod
-    def one(words: GradedWords, dtype=np.complex128) -> "NcPoly":
-        c = np.zeros(words.total, dtype=dtype)
+    def one(words: GradedWords) -> "NcPoly":
+        c = np.zeros(words.total, dtype=complex)
         c[0] = 1.0
         return NcPoly(words, c)
 
     @staticmethod
-    def from_dict(words: GradedWords, data: dict, dtype=np.complex128) -> "NcPoly":
-        c = np.zeros(words.total, dtype=dtype)
+    def from_dict(words: GradedWords, data: dict) -> "NcPoly":
+        c = np.zeros(words.total, dtype=complex)
         for m, v in data.items():
             c[words.index(m)] = v
         return NcPoly(words, c)
@@ -270,8 +279,8 @@ class NcPoly:
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
-    def is_unit_normalized(self, tol: float = 1e-9) -> bool:
-        return abs(self.coeffs[0] - 1.0) <= tol
+    def is_unit_normalized(self) -> bool:
+        return abs(self.coeffs[0] - 1.0) <= UNIT_TOL
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
         _check_same(self, other)
@@ -347,7 +356,7 @@ def series_inv(words: GradedWords, xs) -> np.ndarray:
     constant term 1.
     """
     xs = np.asarray(xs)
-    bad = np.abs(xs[..., 0] - 1.0) > 1e-9
+    bad = np.abs(xs[..., 0] - 1.0) > UNIT_TOL
     if np.any(bad):
         raise ValueError(f"series inverse needs constant term 1, got {xs[..., 0][bad][0]}")
     u = -xs.astype(np.clongdouble)

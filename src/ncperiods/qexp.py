@@ -178,31 +178,27 @@ def _monomial_series(a: int, b: int, c: int, M: int) -> list:
     return s
 
 
-@lru_cache(maxsize=None)
-def modular_basis_coeffs(k: int, M: int) -> tuple:
-    """Echelon basis of M_k(SL2(Z)) as q^0..q^M coefficient rows."""
-    d = dim_modular(k)
-    if d == 0:
+def _echelon_basis(k: int, M: int, a_min: int, dim: int) -> tuple:
+    """Echelon basis of the span of the weight-k monomials Delta^a E4^b E6^c
+    with a >= a_min, as q^0..q^M coefficient rows."""
+    if dim == 0:
         return ()
     rows = []
-    for a in range(k // 12 + 1):
+    for a in range(a_min, k // 12 + 1):
         r = k - 12 * a
         for c in range(r // 6 + 1):
             if (r - 6 * c) % 4 == 0:
                 rows.append(_monomial_series(a, (r - 6 * c) // 4, c, M))
-    return tuple(tuple(row) for row in _echelonize(rows, d, M))
+    return tuple(tuple(row) for row in _echelonize(rows, dim, M))
+
+
+@lru_cache(maxsize=None)
+def modular_basis_coeffs(k: int, M: int) -> tuple:
+    """Echelon basis of M_k(SL2(Z)) as q^0..q^M coefficient rows."""
+    return _echelon_basis(k, M, 0, dim_modular(k))
 
 
 @lru_cache(maxsize=None)
 def cusp_basis_coeffs(k: int, M: int) -> tuple:
     """Echelon basis of S_k(SL2(Z)): row i (0-based) = q^(i+1) + O(q^(d+1))."""
-    d = dim_cusp(k)
-    if d == 0:
-        return ()
-    rows = []
-    for a in range(1, k // 12 + 1):
-        r = k - 12 * a
-        for c in range(r // 6 + 1):
-            if (r - 6 * c) % 4 == 0:
-                rows.append(_monomial_series(a, (r - 6 * c) // 4, c, M))
-    return tuple(tuple(row) for row in _echelonize(rows, d, M))
+    return _echelon_basis(k, M, 1, dim_cusp(k))

@@ -73,7 +73,7 @@ class PwPoly:
         return np.tensordot(widths, self.coeffs[:, 0], axes=([0], [0]))
 
 
-def adaptive_pw(fun, a: float, b: float, tol: float = 1e-12) -> PwPoly:
+def adaptive_pw(fun, a: float, b: float, tol: float) -> PwPoly:
     """Build a PwPoly for fun on [a, b] by bisection until resolved.
 
     fun maps a flat array of parameter values to (npts, *extra) samples; each

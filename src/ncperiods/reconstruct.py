@@ -26,11 +26,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cocycle import CuspCollection, psi, psi_evaluator, rows_slash, untwist_rows
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .iterint import Endpoint, QuadConfig, r_direct
 from .modforms import cusp_space_basis, form_linear_combination
-from .ncpoly import (Alphabet, GradedWords, MultiplierSpec, TRIVIAL,
-                     mono_eta_power, mono_str, mono_weight, parse_mono)
+from .ncpoly import Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight, parse_mono
 from .sl2z import GroupElement, S, parse_gamma_label, parse_word
 
 __all__ = [
@@ -51,8 +50,11 @@ __all__ = [
 ]
 
 
+PEEL_TOL = 1e-6  # the relative gate of peel's fits and of injectivity_probe
+
+
 class PeelError(ValueError):
-    """Input cocycle outside the supported class, or an ill-posed fit."""
+    """Input cocycle outside the supported class."""
 
 
 class UnavailableValue(KeyError):
@@ -88,13 +90,6 @@ class BasisCatalog:
         return None
 
 
-def _mono_space(alphabet: Alphabet, m) -> list:
-    w = mono_weight(alphabet, m)
-    n = mono_eta_power(alphabet, m) % 24
-    mult = TRIVIAL if n == 0 else MultiplierSpec.eta_power(n)
-    return cusp_space_basis(w, mult)
-
-
 def build_catalog(alphabet: Alphabet, D: int, panel,
                   cfg: QuadConfig = QuadConfig()) -> BasisCatalog:
     """Enumerate monomials of degree 1..D with nonzero cusp space and sample
@@ -108,7 +103,7 @@ def build_catalog(alphabet: Alphabet, D: int, panel,
     entries = []
     for d in range(1, D + 1):
         for m in words.words_of_degree(d):
-            basis = _mono_space(alphabet, m)
+            basis = cusp_space_basis(mono_weight(alphabet, m), mono_multiplier(alphabet, m))
             if not basis:
                 continue
             samples = np.column_stack([r_direct([g], top, zero, panel, cfg) for g in basis])
@@ -170,7 +165,8 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
         {"entries": [{"gamma": "S", "panel": [[re,im],...],
                       "values": {"A1": [[re,im],...], ...}}, ...]}
     with one values list per monomial, one pair per panel point.  Monomials
-    not listed are zero, the constant term is fixed at 1.  Requests off the
+    not listed are zero, the constant term is fixed at 1.  A "degree" field,
+    which dump_cocycle_values writes, must equal D.  Requests off the
     stored grid raise UnavailableValue (peel then records the affected checks
     as skipped).  Any other shape raises ValueError.
     """
@@ -182,6 +178,9 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
         raise ValueError("cocycle values need a field 'entries' (the shape ncperiods psi writes)")
     if not isinstance(data["entries"], list):
         raise ValueError("field 'entries' must be a list of objects")
+    if data.get("degree", D) != D:
+        raise ValueError(f"cocycle values were dumped at degree {data['degree']!r}, "
+                         f"read at degree {D}")
     for i, ent in enumerate(data["entries"]):
         where = f"entry {i}"
         if not isinstance(ent, dict):
@@ -219,8 +218,6 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
                 arr = np.asarray(pairs, dtype=float)
             except (TypeError, ValueError, OverflowError):
                 raise bad from None
-            if arr.ndim == 1:
-                arr = arr[None, :]
             if arr.shape != (len(panel_pts), 2):
                 raise bad
             rows[:, col] = arr[:, 0] + 1j * arr[:, 1]
@@ -315,7 +312,6 @@ def deconjugate(X, n, words: GradedWords):
 
 @dataclass
 class PeelReport:
-    tol: float
     panel: list
     degrees: list = field(default_factory=list)
     final_residual: float = float("nan")
@@ -323,7 +319,7 @@ class PeelReport:
 
     def to_dict(self) -> dict:
         return {
-            "tol": self.tol,
+            "tol": PEEL_TOL,
             "panel": self.panel,
             "parabolic_check": self.parabolic_check,
             "degrees": self.degrees,
@@ -372,8 +368,7 @@ def _abelian_check(xv, pv, words, d, panel, cfg) -> dict:
             "scale": scale, "threshold": thresh}
 
 
-def peel(X, catalog: BasisCatalog, tol: float = 1e-6, z0=RunConfig.z0,
-         cfg: QuadConfig = QuadConfig()) -> tuple:
+def peel(X, catalog: BasisCatalog, z0=RunConfig.z0, cfg: QuadConfig = QuadConfig()) -> tuple:
     """Reconstruct a collection from cocycle panel values.
 
     X is an evaluator (gamma, panel) -> rows: psi_evaluator, or
@@ -381,7 +376,8 @@ def peel(X, catalog: BasisCatalog, tol: float = 1e-6, z0=RunConfig.z0,
     where the period samples live, up to the catalog's degree.  Returns
     (CuspCollection, PeelReport).
     Raises PeelError when a degree's discrepancy cannot be explained by the
-    catalog to within tol, or when the abelian pre-check fails.
+    catalog to within PEEL_TOL, or when the abelian pre-check fails, and
+    ConfigError when the panel has fewer than two points per fit dimension.
     """
     D = catalog.D
     panel = np.asarray(catalog.panel, dtype=complex)
@@ -390,10 +386,9 @@ def peel(X, catalog: BasisCatalog, tol: float = 1e-6, z0=RunConfig.z0,
 
     ndim_max = max((e.dim for e in catalog.entries), default=0)
     if len(panel) < 2 * ndim_max:
-        raise PeelError(f"panel too small: {len(panel)} points for fit dimension {ndim_max}")
+        raise ConfigError(f"panel too small: {len(panel)} points for fit dimension {ndim_max}")
 
-    report = PeelReport(tol=float(tol),
-                        panel=[[float(p.real), float(p.imag)] for p in panel])
+    report = PeelReport(panel=[[float(p.real), float(p.imag)] for p in panel])
 
     unit = np.zeros((len(panel), words.total), dtype=complex)
     unit[:, 0] = 1.0
@@ -403,7 +398,7 @@ def peel(X, catalog: BasisCatalog, tol: float = 1e-6, z0=RunConfig.z0,
         report.parabolic_check = "skipped (values unavailable)"
     else:
         worst_t = float(np.max(np.abs(x_t - unit)) / max(1.0, np.max(np.abs(x_t))))
-        if worst_t > 10.0 * tol:
+        if worst_t > 10.0 * PEEL_TOL:
             raise PeelError(f"X_T differs from 1 by {worst_t:.2e} relative; "
                             "peel needs the parabolic normalization at the base point oo")
         report.parabolic_check = f"ok ({worst_t:.2e})"
@@ -455,14 +450,14 @@ def peel(X, catalog: BasisCatalog, tol: float = 1e-6, z0=RunConfig.z0,
                 "residual": resid,
                 "cond": float(np.linalg.cond(An)),
             }
-            if resid > tol:
+            if resid > PEEL_TOL:
                 report.degrees.append(stage)
-                raise PeelError(f"{mono_str(m)}: fit residual {resid:.2e} exceeds tol {tol:.2e}; "
-                                "cocycle not in the reachable class")
-            if np.max(np.abs(coef)) > tol:
+                raise PeelError(f"{mono_str(m)}: fit residual {resid:.2e} exceeds tol "
+                                f"{PEEL_TOL:.2e}; cocycle not in the reachable class")
+            if np.max(np.abs(coef)) > PEEL_TOL:
                 entries[m] = form_linear_combination(coef, entry.forms)
                 recovered.append(mono_str(m))
-        if absent_rel > tol:
+        if absent_rel > PEEL_TOL:
             report.degrees.append(stage)
             raise PeelError(f"degree {d}: relative coefficient {absent_rel:.2e} on a monomial "
                             "with zero cusp space; cocycle not in the reachable class")
@@ -512,8 +507,7 @@ def _degree_one_coboundaries(words: GradedWords, idx: int, t: np.ndarray):
     return A / np.linalg.norm(A, axis=0)
 
 
-def injectivity_probe(h: CuspCollection, hp: CuspCollection, panel,
-                      tol: float = 1e-6, z0=RunConfig.z0,
+def injectivity_probe(h: CuspCollection, hp: CuspCollection, panel, z0=RunConfig.z0,
                       cfg: QuadConfig = QuadConfig()) -> dict:
     """Separation margin of Psi(h) and Psi(h') at the first degree where the
     collections differ.
@@ -523,7 +517,7 @@ def injectivity_probe(h: CuspCollection, hp: CuspCollection, panel,
     _degree_one_coboundaries); the panel is extended so the fit is
     overdetermined.  At higher degrees the raw block difference is used.
     Margin is the max residual over panel points and words of that degree;
-    'separated' requires some word's residual to exceed 10 tol and to clear
+    'separated' requires some word's residual to exceed 10 PEEL_TOL and to clear
     the evaluation noise floor on that word's own scale.
     """
     if h.alphabet != hp.alphabet:
@@ -567,7 +561,7 @@ def injectivity_probe(h: CuspCollection, hp: CuspCollection, panel,
         margin = max(margin, worst)
         # a word separates when its residual clears both the requested
         # tolerance and the noise floor of the evaluations on its own scale
-        if worst > 10.0 * tol and worst > 10.0 * eps * word_scale:
+        if worst > 10.0 * PEEL_TOL and worst > 10.0 * eps * word_scale:
             separated = True
     return {
         "first_differing_degree": dstar,

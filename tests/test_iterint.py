@@ -228,10 +228,10 @@ def test_nonfinite_state_names_the_height(delta, monkeypatch):
     real = iterint.eval_forms
     calls = []
 
-    def poisoned(forms, tau, tol=1e-13):
+    def poisoned(forms, tau):
         # one NaN evaluation at the top of the ray poisons the ODE state
         calls.append(tau)
-        return real(forms, tau, tol) * (np.nan if len(calls) == 1 else 1.0)
+        return real(forms, tau) * (np.nan if len(calls) == 1 else 1.0)
 
     monkeypatch.setattr(iterint, "eval_forms", poisoned)
     h = CuspCollection.from_letters(Alphabet((Letter.trivial(10),)), [delta])
@@ -246,7 +246,7 @@ def test_unresolvable_ray_names_the_height(delta, monkeypatch):
 
     rng = np.random.default_rng(0)
 
-    def noise(forms, tau, tol=1e-13):
+    def noise(forms, tau):
         return rng.standard_normal((len(forms), len(tau))) + 0j
 
     monkeypatch.setattr(iterint, "eval_forms", noise)
@@ -272,7 +272,8 @@ def test_endpoint_validation():
     with pytest.raises(ValueError):
         Endpoint.point(1.0)
     assert Endpoint.coerce(None).is_infinity
-    assert Endpoint.coerce("oo").is_infinity
+    with pytest.raises(ValueError):
+        Endpoint.coerce("oo")  # None is the one spelling of the cusp oo
     assert Endpoint.coerce(Fraction(1, 2)).cusp_value == Fraction(1, 2)
     assert Endpoint.coerce(0).cusp_value == 0
     assert Endpoint.coerce(1.8j).kind == "point"

@@ -87,7 +87,7 @@ def test_decay_bound():
 
 
 def test_eval_refuses_uncertified():
-    delta = level_one_basis(12, M=30)
+    delta = level_one_basis(12)
     with pytest.raises(EvalError):
         eval_form(delta[0], 0.02j)
     with pytest.raises(ValueError):

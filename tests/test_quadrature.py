@@ -159,4 +159,4 @@ def test_pwpoly_shape_validation():
     with pytest.raises(ValueError):
         PwPoly(np.array([0.0, 1.0, 2.0]), np.zeros((1, NPTS)))
     with pytest.raises(ValueError):
-        adaptive_pw(np.cos, 1.0, 1.0)
+        adaptive_pw(np.cos, 1.0, 1.0, tol=1e-12)

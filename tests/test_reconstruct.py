@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ncperiods.cocycle import CuspCollection
-from ncperiods.config import DEFAULT_PANEL
+from ncperiods.config import DEFAULT_PANEL, ConfigError
 from ncperiods.iterint import QuadConfig
 from ncperiods.mlv import period_polynomial
 from ncperiods.modforms import form_linear_combination, level_one_basis
@@ -198,6 +198,11 @@ def test_cocycle_from_json_unavailable():
      ("entry 0", "'A'")),
     ({"entries": [{"gamma": "S", "panel": [[0, 1]], "values": {}}]},
      ("entry 0", "lower half plane")),
+    # a dump of another degree, refused by name rather than by peel's abelian check
+    ({"degree": 2, "entries": []}, ("dumped at degree 2", "read at degree 1")),
+    # a bare pair is not a list of pairs, even for a one-point panel
+    ({"entries": [{"gamma": "S", "panel": [[0, -1]], "values": {"A1": [2.0, 0.5]}}]},
+     ("S/A1", "pair")),
 ])
 def test_cocycle_from_json_names_malformed_entry(data, named):
     with pytest.raises(ValueError) as err:
@@ -238,7 +243,7 @@ def test_peel_panel_too_small(delta):
     small = np.array([-0.8j, -1.5j])
     cat = build_catalog(AB2, 3, small)  # A1*A1*A1 has dim 2, needs 4 points
     X = psi_evaluator(CuspCollection(AB2, {(1,): delta}), 3)
-    with pytest.raises(PeelError, match="panel too small"):
+    with pytest.raises(ConfigError, match="panel too small"):
         peel(X, cat)
 
 
