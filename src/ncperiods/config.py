@@ -8,6 +8,7 @@ field names; explicit flags override file values.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -110,8 +111,8 @@ def parse_panel(spec) -> tuple:
     if not vals:
         raise ConfigError("empty panel")
     for v in vals:
-        if v.imag >= 0:
-            raise ConfigError(f"panel point {v} not in the lower half plane")
+        if not (cmath.isfinite(v) and v.imag < 0):
+            raise ConfigError(f"panel point {v} is not a finite point of the lower half plane")
     return tuple(vals)
 
 
@@ -162,8 +163,8 @@ class RunConfig:
             z0 = _point(self.z0)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"bad z0 {self.z0!r} (want a number or an [re, im] pair): {e}")
-        if z0.imag <= 0:
-            raise ConfigError("z0 must lie in the upper half plane")
+        if not (cmath.isfinite(z0) and z0.imag > 0):
+            raise ConfigError(f"z0 {z0} is not a finite point of the upper half plane")
         object.__setattr__(self, "z0", z0)
 
     @classmethod

@@ -120,11 +120,6 @@ class Endpoint:
     def is_infinity(self) -> bool:
         return self.kind == "cusp" and self.cusp_value is None
 
-    def __repr__(self):
-        if self.kind == "point":
-            return f"Endpoint({self.z})"
-        return f"Endpoint(cusp {'oo' if self.cusp_value is None else self.cusp_value})"
-
 
 def cusp_frame(c: Fraction) -> GroupElement:
     """gamma with gamma(oo) = c = p/q, q > 0, deterministic choice of column."""
@@ -244,8 +239,8 @@ def build_path(x: Endpoint, y: Endpoint, cutoff: float) -> list:
 
 def _validate_t(t) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=complex))
-    if np.any(t.imag >= 0):
-        raise ValueError("t panel must lie strictly in the lower half plane")
+    if not np.all(np.isfinite(t) & (t.imag < 0)):
+        raise ValueError("t panel points must be finite and strictly in the lower half plane")
     return t
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qexp
 from .ncpoly import MultiplierSpec, TRIVIAL
-from .sl2z import GroupElement, eta_epsilon, sqrt_upper
+from .sl2z import GroupElement, sqrt_upper
 
 __all__ = [
     "QSeries",
@@ -37,7 +37,6 @@ __all__ = [
     "eval_forms",
     "transformation_factor",
     "form_linear_combination",
-    "eta_epsilon",
 ]
 
 DEFAULT_M = 200

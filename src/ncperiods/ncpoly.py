@@ -197,9 +197,6 @@ class GradedWords:
             and self.D == other.D
         )
 
-    def __hash__(self):
-        return hash((self.alphabet, self.D))
-
     def index(self, m: Mono) -> int:
         d = len(m)
         if d > self.D:
@@ -290,23 +287,6 @@ class NcPoly:
         _check_same(self, other)
         return NcPoly(self.words, self.coeffs - other.coeffs)
 
-    def __mul__(self, scalar) -> "NcPoly":
-        if isinstance(scalar, NcPoly):
-            return nc_mul(self, scalar)
-        return NcPoly(self.words, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                terms.append(f"({c:.6g})*{mono_str(self.words.word(i))}")
-            if len(terms) > 6:
-                terms.append("...")
-                break
-        return "NcPoly(" + (" + ".join(terms) if terms else "0") + ")"
-
 
 def _check_same(x: NcPoly, y: NcPoly):
     if x.words != y.words:
@@ -394,8 +374,8 @@ def slash_factors(words: GradedWords, gamma: GroupElement, t) -> np.ndarray:
 
     The power is assembled per word as sqrt_lower(ct+d)^(N mod 24) times an
     integer power of ct+d, with the eta-power reduced mod 24 and the reduction
-    compensated exactly by the integer exponent.  t may be a scalar or a 1-d
-    array; the result has shape (..., n_words).
+    compensated exactly by the integer exponent.  t is a 1-d array; the
+    result has shape (n_t, n_words).
     """
     wvec, nvec = words._tables
     nred = nvec % 24
@@ -404,6 +384,4 @@ def slash_factors(words: GradedWords, gamma: GroupElement, t) -> np.ndarray:
     vinv = np.where(nred == 0, 1.0 + 0.0j, eps ** (-nred.astype(float)))
     t = np.asarray(t)
     j = gamma.c * t + gamma.d
-    if t.ndim == 0:
-        return vinv * sqrt_lower(j) ** nred * j**iexp
     return vinv[None, :] * sqrt_lower(j)[:, None] ** nred[None, :] * j[:, None] ** iexp[None, :]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ncperiods.cli import IDENTITIES, main
-from ncperiods.config import DEFAULT_PANEL
+from ncperiods.config import DEFAULT_PANEL, ConfigError, parse_alphabet
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -104,6 +104,27 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_nonfinite_points_are_refused(tmp_path, capsys):
+    """A NaN or infinite panel point or z0 is a config error named up front,
+    not a quadrature or ODE failure further down."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"z0": [float("nan"), 1.0]}))
+    for argv in (["verify", "rel2", "--degree", "1", "--panel=nan-1j"],
+                 ["verify", "rel2", "--degree", "1", "--panel=-infj"],
+                 ["verify", "cocycle", "--degree", "1", "--config", str(cfgfile)]):
+        assert run(tmp_path, *argv) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a finite point" in err, (argv, err)
+
+
+def test_alphabet_spec_spellings():
+    """An eta letter may carry its weight; a bare weight is trivial."""
+    assert parse_alphabet("4:eta12") == parse_alphabet("eta12")
+    assert parse_alphabet("10") == parse_alphabet("10:trivial")
+    with pytest.raises(ConfigError, match="eta12 letter has weight 4"):
+        parse_alphabet("5:eta12")
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"degree": 2, "threshold": 1e-5, "alphabet": "10:trivial"}))
@@ -127,6 +148,17 @@ def test_removed_max_steps_field_is_refused(tmp_path):
     for removed in ({"max_steps": 1000}, {"precision": "extended"}):
         bad.write_text(json.dumps(removed))
         assert main(["verify", "rel2", "--config", str(bad)]) == 1
+
+
+def test_csv_format_lists_of_objects(tmp_path):
+    """A list of objects, here the roundtrip report's per-degree stages, gets
+    one indexed row prefix per entry."""
+    code, text = run(tmp_path, "roundtrip", "--random", "--degree", "1", "--format", "csv",
+                     name="out.csv")
+    assert code == 0
+    keys = [r[0] for r in csv.reader(io.StringIO(text)) if r]
+    assert "degrees[0].abelian.max" in keys
+    assert not any(k.startswith("degrees[1]") for k in keys)
 
 
 def test_csv_format(tmp_path):
@@ -163,6 +195,13 @@ def test_mlv_table(tmp_path):
         assert row["lambda_s"] == row["k"] + 1
         lam = complex(*row["lambda"])
         assert abs(lam.imag) < 1e-12 * max(1.0, abs(lam))
+
+
+def test_mlv_eta24_is_delta(tmp_path):
+    """eta^24 = Delta, so both specs give the same moment rows."""
+    _, eta = run(tmp_path, "mlv", "eta24", name="eta.json")
+    _, delta = run(tmp_path, "mlv", "S12.1", name="delta.json")
+    assert json.loads(eta)["tables"][0]["rows"] == json.loads(delta)["tables"][0]["rows"]
 
 
 def test_mlv_order_two(tmp_path):

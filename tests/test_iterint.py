@@ -284,10 +284,16 @@ def test_t_panel_validation(delta):
         r_direct([delta], None, 0, np.array([0.3 + 0.1j]))
     with pytest.raises(ValueError):
         r_direct([delta], None, 0, np.array([-0.5j, 0.0j]))
+    # a non-finite point is refused by name, not by exhausting the quadrature
+    for bad in (complex(math.nan, -1.0), complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            r_direct([delta], None, 0, np.array([-0.5j, bad]))
     ab = Alphabet((Letter.trivial(10),))
     h = CuspCollection.from_letters(ab, [delta])
     with pytest.raises(ValueError):
         vertical_J(h, 0.5 - 1j, PANEL, 2)
+    with pytest.raises(ValueError, match="finite"):
+        j_rows_direct(h, None, 0, np.array([complex(math.nan, -1.0)]), 1)
 
 
 def test_cusp_frame():

@@ -158,6 +158,27 @@ def test_peel_refuses_nonfinite_cocycle_value(delta):
         peel(cocycle_from_json(blob, AB1, 1), cat1)
 
 
+def test_peel_refuses_broken_abelian_relation(delta):
+    """Shifting the degree-1 value of X_ST alone breaks X_ST = X_S|T * X_T,
+    which the degree-1 abelian check must catch."""
+    X = psi_evaluator(CuspCollection(AB2, {(1,): delta}), 2)
+    blob = dump_cocycle_values(X, AB2, 2, PANEL)
+    entry = next(e for e in blob["entries"] if e["gamma"] == "ST")
+    entry["values"]["A1"] = [[re + 1e-3, im] for re, im in entry["values"]["A1"]]
+    with pytest.raises(PeelError, match="degree 1: abelian cocycle check failed"):
+        peel(cocycle_from_json(blob, AB2, 2), build_catalog(AB2, 2, PANEL))
+
+
+def test_peel_refuses_value_on_zero_cusp_space(delta):
+    """S_6 = 0, so a nonzero A2 coefficient of X_S (A2 of shifted weight 4)
+    is outside every reachable cocycle."""
+    X = psi_evaluator(CuspCollection(AB2, {(1,): delta}), 2)
+    blob = dump_cocycle_values(X, AB2, 2, PANEL, grid=(("S", None),))
+    blob["entries"][0]["values"]["A2"] = [[1e-3, 0.0]] * len(PANEL)
+    with pytest.raises(PeelError, match="relative coefficient .* zero cusp space"):
+        peel(cocycle_from_json(blob, AB2, 2), build_catalog(AB2, 2, PANEL))
+
+
 def test_cocycle_from_json_unavailable():
     ev = cocycle_from_json(_values_file("S", PANEL, {"A1": np.ones(5)}), AB1, 1)
     got = ev(S, PANEL)
