@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, format_alphabet
+from .config import ConfigError, RunConfig, format_alphabet, read_json
 from .cocycle import (
     CuspCollection,
     eta_example_check,
@@ -199,25 +199,25 @@ def cmd_mlv(cfg: RunConfig, form_specs: list, max_order: int) -> tuple:
     raise ConfigError("max-order must be 1 or 2")
 
 
-def _hidden_from_file(path: str, catalog) -> dict:
-    with open(path) as fh:
-        raw = json.load(fh)
+def _hidden_from_file(path: str) -> dict:
+    """monomial -> coefficient vector from a hidden-h file, read before any
+    catalog is built: each value a list of finite JSON numbers."""
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("hidden-h file must map monomials to coefficient lists")
     coeffs = {}
     for key, val in raw.items():
+        if not (isinstance(val, list) and all(type(x) in (int, float) for x in val)):
+            raise ConfigError(f"{key}: coefficients must be a list of numbers")
         try:
             m = parse_mono(key)
-            vec = np.asarray(val, dtype=float)
-        except (ValueError, TypeError, OverflowError) as e:
+            vec = np.array(val, dtype=float)
+        except (ValueError, OverflowError) as e:
             raise ConfigError(f"{key}: {e}")
-        entry = catalog.entry(m)
-        if entry is None:
-            raise ConfigError(f"{key}: no cusp forms exist for this monomial")
-        if vec.shape != (entry.dim,):
-            raise ConfigError(f"{key}: expected {entry.dim} coefficients, got {vec.shape}")
         if not np.all(np.isfinite(vec)):
             raise ConfigError(f"{key}: coefficients must be finite")
+        if m in coeffs:
+            raise ConfigError(f"{key}: monomial {mono_str(m)} given twice")
         coeffs[m] = vec
     return coeffs
 
@@ -225,14 +225,19 @@ def _hidden_from_file(path: str, catalog) -> dict:
 def cmd_roundtrip(cfg: RunConfig, hidden_path: str | None, random: bool) -> tuple:
     if (hidden_path is None) == (not random):
         raise ConfigError("need exactly one of a hidden-h file or --random")
+    coeffs = None if random else _hidden_from_file(hidden_path)
     panel = cfg.panel_array()
     quad = cfg.quad()
     catalog = build_catalog(cfg.the_alphabet(), cfg.degree, panel, quad)
     if random:
         rng = np.random.default_rng(cfg.seed)
         coeffs = {e.mono: rng.uniform(-2.0, 2.0, size=e.dim) for e in catalog.entries}
-    else:
-        coeffs = _hidden_from_file(hidden_path, catalog)
+    for m, vec in coeffs.items():
+        entry = catalog.entry(m)
+        if entry is None:
+            raise ConfigError(f"{mono_str(m)}: no cusp forms exist for this monomial")
+        if len(vec) != entry.dim:
+            raise ConfigError(f"{mono_str(m)}: expected {entry.dim} coefficients, got {len(vec)}")
     try:
         h = hidden_collection(catalog, coeffs)
     except ValueError as e:
@@ -376,7 +381,7 @@ def main(argv=None) -> int:
             report, code = cmd_psi(cfg, args.gamma)
         else:  # pragma: no cover
             raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PeelError as e:

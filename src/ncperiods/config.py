@@ -11,11 +11,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .iterint import QuadConfig
+from .iterint import QuadConfig, series_weight
 from .ncpoly import Alphabet, Letter
 
 __all__ = [
@@ -25,14 +26,37 @@ __all__ = [
     "parse_alphabet",
     "format_alphabet",
     "parse_panel",
+    "read_json",
 ]
 
 # canonical 5-point panel in the lower half plane
 DEFAULT_PANEL = (-0.8j, -1.5j, -0.4 - 0.9j, 0.6 - 1.1j, -1.3 - 0.5j)
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 class ConfigError(ValueError):
     pass
+
+
+def read_json(path: str):
+    """The JSON value in the file at path.  A file that is not UTF-8 JSON,
+    nests too deeply to decode, holds an integer too long to convert or gives
+    one object key twice is a ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(f"{path}: not a readable JSON file: {e}") from None
+
+
+def _unique_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} given twice")
+        out[key] = value
+    return out
 
 
 def parse_alphabet(spec: str) -> Alphabet:
@@ -158,7 +182,7 @@ class RunConfig:
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         object.__setattr__(self, "panel", parse_panel(self.panel))
-        parse_alphabet(self.alphabet)  # validate early
+        alphabet = parse_alphabet(self.alphabet)  # validate early
         try:
             z0 = _point(self.z0)
         except (ValueError, TypeError) as e:
@@ -166,14 +190,28 @@ class RunConfig:
         if not (cmath.isfinite(z0) and z0.imag > 0):
             raise ConfigError(f"z0 {z0} is not a finite point of the upper half plane")
         object.__setattr__(self, "z0", z0)
+        self._check_kernel_range(alphabet)
+
+    def _check_kernel_range(self, alphabet: Alphabet):
+        """Refuse a panel point t or a z0 so far out that the degree-D kernel
+        bound (1 + |z0| + |t|)^polw overflows float64, polw being the series
+        weight the cutoff height uses: the integrands would turn inf before
+        any later check could name the point."""
+        polw = series_weight((L.weight for L in alphabet.letters), self.degree)
+        reach = _LOG_FLOAT_MAX / polw
+        points = [(f"panel point {t}", abs(t)) for t in self.panel]
+        points.append((f"z0 {self.z0}", abs(self.z0) + max(abs(t) for t in self.panel)))
+        for name, size in points:
+            if math.log1p(size) > reach:
+                raise ConfigError(f"{name}: its degree-{self.degree} kernel bound "
+                                  f"(1 + {size:.3g})^{polw:g} overflows float64")
 
     @classmethod
     def from_sources(cls, path: str | None = None, **overrides) -> "RunConfig":
         """File values (if any) merged with explicit overrides (flags win)."""
         data = {}
         if path is not None:
-            with open(path) as fh:
-                raw = json.load(fh)
+            raw = read_json(path)
             if not isinstance(raw, dict):
                 raise ConfigError("config file must hold a JSON object")
             known = {f.name for f in fields(cls)}

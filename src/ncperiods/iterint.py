@@ -55,6 +55,7 @@ __all__ = [
     "Endpoint",
     "cusp_frame",
     "cutoff_height",
+    "series_weight",
     "zt_pow",
     "r_direct",
     "j_rows_direct",
@@ -192,10 +193,15 @@ def cutoff_height(forms, polw: float, t, atol: float) -> float:
     return Y + 1.0
 
 
+def series_weight(weights, D: int) -> float:
+    """Polynomial weight of a degree-D series over forms of the given shifted
+    weights: D kernels of weight at most max w, plus D + 2."""
+    return D * max(max(float(w) for w in weights), 0.0) + D + 2
+
+
 def _series_cutoff(h, D: int, t, atol: float) -> float:
-    """cutoff_height of collection h's whole support for its degree-D series:
-    D kernels of weight at most max w(B), plus D + 2."""
-    polw = D * max(max(float(f.shifted_weight) for f in h.support_forms), 0.0) + D + 2
+    """cutoff_height of collection h's whole support for its degree-D series."""
+    polw = series_weight((f.shifted_weight for f in h.support_forms), D)
     return cutoff_height(h.support_forms, polw, t, atol)
 
 

@@ -192,7 +192,7 @@ def cusp_space_basis(w: Fraction, multiplier: MultiplierSpec) -> list:
     eta_c = qexp.eta_power_coeffs(N, DEFAULT_M)
     out = []
     for i, row in enumerate(mrows):
-        prod = qexp.mul_trunc(list(eta_c), [Fraction(x) for x in row], DEFAULT_M)
+        prod = qexp.mul_trunc(eta_c, row, DEFAULT_M)
         # leading term q^(N/24 + i): strip the known zero head
         coeffs = np.array([float(x) for x in prod[i:]], dtype=complex)
         assert coeffs[0] != 0

@@ -1,9 +1,12 @@
 """Exact integer/rational q-expansion arithmetic.
 
-Everything here is big-integer or Fraction work: eta products, Eisenstein
-series with exact Bernoulli numbers, and echelonized cusp/modular bases built
-from Delta * E4^b * E6^c monomials.  Floats enter only when these series are
-wrapped into evaluable forms one layer up.
+Eta products, Eisenstein series with exact Bernoulli numbers, and
+echelonized cusp/modular bases built from Delta * E4^b * E6^c monomials.
+The integers are exact: products are single big-integer multiplications
+(Kronecker substitution), the powers of Delta, E4 and E6 are memoized, and
+echelonization eliminates fraction-free, so Fractions appear only at the
+final division of each pivot row (and in the Bernoulli numbers).  Floats
+enter only when these series are wrapped into evaluable forms one layer up.
 
 Series are plain lists c[0..M] of coefficients of q^0..q^M relative to a
 leading exponent tracked by the caller.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 __all__ = [
     "mul_trunc",
@@ -30,14 +33,38 @@ __all__ = [
 
 
 def mul_trunc(a: list, b: list, M: int) -> list:
-    out = [0] * (M + 1)
-    for i, ai in enumerate(a[: M + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: M + 1 - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    """a * b truncated at q^M, by Kronecker substitution: each series is
+    packed into one integer with a slot of whole bytes per coefficient, the
+    two integers are multiplied once, and the product's slots are the
+    coefficients.  Entries may be ints or Fractions; a Fraction series is
+    scaled to integers by the lcm of its denominators, and the result is
+    int when both denominators are 1, Fraction otherwise."""
+    (ia, da), (ib, db) = _integer_series(a[: M + 1]), _integer_series(b[: M + 1])
+    bound = max(map(abs, ia), default=0) * max(map(abs, ib), default=0) * (M + 1)
+    if not bound:
+        return [0] * (M + 1)
+    # |coefficient| <= bound < 2^(8 nb - 1): a biased slot holds it without borrow
+    nb = (bound.bit_length() + 2 + 7) // 8
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * (M + 1), "little")
+    prod = (_pack(ia, nb) * _pack(ib, nb) + bias) & ((1 << (8 * nb * (M + 1))) - 1)
+    raw = prod.to_bytes(nb * (M + 1), "little")
+    half = 1 << (8 * nb - 1)
+    out = [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, len(raw), nb)]
+    den = da * db
+    return out if den == 1 else [Fraction(c, den) for c in out]
+
+
+def _integer_series(c: list) -> tuple:
+    """(integers, d) with c = integers / d, d the lcm of the denominators."""
+    d = lcm(*(x.denominator for x in c))
+    return [x.numerator * (d // x.denominator) for x in c], d
+
+
+def _pack(c: list, nb: int) -> int:
+    """sum c[i] 256^(nb i) for signed c[i] with |c[i]| < 256^nb."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(nb, "little") for x in c)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(nb, "little") for x in c)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def pow_trunc(a: list, e: int, M: int) -> list:
@@ -131,50 +158,55 @@ def dim_cusp(k: int) -> int:
 def _echelonize(rows: list, dim: int, M: int) -> list:
     """Reduced echelon over Q: returns dim rows with row r = q^(pivot_r) + ...
 
-    rows are coefficient lists on a common q-power grid; pivots are taken
-    left to right.  Raises if fewer than dim independent rows are found.
+    rows are integer coefficient lists on a common q-power grid; pivots are
+    taken left to right.  Elimination stays in the integers (each combined
+    row divided by its content), and each pivot row is divided by its pivot
+    once at the end.  Raises if fewer than dim independent rows are found.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
-    out = []
+    work = list(rows)
+    out = []  # (pivot column, row)
     col = 0
     while len(out) < dim and col <= M:
-        piv = None
-        for r in work:
-            if r[col] != 0:
-                piv = r
-                break
+        piv = next((r for r in work if r[col]), None)
         if piv is None:
             col += 1
             continue
         work.remove(piv)
-        inv = Fraction(1) / piv[col]
-        piv = [x * inv for x in piv]
-        for r in work:
-            f = r[col]
-            if f:
-                for i in range(col, M + 1):
-                    r[i] -= f * piv[i]
-        for r in out:
-            f = r[col]
-            if f:
-                for i in range(col, M + 1):
-                    r[i] -= f * piv[i]
-        out.append(piv)
+        work = [_combine(r, piv, col) if r[col] else r for r in work]
+        out = [(c, _combine(r, piv, col) if r[col] else r) for c, r in out]
+        out.append((col, piv))
         col += 1
     if len(out) < dim:
         raise ValueError("echelonization found too few independent rows")
-    return out
+    return [[Fraction(x, r[c]) for x in r] for c, r in out]
+
+
+def _combine(r: list, piv: list, col: int) -> list:
+    """piv[col] r - r[col] piv, which is 0 at col, divided by its content."""
+    p, f = piv[col], r[col]
+    new = [p * x - f * y for x, y in zip(r, piv)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+@lru_cache(maxsize=None)
+def _generator_power(k: int, e: int, M: int) -> tuple:
+    """G^e truncated at q^M for the weight-k generator G of the ring of
+    level-one forms: E4 (k = 4), E6 (k = 6) or Delta / q (k = 12), each
+    power the one below it times G."""
+    if e == 0:
+        return (1,) + (0,) * M
+    g = delta_coeffs(M) if k == 12 else eisenstein_coeffs(k, M)
+    return tuple(mul_trunc(_generator_power(k, e - 1, M), g, M))
 
 
 def _monomial_series(a: int, b: int, c: int, M: int) -> list:
-    s = pow_trunc(list(delta_coeffs(M)), a, M) if a else [1] + [0] * M
-    # Delta^a starts at q^a: shift
-    if a:
-        s = [0] * a + s[: M + 1 - a]
+    # Delta^a = q^a (Delta / q)^a: shift
+    s = (0,) * a + _generator_power(12, a, M)[: M + 1 - a]
     if b:
-        s = mul_trunc(s, pow_trunc(list(eisenstein_coeffs(4, M)), b, M), M)
+        s = mul_trunc(s, _generator_power(4, b, M), M)
     if c:
-        s = mul_trunc(s, pow_trunc(list(eisenstein_coeffs(6, M)), c, M), M)
+        s = mul_trunc(s, _generator_power(6, c, M), M)
     return s
 
 

@@ -1,15 +1,24 @@
 """Command-line interface: exit codes, report shape, determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import re
+import tempfile
+import warnings
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ncperiods.cli import IDENTITIES, main
 from ncperiods.config import DEFAULT_PANEL, ConfigError, parse_alphabet
+from ncperiods.ncpoly import parse_mono
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -115,6 +124,23 @@ def test_nonfinite_points_are_refused(tmp_path, capsys):
         assert run(tmp_path, *argv) == (1, ""), argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not a finite point" in err, (argv, err)
+
+
+def test_huge_finite_points_are_refused_by_name(tmp_path, capsys):
+    """A finite panel point or z0 whose degree-D kernel overflows float64 is a
+    config error naming the value, not an overflow warning followed by a
+    quadrature or tail-bound failure that names neither."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"z0": [0, 1e300]}))
+    for argv, named in (
+        (["verify", "rel2", "--degree", "1", "--panel=1e300-1j"], "panel point (1e+300-1j)"),
+        (["verify", "cocycle", "--degree", "1", "--config", str(cfgfile)], "z0 1e+300j"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, *argv) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + named) and "overflows float64" in err, (argv, err)
 
 
 def test_alphabet_spec_spellings():
@@ -348,3 +374,73 @@ def test_roundtrip_rejects_malformed_hidden_file(tmp_path, capsys, content, mess
     hidden.write_text(content)
     assert main(["roundtrip", str(hidden), "--alphabet", "10:trivial", "--degree", "1"]) == 1
     assert re.match(message, capsys.readouterr().err)
+
+
+def _one_finite_number(v) -> bool:
+    """A hidden-file value the alphabet 10:trivial at D=1 takes for A1."""
+    try:
+        return (isinstance(v, list) and len(v) == 1 and type(v[0]) in (int, float)
+                and math.isfinite(float(v[0])))
+    except OverflowError:
+        return False
+
+
+def _parses_to_a1(key: str) -> bool:
+    try:
+        return parse_mono(key) == (1,)
+    except ValueError:
+        return False
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8)
+_A1_SPELLINGS = st.sampled_from(["A1", " A1", "A01", "A+1", "A1 "])
+_KEYS = st.sampled_from(["1", "A2", "A0", "A-1", "A1*A1", "B1", "A", "", "A1*", "a1"]) | st.text(max_size=6)
+# each poison entry is one defect a well-formed file cannot have
+_POISON = st.one_of(
+    st.tuples(_KEYS.filter(lambda k: not _parses_to_a1(k)), _JSON),
+    st.tuples(_A1_SPELLINGS, _JSON.filter(lambda v: not _one_finite_number(v))),
+)
+_CLEAN = st.tuples(_A1_SPELLINGS, st.lists(st.floats(-2, 2), min_size=1, max_size=1))
+
+
+@st.composite
+def _malformed_hidden_file(draw) -> bytes:
+    kind = draw(st.sampled_from(["entries", "not-an-object", "bytes"]))
+    if kind == "not-an-object":
+        return json.dumps(draw(_JSON.filter(lambda v: not isinstance(v, dict)))).encode()
+    if kind == "bytes":
+        raw = draw(st.binary(max_size=24))
+        try:
+            assume(not isinstance(json.loads(raw.decode("utf-8")), dict))
+        except (ValueError, RecursionError):
+            pass
+        return raw
+    # clean entries, then the defect
+    entries = draw(st.lists(_CLEAN, max_size=2)) + [draw(_POISON)]
+    return ("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in entries) + "}").encode()
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(_malformed_hidden_file())
+@example(b"[" * 100_000)
+@example(b'{"A1": [' + b"1" * 5000 + b"]}")
+@example(b'{"A1": [1' + b"0" * 400 + b"]}")
+@example(b"\xff\xfe")
+@example(b'{"A1": [true]}')
+@example(b'{"A1": ["0.5"]}')
+@example(b'{"A1": [0.0], " A1": [0.0]}')
+def test_roundtrip_hidden_file_fuzz(content):
+    """Whatever a malformed hidden-h file holds, roundtrip refuses it with one
+    "error:" line and exit 1: no traceback, no numerical failure and no
+    coefficient silently read from a bool or a string."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.json"
+        path.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["roundtrip", str(path), "--alphabet", "10:trivial", "--degree", "1",
+                         "--out", str(Path(tmp) / "out.json")])
+    assert code == 1 and err.getvalue().startswith("error:"), (content, err.getvalue())

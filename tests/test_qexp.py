@@ -1,12 +1,19 @@
 """Exact q-expansion arithmetic: truncated series, Eisenstein/Delta/eta
 coefficients, cusp space dimensions and echelon bases."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ncperiods.modforms import DEFAULT_M
 from ncperiods.qexp import (
     bernoulli,
     cusp_basis_coeffs,
@@ -122,3 +129,79 @@ def test_pow_trunc_matches_repeated_mul(a, e):
     for _ in range(e):
         ref = mul_trunc(ref, a, M)
     assert out == ref
+
+
+def schoolbook_mul_trunc(a, b, M):
+    """The O(M^2) convolution mul_trunc must agree with, entry for entry."""
+    out = [0] * (M + 1)
+    for i, ai in enumerate(a[: M + 1]):
+        for j, bj in enumerate(b[: M + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+big_ints = st.integers(-10**40, 10**40)
+fractions = st.fractions(max_denominator=10**6).filter(lambda x: abs(x.numerator) < 10**40)
+series = st.one_of(
+    st.lists(big_ints, max_size=14),
+    st.lists(st.integers(-3, 3), max_size=14),
+    st.lists(st.just(0), max_size=14),
+    st.lists(fractions | big_ints, max_size=14),
+)
+
+
+@given(series, series, st.integers(0, 10))
+def test_mul_trunc_matches_schoolbook(a, b, M):
+    """Kronecker products equal the schoolbook convolution exactly, for signed
+    entries up to 1e40, Fraction entries, all-zero series and series shorter
+    or longer than M + 1."""
+    out = mul_trunc(a, b, M)
+    assert len(out) == M + 1
+    assert out == schoolbook_mul_trunc(a, b, M)
+
+
+def test_mul_trunc_at_the_slot_bound():
+    """Constant series of equal length M + 1 put the top coefficient exactly at
+    the bound max|a| max|b| (M + 1) that sizes the packing slots, so a slot
+    without its sign and guard bits shows here."""
+    for v in (1, 15, 127, 255, 256, 2**16 - 1, 2**31, 2**63 - 1, 10**40):
+        for M in (0, 1, 2, 3, 7, 31):
+            for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+                a, b = [sa * v] * (M + 1), [sb * v] * (M + 1)
+                assert mul_trunc(a, b, M) == schoolbook_mul_trunc(a, b, M), (v, M, sa, sb)
+
+
+# sha256 of the reprs below, taken from the schoolbook-convolution and
+# Fraction-elimination build the integer one replaced
+BASIS_DIGEST = "f85d47e1d3d2bb56080fa6bedf1bdcd856c8feed18b78d698dfda531e963667a"
+
+
+def test_exact_series_digest_pinned():
+    """Every basis row and eta power at DEFAULT_M is the same exact value,
+    of the same type, as the pinned build."""
+    h = hashlib.sha256()
+    for k in range(12, 61):
+        h.update(repr(cusp_basis_coeffs(k, DEFAULT_M)).encode())
+    for m in range(0, 39):
+        h.update(repr(modular_basis_coeffs(m, DEFAULT_M)).encode())
+    for N in range(1, 25):
+        h.update(repr(eta_power_coeffs(N, DEFAULT_M)).encode())
+    assert h.hexdigest() == BASIS_DIGEST
+
+
+def test_import_builds_no_series():
+    """Importing the CLI leaves every qexp memo empty: series are built when a
+    command asks for them, never at import."""
+    probe = (
+        "import json, ncperiods.cli\n"
+        "from ncperiods import qexp\n"
+        "print(json.dumps({n: f.cache_info().currsize for n, f in vars(qexp).items()\n"
+        "                  if hasattr(f, 'cache_info')}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    sizes = json.loads(out.stdout)
+    assert "_generator_power" in sizes and "cusp_basis_coeffs" in sizes, sizes
+    assert all(n == 0 for n in sizes.values()), sizes
