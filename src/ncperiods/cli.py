@@ -109,6 +109,7 @@ def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | No
         rep = verify_multiplicativity(h, _Z_HI, _Y_MID, _X_LO, panel, D, quad)
     elif identity in ("rel2", "rel3"):
         order = 2 if identity == "rel2" else 3
+        cfg.check_kernel_range(max(D, order))
         forms = _first_trivial_forms(cfg, order)
         rep = path_split_check(forms, _Z_HI, _Y_MID, _X_LO, panel, quad)
     elif identity == "eta-example":
@@ -117,6 +118,7 @@ def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | No
             raise ConfigError("eta-example needs an eta alphabet, e.g. --alphabet eta4")
         rep = eta_example_check(h, cfg.z0, panel, D, quad)
     elif identity == "shuffle":
+        cfg.check_kernel_range(max(D, 2))
         f1, f2 = _first_trivial_forms(cfg, 2)
         rep = verify_shuffle(f1, f2, panel, quad)
     else:

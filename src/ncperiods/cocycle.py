@@ -24,7 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig
-from .iterint import Endpoint, QuadConfig, identity_report, j_rows_direct, vertical_J
+from .iterint import (Endpoint, IterIntError, QuadConfig, identity_report, j_rows_direct,
+                      vertical_J)
+from .modforms import EvalError
 from .ncpoly import (Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight,
                      series_inv, series_mul, slash_factors)
 from .sl2z import GroupElement
@@ -161,16 +163,52 @@ def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
     series coincide); otherwise it takes two vertical solves, J(z0) at gamma t
     and J(gamma^(-1) z0) at t.  The evaluator keeps its solves, keyed on
     (base point, panel bytes), so requests sharing a ray solve it once.
+
+    ev.plan(reads) takes a list of (gamma, panel) reads before they are
+    made and solves their rays ahead: grouped by base point in the order of
+    the reads, each base point's panels not yet solved (repeats dropped by
+    bytes) go to one vertical_J call on their concatenated points, and each
+    panel's slice is kept under its own key, so the reads then solve
+    nothing.  A read without a plan solves its rays on its own panel.  A
+    ray that fails re-raises naming z0, gamma and gamma^(-1) z0.
     """
     words = h.words(D)
     z0 = complex(z0)
     solves = {}
 
-    def ray(z, t):
+    def rays(gamma, t):
+        return (z0, gamma.mobius(t)), (gamma.inv().mobius(z0), t)
+
+    def solve(z, t, gamma):
+        try:
+            return vertical_J(h, z, t, D, cfg)
+        except (EvalError, IterIntError) as e:
+            # + 0.0 prints a negative zero real part as 0
+            at = [f"{w + 0.0:.6g}" for w in (z, z0, gamma.inv().mobius(z0))]
+            raise type(e)(f"ray from {at[0]} for Psi_gamma, gamma = {gamma!r}, z0 = {at[1]}, "
+                          f"gamma^-1 z0 = {at[2]}: {e}") from e
+
+    def ray(z, t, gamma):
         key = (z, t.tobytes())
         if key not in solves:
-            solves[key] = vertical_J(h, z, t, D, cfg)
+            solves[key] = solve(z, t, gamma)
         return solves[key]
+
+    def plan(reads):
+        todo = {}  # base point -> (the first gamma reading it, {panel bytes: panel})
+        for gamma, t in reads:
+            if gamma.c == 0:
+                continue
+            t = np.atleast_1d(np.asarray(t, dtype=complex))
+            for z, pts in rays(gamma, t):
+                key = pts.tobytes()
+                if (z, key) not in solves:
+                    todo.setdefault(z, (gamma, {}))[1].setdefault(key, pts)
+        for z, (gamma, panels) in todo.items():
+            rows = solve(z, np.concatenate(list(panels.values())), gamma)
+            ends = np.cumsum([len(p) for p in panels.values()])
+            for key, part in zip(panels, np.split(rows, ends[:-1])):
+                solves[z, key] = part
 
     def ev(gamma: GroupElement, t):
         t = np.atleast_1d(np.asarray(t, dtype=complex))
@@ -178,8 +216,11 @@ def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
             out = np.zeros((len(t), words.total), dtype=complex)
             out[:, 0] = 1.0
             return out
-        slashed = rows_slash(words, ray(z0, gamma.mobius(t)), gamma, t)
-        return rows_mul(words, rows_inv(words, slashed), ray(gamma.inv().mobius(z0), t))
+        (z, gt), (zi, _) = rays(gamma, t)
+        slashed = rows_slash(words, ray(z, gt, gamma), gamma, t)
+        return rows_mul(words, rows_inv(words, slashed), ray(zi, t, gamma))
+
+    ev.plan = plan
     return ev
 
 

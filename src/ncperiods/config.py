@@ -182,7 +182,7 @@ class RunConfig:
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         object.__setattr__(self, "panel", parse_panel(self.panel))
-        alphabet = parse_alphabet(self.alphabet)  # validate early
+        parse_alphabet(self.alphabet)  # validate early
         try:
             z0 = _point(self.z0)
         except (ValueError, TypeError) as e:
@@ -190,20 +190,23 @@ class RunConfig:
         if not (cmath.isfinite(z0) and z0.imag > 0):
             raise ConfigError(f"z0 {z0} is not a finite point of the upper half plane")
         object.__setattr__(self, "z0", z0)
-        self._check_kernel_range(alphabet)
+        self.check_kernel_range(self.degree)
 
-    def _check_kernel_range(self, alphabet: Alphabet):
-        """Refuse a panel point t or a z0 so far out that the degree-D kernel
-        bound (1 + |z0| + |t|)^polw overflows float64, polw being the series
-        weight the cutoff height uses: the integrands would turn inf before
-        any later check could name the point."""
-        polw = series_weight((L.weight for L in alphabet.letters), self.degree)
+    def check_kernel_range(self, degree: int):
+        """Refuse a panel point t or a z0 so far out that the bound
+        (1 + |z0| + |t|)^polw of a product of `degree` kernels overflows
+        float64, polw being the series weight the cutoff height uses: the
+        integrands would turn inf before any later check could name the
+        point.  RunConfig checks its own degree; a command that multiplies
+        more kernels (verify rel3 multiplies three) checks again at its
+        order."""
+        polw = series_weight((L.weight for L in self.the_alphabet().letters), degree)
         reach = _LOG_FLOAT_MAX / polw
         points = [(f"panel point {t}", abs(t)) for t in self.panel]
         points.append((f"z0 {self.z0}", abs(self.z0) + max(abs(t) for t in self.panel)))
         for name, size in points:
             if math.log1p(size) > reach:
-                raise ConfigError(f"{name}: its degree-{self.degree} kernel bound "
+                raise ConfigError(f"{name}: its degree-{degree} kernel bound "
                                   f"(1 + {size:.3g})^{polw:g} overflows float64")
 
     @classmethod

@@ -248,15 +248,28 @@ PEEL_VALUE_GRID = (
 )
 
 
+def _grid_reads(X, panel, grid) -> list:
+    """(label, move, gamma, points) for each (label, move) entry of the grid;
+    an evaluator with a planner (psi_evaluator) is handed all the reads at
+    once, before any is made."""
+    panel = np.atleast_1d(np.asarray(panel, dtype=complex))
+    reads = [(label, move, parse_gamma_label(label),
+              panel if move is None else parse_word(move).mobius(panel))
+             for label, move in grid]
+    plan = getattr(X, "plan", None)
+    if plan is not None:
+        plan([(gamma, pts) for _, _, gamma, pts in reads])
+    return reads
+
+
 def _grid_values(X, panel, grid=PEEL_VALUE_GRID) -> dict:
     """X on the (label, move) entries of the grid, keyed by the entry; an
     entry X has no stored value for is left out, one with a non-finite value
     is refused."""
     out = {}
-    for label, move in grid:
-        pts = panel if move is None else parse_word(move).mobius(panel)
+    for label, move, gamma, pts in _grid_reads(X, panel, grid):
         try:
-            rows = np.asarray(X(parse_gamma_label(label), pts), dtype=complex)
+            rows = np.asarray(X(gamma, pts), dtype=complex)
         except UnavailableValue:
             continue
         if not np.all(np.isfinite(rows)):
@@ -269,12 +282,10 @@ def _grid_values(X, panel, grid=PEEL_VALUE_GRID) -> dict:
 def dump_cocycle_values(X, alphabet: Alphabet, D: int, panel, grid=PEEL_VALUE_GRID) -> dict:
     """Evaluate X on the (label, move) entries of the grid, by default the one
     peel consumes, and pack it in the full JSON shape."""
-    panel = np.atleast_1d(np.asarray(panel, dtype=complex))
     words = GradedWords(alphabet, D)
     entries = []
-    for label, move in grid:
-        pts = panel if move is None else parse_word(move).mobius(panel)
-        rows = np.asarray(X(parse_gamma_label(label), pts), dtype=complex)
+    for label, move, gamma, pts in _grid_reads(X, panel, grid):
+        rows = np.asarray(X(gamma, pts), dtype=complex)
         values = {}
         for i in range(1, words.total):
             col = rows[:, i]
@@ -373,7 +384,9 @@ def peel(X, catalog: BasisCatalog, z0=RunConfig.z0, cfg: QuadConfig = QuadConfig
 
     X is an evaluator (gamma, panel) -> rows: psi_evaluator, or
     cocycle_from_json for a values file.  It is read on the catalog's panel,
-    where the period samples live, up to the catalog's degree.  Returns
+    where the period samples live, up to the catalog's degree, one
+    PEEL_VALUE_GRID read per entry, planned ahead as one grid (as is each
+    Psi(h_<d) peel builds).  Returns
     (CuspCollection, PeelReport).
     Raises PeelError when a degree's discrepancy cannot be explained by the
     catalog to within PEEL_TOL, or when the abelian pre-check fails, and

@@ -129,18 +129,43 @@ def test_nonfinite_points_are_refused(tmp_path, capsys):
 def test_huge_finite_points_are_refused_by_name(tmp_path, capsys):
     """A finite panel point or z0 whose degree-D kernel overflows float64 is a
     config error naming the value, not an overflow warning followed by a
-    quadrature or tail-bound failure that names neither."""
+    quadrature or tail-bound failure that names neither.  rel3 multiplies
+    three kernels whatever D is, rel2 and shuffle two, so at D=1 a point
+    inside the degree-1 range is refused at the identity's order."""
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"z0": [0, 1e300]}))
     for argv, named in (
         (["verify", "rel2", "--degree", "1", "--panel=1e300-1j"], "panel point (1e+300-1j)"),
         (["verify", "cocycle", "--degree", "1", "--config", str(cfgfile)], "z0 1e+300j"),
+        (["verify", "rel3", "--degree", "1", "--panel=1e20-1j"],
+         "panel point (1e+20-1j): its degree-3 kernel bound"),
+        (["verify", "rel2", "--degree", "1", "--panel=1e20-1j"],
+         "panel point (1e+20-1j): its degree-2 kernel bound"),
+        (["verify", "shuffle", "--degree", "1", "--panel=1e20-1j"],
+         "panel point (1e+20-1j): its degree-2 kernel bound"),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(tmp_path, *argv) == (1, ""), argv
         err = capsys.readouterr().err
         assert err.startswith("error: " + named) and "overflows float64" in err, (argv, err)
+
+
+def test_failed_ray_names_its_base_point(tmp_path, capsys):
+    """At z0 = 30i the ray from S^-1 z0 = i/30 cannot certify its tail; the
+    failure names z0, gamma and gamma^-1 z0, for the on-demand reads of
+    verify cocycle and the planned grid of psi alike."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"z0": [0, 30]}))
+    for argv, gamma, image in (
+        (["verify", "cocycle"], "[[0,-1],[1,1]]", "-1+0.0333333j"),
+        (["psi"], "[[0,-1],[1,0]]", "0+0.0333333j"),
+    ):
+        assert run(tmp_path, *argv, "--degree", "1", "--config", str(cfgfile)) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: ray from {image} for Psi_gamma, "
+                              f"gamma = {gamma}, z0 = 0+30j, gamma^-1 z0 = {image}: "), err
+        assert "tail bound" in err
 
 
 def test_alphabet_spec_spellings():

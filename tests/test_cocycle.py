@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,18 +14,22 @@ from ncperiods.cocycle import (
     j_rows_direct,
     phi_twist,
     psi,
+    psi_evaluator,
     rows_inv,
     rows_mul,
+    rows_slash,
     untwist_rows,
     verify_base_point_independence,
     verify_cocycle,
     verify_equivariance,
     verify_multiplicativity,
 )
+from ncperiods.config import DEFAULT_PANEL
 from ncperiods.iterint import Endpoint, QuadConfig
 from ncperiods.modforms import CuspForm, QSeries, eta_form, level_one_basis
 from ncperiods.ncpoly import Alphabet, GradedWords, Letter
-from ncperiods.sl2z import I2, S, T, parse_word
+from ncperiods.reconstruct import PEEL_VALUE_GRID, _grid_values, dump_cocycle_values
+from ncperiods.sl2z import I2, S, T, parse_gamma_label, parse_word, word_product
 
 PANEL = np.array([-0.7j, -0.4 - 0.6j])
 Z0 = 2.0j
@@ -124,13 +128,12 @@ def test_psi_parabolic_unit(delta):
         assert np.max(np.abs(rows[:, 1:])) == 0.0
 
 
-def test_evaluator_solves_each_ray_once(delta, monkeypatch):
-    """Psi_ST(t) and Psi_S(T t) share the ray J(z0) at ST t: one evaluator
-    solves it once, so the pair costs three vertical solves, not four."""
+@pytest.fixture
+def ray_calls(monkeypatch):
+    """The (base point, panel) of every vertical_J call the cocycle module
+    makes while the test runs."""
     import ncperiods.cocycle as cocycle
-    from ncperiods.config import DEFAULT_PANEL
 
-    panel = np.asarray(DEFAULT_PANEL, dtype=complex)
     solve = cocycle.vertical_J
     calls = []
 
@@ -139,10 +142,85 @@ def test_evaluator_solves_each_ray_once(delta, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(cocycle, "vertical_J", counting)
-    P = cocycle.psi_evaluator(_one_letter(delta), 2, Z0)
+    return calls
+
+
+def test_evaluator_solves_each_ray_once(delta, ray_calls):
+    """Psi_ST(t) and Psi_S(T t) share the ray J(z0) at ST t: one evaluator
+    solves it once, so the pair costs three vertical solves, not four."""
+    panel = np.asarray(DEFAULT_PANEL, dtype=complex)
+    P = psi_evaluator(_one_letter(delta), 2, Z0)
     P(parse_word("ST"), panel)
     P(S, T.mobius(panel))
-    assert len(calls) == 3
+    assert len(ray_calls) == 3
+
+
+def test_planned_grid_solves_each_base_point_once(delta, ray_calls):
+    """PEEL_VALUE_GRID reads rays from four base points, z0 = 2i, S^-1 z0,
+    (ST)^-1 z0 and (TS)^-1 z0: a planned evaluator solves each once, on the
+    union of its panels, and reads then hit the memo.  The values agree with
+    on-demand reads, which solve every panel on its own, to the ray's rtol."""
+    panel = np.asarray(DEFAULT_PANEL, dtype=complex)
+    h = _one_letter(delta)
+    P = psi_evaluator(h, 2, Z0)
+    planned = _grid_values(P, panel)
+    assert len(ray_calls) == 4
+    assert [z for z, _ in ray_calls] == [Z0, S.inv().mobius(Z0),
+                                         parse_word("ST").inv().mobius(Z0),
+                                         parse_word("TS").inv().mobius(Z0)]
+    again = _grid_values(P, panel)
+    assert len(ray_calls) == 4  # a second read on the same evaluator solves nothing
+    for key in planned:
+        assert np.array_equal(again[key], planned[key])
+
+    dump = dump_cocycle_values(psi_evaluator(h, 2, Z0), h.alphabet, 2, panel)
+    assert len(ray_calls) == 8
+    assert [entry["gamma"] for entry in dump["entries"]] == [g for g, _ in PEEL_VALUE_GRID]
+
+    rtol = QuadConfig().rtol
+    on_demand = psi_evaluator(h, 2, Z0)
+    for label, move in PEEL_VALUE_GRID:
+        pts = panel if move is None else parse_word(move).mobius(panel)
+        want = on_demand(parse_gamma_label(label), pts)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(planned[label, move] - want)) <= 10 * rtol * scale, (label, move)
+    assert len(ray_calls) == 8 + 9  # on demand: one solve per (base point, panel)
+
+
+_TOKENS = st.lists(st.sampled_from(["S", "T", "T^-1"]), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TOKENS, _TOKENS)
+def test_cocycle_relation_on_random_words(delta, gtoks, dtoks):
+    """Psi_{gamma delta} = (Psi_gamma|delta) Psi_delta at D=2 for random words
+    gamma, delta, with a degree-2 form on the support, from on-demand reads
+    (verify_cocycle) and from a planned evaluator.  Base points low in the
+    upper half plane cannot certify their form tails, and far-moved panels
+    raise the cutoff height, so both are kept bounded.  The right side
+    multiplies terms that can reach 1e8 and cancel to 1 (gamma = S,
+    delta = ST^2), so each residual is taken against the size of the product
+    of its factors."""
+    gamma, dlt = word_product(gtoks), word_product(dtoks)
+    assume(gamma.c != 0 or dlt.c != 0)  # both upper triangular: every term is 1
+    for g in (gamma, dlt, gamma * dlt):
+        assume(g.inv().mobius(Z0).imag >= 0.3)
+    assume(np.max(np.abs(dlt.mobius(PANEL))) <= 3.0)
+    assume(np.max(np.abs((gamma * dlt).mobius(PANEL))) <= 3.0)
+    ab = Alphabet((Letter.trivial(10),))
+    h = CuspCollection(ab, {(1,): delta, (1, 1): level_one_basis(22)[0]})
+    words = h.words(2)
+
+    P = psi_evaluator(h, 2, Z0)
+    P.plan([(gamma * dlt, PANEL), (gamma, dlt.mobius(PANEL)), (dlt, PANEL)])
+    slashed = rows_slash(words, P(gamma, dlt.mobius(PANEL)), dlt, PANEL)
+    lhs, psi_d = P(gamma * dlt, PANEL), P(dlt, PANEL)
+    scale = max(1.0, float(np.max(np.abs(lhs))),
+                float(np.max(np.abs(slashed))) * float(np.max(np.abs(psi_d))))
+    assert np.max(np.abs(lhs - rows_mul(words, slashed, psi_d))) <= 1e-7 * scale
+
+    rep = verify_cocycle(h, gamma, dlt, Z0, PANEL, 2)
+    assert rep["max"] <= 1e-7 * scale, rep
 
 
 def test_psi_degree_zero_is_one(delta):
