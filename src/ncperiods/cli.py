@@ -186,6 +186,8 @@ def cmd_mlv(cfg: RunConfig, form_specs: list, max_order: int) -> tuple:
         if len(form_specs) != 2:
             raise ConfigError("max-order 2 needs exactly two form specs")
         f1, f2 = (_parse_form(s) for s in form_specs)
+        # the shuffle check multiplies a kernel of each form on the panel
+        cfg.check_kernel_range(2, [f1.shifted_weight, f2.shifted_weight])
         M = double_moments(f1, f2, quad)
         shuf = verify_shuffle(f1, f2, cfg.panel_array(), quad)
         ok = report_passes(shuf, cfg.threshold)

@@ -396,14 +396,15 @@ def path_split_check(forms, z, y, x, t, cfg: QuadConfig = QuadConfig()) -> dict:
 # the map from values to interpolant coefficients in closed form (end points
 # and first and last coefficients halved; no linear solve, so importing the
 # module loads no LAPACK).  _CHEB_INT takes integrand values to the integral
-# of their interpolant from -1 to each point; _CHEB_TAIL to the two trailing
-# coefficients.
+# of their interpolant from -1 to each point (row 0, from -1 to -1, exactly
+# 0); _CHEB_TAIL to the two trailing coefficients.
 _NODES = 16
 _CHEB_X = chebyshev.chebpts2(_NODES)
 _VALS_TO_COEFS = chebyshev.chebvander(_CHEB_X, _NODES - 1).T * (2.0 / (_NODES - 1))
 _VALS_TO_COEFS[:, [0, -1]] /= 2
 _VALS_TO_COEFS[[0, -1]] /= 2
 _CHEB_INT = chebyshev.chebval(_CHEB_X, chebyshev.chebint(_VALS_TO_COEFS, lbnd=-1)).T
+_CHEB_INT[0] = 0.0
 _CHEB_TAIL = _VALS_TO_COEFS[-2:]
 # a smooth integrand at height y is analytic in the disk of radius y about
 # it, so it is resolved on panels far wider than this share of y
@@ -411,6 +412,19 @@ _MIN_WIDTH = 2.0**-20
 # panel points solved at once, bounding the (nodes, points, words) arrays:
 # at 64 a 256-point psi grid peaked 1.4 MB higher in memory
 _MAX_ROWS = 32
+
+
+def _sweep_matrix(ints, width: float) -> np.ndarray:
+    """The real matrix of one Picard sweep on a panel of this width: the
+    integral rows ints of _CHEB_INT, scaled to the panel, over _CHEB_TAIL."""
+    return np.concatenate([ints * (width / 2), _CHEB_TAIL])
+
+
+def _real_rows(M, g) -> np.ndarray:
+    """M @ g over the node axis for a real matrix M and complex g: one real
+    product on g's float view, half the flops of the complex one."""
+    out = M @ g.view(np.float64).reshape(len(g), -1)
+    return out.view(complex).reshape((len(M),) + g.shape[1:])
 
 
 def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
@@ -422,11 +436,13 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     panels.  Omega raises word degree, so on each panel block k of J is the
     exact integral of Omega J read from the blocks below k: one form
     evaluation at the panel's points, then one Picard sweep per degree, each
-    the series_block product over the support's degrees.  A
+    the series_block product over the support's degrees.  The top degree
+    feeds no later sweep, so its sweep integrates to the panel end only.  A
     panel is accepted when the trailing Chebyshev coefficients of every
     integrand block stay below atol + rtol |J|, and halved otherwise.  The
     panel points are solved _MAX_ROWS at a time, each group on its own
-    panels, which bounds the (nodes, points, words) arrays.
+    panels, which bounds the (nodes, points, words) arrays; groups that
+    step onto the same panel (y, width) share its form values.
     """
     t = _validate_t(t)
     z0 = complex(z0)
@@ -450,6 +466,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     cols = [words.index(monos[b]) for b in keep]
     degrees = sorted({len(monos[b]) for b in keep})
     n_om = words.block(max(degrees, default=0)).stop
+    form_vals = {}  # (y, width) -> (_NODES, len(keep)) support values at that panel's nodes
 
     def solve(tc):
         """The ray for the panel points tc, from J = 1 at the cutoff height."""
@@ -465,18 +482,25 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
                                    "and the integrand's Chebyshev tail still above tolerance")
             width = min(width, L - s)  # a short last panel is not a failure to resolve
             z = z0.real + 1j * (y - (_CHEB_X + 1) * (width / 2))
-            om[:, :, cols] = eval_forms(forms, z)[keep].T[:, None, :] * np.exp(
+            if (y, width) not in form_vals:
+                form_vals[y, width] = eval_forms(forms, z)[keep].T
+            om[:, :, cols] = form_vals[y, width][:, None, :] * np.exp(
                 wvec[keep] * np.log(z[:, None] - tc)[:, :, None])
             nodes = np.repeat(J[None], _NODES, axis=0)
+            start = np.abs(J)  # |J| at the panel start, for the tolerance scale
+            # the top degree feeds no later sweep: only its panel end is kept
+            lower, top = _sweep_matrix(_CHEB_INT, width), _sweep_matrix(_CHEB_INT[-1:], width)
             worst = 0.0
             for k in range(1, D + 1):
-                # block k of -i Omega J reads only the blocks of J below k (dz/ds = -i going down)
+                # block k of Omega J reads only the blocks of J below k
                 g = series_block(words, om, nodes, k, degrees)
-                g *= -1j
-                blk = nodes[:, :, words.block(k)]
-                blk += np.tensordot(_CHEB_INT * (width / 2), g, axes=1)
-                tail = width * np.abs(np.tensordot(_CHEB_TAIL, g, axes=1)).sum(axis=0)
-                scale = cfg.atol + cfg.rtol * np.maximum(np.abs(blk[0]), np.abs(blk[-1]))
+                sweep = _real_rows(top if k == D else lower, g)
+                ints = sweep[:-2]
+                ints *= -1j  # dz/ds = -i going down
+                blk = nodes[-len(ints):, :, words.block(k)]
+                blk += ints
+                tail = width * np.abs(sweep[-2:]).sum(axis=0)
+                scale = cfg.atol + cfg.rtol * np.maximum(start[:, words.block(k)], np.abs(blk[-1]))
                 err = float(np.max(tail / scale))
                 if not math.isfinite(err):
                     raise IterIntError(f"ODE state went non-finite at height {y:.3f}")

@@ -143,12 +143,53 @@ def test_huge_finite_points_are_refused_by_name(tmp_path, capsys):
          "panel point (1e+20-1j): its degree-2 kernel bound"),
         (["verify", "shuffle", "--degree", "1", "--panel=1e20-1j"],
          "panel point (1e+20-1j): its degree-2 kernel bound"),
+        # mlv's shuffle check multiplies kernels of the named forms' weights
+        # (10 and 14), not of the alphabet's letters
+        (["mlv", "S12.1", "S16.1", "--max-order", "2", "--degree", "1", "--panel=1e20-1j"],
+         "panel point (1e+20-1j): its degree-2 kernel bound (1 + 1e+20)^32"),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(tmp_path, *argv) == (1, ""), argv
         err = capsys.readouterr().err
         assert err.startswith("error: " + named) and "overflows float64" in err, (argv, err)
+
+
+def test_verify_cocycle_judges_against_its_factors(tmp_path, monkeypatch):
+    """At gamma = S, delta = STTT the factors (Psi_S|delta) and Psi_delta
+    reach 2.9e10 while no entry of either side exceeds 1, so the residual
+    0.0125 is rounding against the 2.3e11 the right side's terms sum to, and
+    the check passes.  A factor perturbed by 1e-4 of its entries still fails
+    (against the product of the factors' maxima, 8.5e20, even a change of
+    the factor by 100% would pass)."""
+    import ncperiods.cocycle as cocycle
+    from ncperiods.sl2z import parse_gamma_label
+
+    argv = ("verify", "cocycle", "--gamma", "S", "--delta", "STTT", "--degree", "3")
+    code, text = run(tmp_path, *argv)
+    rep = json.loads(text)
+    assert code == 0 and rep["pass"] is True
+    assert rep["max"] > 1e-3 and rep["sides_max"] < 1.0 + 1e-9 and rep["scale"] > 1e11
+
+    real = cocycle.psi_evaluator
+    delta = parse_gamma_label("STTT")
+
+    def perturbed(*args):
+        P = real(*args)
+
+        def ev(gamma, t):
+            rows = P(gamma, t)
+            if gamma == delta:
+                rows = rows.copy()
+                rows[:, 1:] *= 1 + 1e-4
+            return rows
+        return ev
+
+    monkeypatch.setattr(cocycle, "psi_evaluator", perturbed)
+    code, text = run(tmp_path, *argv, name="perturbed.json")
+    rep = json.loads(text)
+    assert code == 2 and rep["pass"] is False
+    assert rep["max"] / rep["scale"] > 10 * rep["threshold"]
 
 
 def test_failed_ray_names_its_base_point(tmp_path, capsys):

@@ -204,6 +204,57 @@ def test_shared_scale_keeps_every_word_accurate(delta, g16, y):
     assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-12 * np.maximum(1.0, size))
 
 
+def _two_group_panel():
+    """64 points over the default panel's region: two row groups of vertical_J."""
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-1.3, 1.3, 64) + 1j * rng.uniform(-1.5, -0.4, 64)
+    assert len(t) == 2 * iterint._MAX_ROWS
+    return t
+
+
+def test_two_row_groups_match_the_layered_route(delta, g16):
+    """Every entry of a ray solved as two row groups, with the top degree
+    integrated to the panel ends only and the sweeps as real products, is
+    within a tenth of the ODE's own bound atol + rtol |J| of the layered
+    route (it reads 1e-5 of it)."""
+    h = CuspCollection.from_letters(Alphabet((Letter.trivial(10), Letter.trivial(14))),
+                                    [delta, g16])
+    t = _two_group_panel()
+    cfg = QuadConfig()
+    ode = vertical_J(h, 2j, t, 3, cfg)
+    quad = j_rows_direct(h, 2j, None, t, 3, cfg)
+    assert np.all(np.abs(ode - quad) <= 0.1 * (cfg.atol + cfg.rtol * np.abs(quad)))
+
+
+def test_row_groups_share_form_values_by_panel(monkeypatch, delta, g16):
+    """The row groups of one ray step onto some panels alike and onto others
+    not; a panel's form values are evaluated once and shared.  Swapping the
+    two groups swaps the rows bit for bit, so the panel's (height, width)
+    key holds every input the shared values depend on."""
+    h = CuspCollection.from_letters(Alphabet((Letter.trivial(10), Letter.trivial(14))),
+                                    [delta, g16])
+    t = _two_group_panel()
+    attempts = []
+    evals = []
+    real_block = iterint.series_block
+    real_eval = iterint.eval_forms
+
+    def counting_block(words, xs, ys, d, degrees):
+        attempts.append(d == 1)
+        return real_block(words, xs, ys, d, degrees)
+
+    def counting_eval(forms, tau):
+        evals.append(1)
+        return real_eval(forms, tau)
+
+    monkeypatch.setattr(iterint, "series_block", counting_block)
+    monkeypatch.setattr(iterint, "eval_forms", counting_eval)
+    rows = vertical_J(h, 2j, t, 3)
+    assert sum(attempts) / 2 < len(evals) < sum(attempts)
+    swapped = vertical_J(h, 2j, np.concatenate([t[32:], t[:32]]), 3)
+    assert np.concatenate([swapped[32:], swapped[:32]]).tobytes() == rows.tobytes()
+
+
 def test_vertical_J_unit_at_degree_zero(delta):
     ab = Alphabet((Letter.trivial(10),))
     h = CuspCollection.from_letters(ab, [delta])
