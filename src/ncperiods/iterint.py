@@ -437,7 +437,8 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     exact integral of Omega J read from the blocks below k: one form
     evaluation at the panel's points, then one Picard sweep per degree, each
     the series_block product over the support's degrees.  The top degree
-    feeds no later sweep, so its sweep integrates to the panel end only.  A
+    feeds no later sweep, so its sweep integrates to the panel end only and
+    the panel's nodes hold only the blocks below it.  A
     panel is accepted when the trailing Chebyshev coefficients of every
     integrand block stay below atol + rtol |J|, and halved otherwise.  The
     panel points are solved _MAX_ROWS at a time, each group on its own
@@ -466,6 +467,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     cols = [words.index(monos[b]) for b in keep]
     degrees = sorted({len(monos[b]) for b in keep})
     n_om = words.block(max(degrees, default=0)).stop
+    below = words.block(D).start
     form_vals = {}  # (y, width) -> (_NODES, len(keep)) support values at that panel's nodes
 
     def solve(tc):
@@ -486,9 +488,11 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
                 form_vals[y, width] = eval_forms(forms, z)[keep].T
             om[:, :, cols] = form_vals[y, width][:, None, :] * np.exp(
                 wvec[keep] * np.log(z[:, None] - tc)[:, :, None])
-            nodes = np.repeat(J[None], _NODES, axis=0)
+            # the top degree feeds no later sweep: the nodes hold only the
+            # blocks below it, and its sweep only the panel end
+            nodes = np.repeat(J[None, :, :below], _NODES, axis=0)
+            end_top = J[:, below:].copy()
             start = np.abs(J)  # |J| at the panel start, for the tolerance scale
-            # the top degree feeds no later sweep: only its panel end is kept
             lower, top = _sweep_matrix(_CHEB_INT, width), _sweep_matrix(_CHEB_INT[-1:], width)
             worst = 0.0
             for k in range(1, D + 1):
@@ -497,7 +501,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
                 sweep = _real_rows(top if k == D else lower, g)
                 ints = sweep[:-2]
                 ints *= -1j  # dz/ds = -i going down
-                blk = nodes[-len(ints):, :, words.block(k)]
+                blk = end_top[None] if k == D else nodes[:, :, words.block(k)]
                 blk += ints
                 tail = width * np.abs(sweep[-2:]).sum(axis=0)
                 scale = cfg.atol + cfg.rtol * np.maximum(start[:, words.block(k)], np.abs(blk[-1]))
@@ -510,7 +514,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
                     break
             else:
                 s += width
-                J = nodes[-1].copy()
+                J = np.concatenate([nodes[-1], end_top], axis=1)
                 # the tail shrinks like width^_NODES: grow towards a 1e-3 tail, at most twofold
                 width *= min(2.0, max(1.0, (1e-3 / max(worst, 1e-300)) ** (1 / _NODES)))
         return J

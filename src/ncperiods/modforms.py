@@ -10,11 +10,18 @@ Supported spaces: the eta powers eta^N, level-one trivial-multiplier cusp
 forms (echelonized Delta * E4^b * E6^c), and eta^N' times level-one modular
 forms, which together realize every cusp space S_{w+2}(SL2(Z), eps^N') a
 monomial over a Trivial/EtaPower alphabet can ask for.
+
+The refusal reads the whole stored expansion: eval_forms raises EvalError
+unless the stored tail's bound is below TAIL_TOL at the lowest point.  Past
+it each form sums its stored terms only up to the smallest index whose
+dropped stored terms the same bound certifies below CUT_REL of the leading
+coefficient there, far below the sum's rounding error.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,6 +48,7 @@ __all__ = [
 
 DEFAULT_M = 200
 TAIL_TOL = 1e-13  # the certified tail bound every evaluation must beat
+CUT_REL = 2.0**-60  # stored terms certified below this share of |a_0| are not summed
 
 
 class EvalError(Exception):
@@ -213,11 +221,38 @@ def _tail_bound(f: CuspForm, y: float) -> float:
     return float(first / (1 - rho))
 
 
+def _cut_index(f: CuspForm, y: float) -> int:
+    """The last stored index the sum at heights >= y needs: the smallest m,
+    up to a fixed-point step, whose dropped stored terms
+    sum_{m < n <= M} |a_n| |q|^n are certified below CUT_REL |a_0| (M when
+    a_0 = 0).
+
+    _tail_bound's growth model taken at m, with rho <= 1/2, bounds them by
+    2 c_g (m+2)^p x^(m+1), x = exp(-2 pi y).  Stepping that condition's
+    fixed-point map down from M keeps every iterate certified when M is, and
+    leaves M when it is not.
+    """
+    M = f.expansion.M
+    if M <= 0 or f.expansion.coeffs[0] == 0:
+        return M
+    p = f.growth_power
+    two_pi_y = 2 * math.pi * y
+    lead = math.log(2 * f.growth_const / (CUT_REL * abs(f.expansion.coeffs[0])))
+    m = float(M)
+    for _ in range(3):
+        m = (lead + p * math.log(m + 2)) / two_pi_y - 1
+    m = min(M, math.ceil(m))
+    rho = math.exp(-two_pi_y) * (1 + 1 / (m + 2)) ** p
+    return m if rho <= 0.5 else M
+
+
 def eval_forms(forms, tau) -> np.ndarray:
     """Evaluate several forms at points tau (Im tau > 0), sharing power tables.
 
     Returns shape (n_forms, n_tau).  Raises EvalError when any stored
-    expansion cannot push its tail below TAIL_TOL at min Im tau.
+    expansion cannot push its tail below TAIL_TOL at min Im tau.  Each form
+    then sums its stored terms only up to _cut_index at min Im tau: the
+    terms it drops are certified below CUT_REL of its leading term.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=complex))
     ymin = float(np.min(tau.imag))
@@ -232,7 +267,8 @@ def eval_forms(forms, tau) -> np.ndarray:
                 f"(largest stored coefficient {amax:.2e}); expansion too short for this "
                 "height or its coefficients too large"
             )
-    Mmax = max(f.expansion.M for f in forms)
+    cuts = [_cut_index(f, ymin) for f in forms]
+    Mmax = max(cuts)
     q24 = np.exp(2j * np.pi * tau / 24)
     q = q24**24
     pows = np.empty((len(tau), Mmax + 1), dtype=complex)
@@ -240,9 +276,8 @@ def eval_forms(forms, tau) -> np.ndarray:
     if Mmax:
         np.cumprod(np.broadcast_to(q[:, None], (len(tau), Mmax)), axis=1, out=pows[:, 1:])
     out = np.empty((len(forms), len(tau)), dtype=complex)
-    for i, f in enumerate(forms):
-        M = f.expansion.M
-        out[i] = (pows[:, : M + 1] @ f.expansion.coeffs) * q24 ** f.expansion.r24
+    for i, (f, m) in enumerate(zip(forms, cuts)):
+        out[i] = (pows[:, : m + 1] @ f.expansion.coeffs[: m + 1]) * q24 ** f.expansion.r24
     return out
 
 

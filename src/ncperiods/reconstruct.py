@@ -14,8 +14,9 @@ coefficient below tolerance, anything larger means X is not in the reachable
 class (the general splitting of a cocycle into period part plus coboundary is
 nonconstructive and out of scope here).
 
-The catalog stores the psi samples once per (alphabet, D, panel); peel then
-needs only vertical solves for the partial collections it accumulates.
+The catalog stores the psi samples once per (alphabet, D, panel), sampled
+once per cusp space; peel then needs only vertical solves for the partial
+collections it accumulates.
 """
 
 from __future__ import annotations
@@ -93,21 +94,33 @@ class BasisCatalog:
 def build_catalog(alphabet: Alphabet, D: int, panel,
                   cfg: QuadConfig = QuadConfig()) -> BasisCatalog:
     """Enumerate monomials of degree 1..D with nonzero cusp space and sample
-    each basis form's period integral on the panel."""
+    each basis form's period integral on the panel.
+
+    The samples depend only on the cusp space (weight, multiplier), so every
+    monomial of one space shares one basis tuple and one read-only samples
+    array, sampled once per call."""
     panel = np.atleast_1d(np.asarray(panel, dtype=complex))
     if np.any(panel.imag >= 0):
         raise ValueError("panel points must lie in the lower half-plane")
     words = GradedWords(alphabet, D)
     top = Endpoint.cusp(None)
     zero = Endpoint.cusp(Fraction(0))
+    spaces = {}  # (weight, multiplier) -> (basis, samples), for this call only
     entries = []
     for d in range(1, D + 1):
         for m in words.words_of_degree(d):
-            basis = cusp_space_basis(mono_weight(alphabet, m), mono_multiplier(alphabet, m))
-            if not basis:
-                continue
-            samples = np.column_stack([r_direct([g], top, zero, panel, cfg) for g in basis])
-            entries.append(CatalogEntry(m, tuple(basis), samples))
+            space = (mono_weight(alphabet, m), mono_multiplier(alphabet, m))
+            if space not in spaces:
+                basis = tuple(cusp_space_basis(*space))
+                samples = None
+                if basis:
+                    samples = np.column_stack([r_direct([g], top, zero, panel, cfg)
+                                               for g in basis])
+                    samples.flags.writeable = False
+                spaces[space] = basis, samples
+            basis, samples = spaces[space]
+            if basis:
+                entries.append(CatalogEntry(m, basis, samples))
     return BasisCatalog(alphabet, D, tuple(panel.tolist()), tuple(entries))
 
 

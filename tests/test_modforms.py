@@ -7,12 +7,14 @@ multi-step computation downstream.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ncperiods.modforms import (
+    TAIL_TOL,
     CuspForm,
     EvalError,
     QSeries,
@@ -22,6 +24,7 @@ from ncperiods.modforms import (
     eval_forms,
     form_linear_combination,
     level_one_basis,
+    _tail_bound,
     transformation_factor,
 )
 from ncperiods.ncpoly import MultiplierSpec, TRIVIAL
@@ -92,6 +95,44 @@ def test_eval_refuses_uncertified():
         eval_form(delta[0], 0.02j)
     with pytest.raises(ValueError):
         eval_form(delta[0], 1.0 - 0.5j)
+
+
+def full_stored_sum(f, tau):
+    """Every stored term of f summed at the points tau: the reference the cut
+    sum must agree with."""
+    q24 = np.exp(2j * np.pi * tau / 24)
+    M = f.expansion.M
+    pows = np.empty((len(tau), M + 1), dtype=complex)
+    pows[:, 0] = 1.0
+    np.cumprod(np.broadcast_to(q24[:, None] ** 24, (len(tau), M)), axis=1, out=pows[:, 1:])
+    return (pows @ f.expansion.coeffs) * q24**f.expansion.r24
+
+
+CUT_HEIGHTS = (0.15, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0)
+
+
+def test_cut_sum_matches_full_stored_sum():
+    """eval_forms sums each form only to its cut index; the value stays within
+    4 ulp of the leading term |a_0 q^kappa| of the full stored sum, and a
+    height the full stored tail cannot certify is still refused."""
+    forms = [f for k in range(12, 62, 2) for f in level_one_basis(k)]
+    forms += [eta_form(N) for N in (1, 2, 5, 12, 23)]
+    refused = 0
+    for f in forms:
+        for y in CUT_HEIGHTS:
+            tau = np.linspace(-0.5, 0.5, 7) + 1j * y
+            if not _tail_bound(f, y) < TAIL_TOL:
+                refused += 1
+                with pytest.raises(EvalError, match=(
+                        rf"^{re.escape(repr(f))}: tail bound .+ > tol {TAIL_TOL:.1e} at Im tau = "
+                        rf"{y:.4f} \(largest stored coefficient .+\); expansion too short for "
+                        "this height or its coefficients too large$")):
+                    eval_forms([f], tau)
+                continue
+            lead = abs(f.expansion.coeffs[0]) * np.exp(-2 * np.pi * f.kappa_min * y)
+            err = np.max(np.abs(eval_forms([f], tau)[0] - full_stored_sum(f, tau)))
+            assert err <= 4 * 2.0**-53 * lead, (f.label, y, err / lead)
+    assert 0 < refused < len(forms) * len(CUT_HEIGHTS)
 
 
 def test_form_linear_combination():

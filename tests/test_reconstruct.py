@@ -7,12 +7,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ncperiods import reconstruct
 from ncperiods.cocycle import CuspCollection
 from ncperiods.config import DEFAULT_PANEL, ConfigError
-from ncperiods.iterint import QuadConfig
+from ncperiods.iterint import Endpoint, QuadConfig, r_direct
 from ncperiods.mlv import period_polynomial
 from ncperiods.modforms import form_linear_combination, level_one_basis
-from ncperiods.ncpoly import Alphabet, GradedWords, Letter, slash_factors
+from ncperiods.ncpoly import (
+    Alphabet,
+    GradedWords,
+    Letter,
+    mono_multiplier,
+    mono_weight,
+    slash_factors,
+)
 from ncperiods.reconstruct import (
     PEEL_VALUE_GRID,
     PeelError,
@@ -71,6 +79,32 @@ def test_catalog_samples_match_period_polynomials(catalog, delta, g16):
 def test_catalog_rejects_bad_panel():
     with pytest.raises(ValueError):
         build_catalog(AB1, 1, np.array([0.5 + 0.5j]))
+
+
+def test_catalog_samples_each_cusp_space_once(monkeypatch):
+    """One period integral per distinct basis form: the monomials of one cusp
+    space share one basis tuple and one read-only samples array, equal bit
+    for bit to integrating each monomial's basis on its own."""
+    calls = []
+
+    def counting(forms, y, x, t, cfg):
+        calls.append(forms[0])
+        return r_direct(forms, y, x, t, cfg)
+
+    monkeypatch.setattr(reconstruct, "r_direct", counting)
+    catalog = build_catalog(AB2, 3, PANEL)
+    assert Counter(calls) == Counter({f for e in catalog.entries for f in e.forms})
+    spaces = {}
+    for e in catalog.entries:
+        first = spaces.setdefault((mono_weight(AB2, e.mono), mono_multiplier(AB2, e.mono)), e)
+        assert e.forms is first.forms and e.psi_samples is first.psi_samples
+        with pytest.raises(ValueError):
+            e.psi_samples[0, 0] = 0.0
+    assert len(calls) < sum(e.dim for e in catalog.entries)
+    top, zero = Endpoint.cusp(None), Endpoint.cusp(0)
+    for e in catalog.entries:
+        ref = np.column_stack([r_direct([g], top, zero, PANEL, QuadConfig()) for g in e.forms])
+        assert e.psi_samples.tobytes() == ref.tobytes(), e.mono
 
 
 def _values_file(label, panel, columns) -> dict:
