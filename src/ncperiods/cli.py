@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Commands
-  verify     run one identity check and report residuals
-  mlv        (multiple) L-value tables for one or two forms
+  verify     run one identity check and report residuals (basepoint: Psi_gamma
+             from z0 and from 0.4+1.1j)
+  mlv        (multiple) L-value tables for one or two forms; order 1 adds the
+             functional-equation residual (funceq) of each form
   roundtrip  hide a collection, peel it back, compare
   catalog    dump the basis catalog for an alphabet
   psi        dump cocycle panel values for the default collection
+  peel       recover a collection from a values file that psi writes
 
 Every report is JSON with sorted keys and embeds the resolved config, so a
 fixed (config, seed) reproduces the bytes.  Exit codes: 0 pass, 1 config or
@@ -26,19 +29,22 @@ from .config import ConfigError, RunConfig, format_alphabet, read_json
 from .cocycle import (
     CuspCollection,
     eta_example_check,
+    verify_base_point_independence,
     verify_cocycle,
     verify_equivariance,
     verify_multiplicativity,
 )
 from .iterint import IterIntError, path_split_check, report_passes
-from .mlv import double_moments, moments_table, verify_shuffle
+from .mlv import double_moments, lambda_probe, moments_table, verify_shuffle
 from .modforms import EvalError, cusp_space_basis, eta_form, level_one_basis
 from .ncpoly import mono_str, parse_mono
 from .quadrature import QuadratureError
 from .reconstruct import (
     PEEL_VALUE_GRID,
     PeelError,
+    UnavailableValue,
     build_catalog,
+    cocycle_from_json,
     compare_recovery,
     dump_cocycle_values,
     hidden_collection,
@@ -47,13 +53,15 @@ from .reconstruct import (
 )
 from .sl2z import parse_gamma_label
 
-IDENTITIES = ("cocycle", "equivariance", "mult", "rel2", "rel3", "eta-example", "shuffle")
+IDENTITIES = ("cocycle", "equivariance", "mult", "rel2", "rel3", "eta-example", "shuffle",
+              "basepoint")
 
 # fixed interior endpoints for the path identities (documented, not flags:
 # the identities hold for any choice, these just have to be reproducible)
 _Z_HI = 2.2j
 _Y_MID = 0.5 + 1.3j
 _X_LO = -0.3 + 0.8j
+_Z0_ALT = 0.4 + 1.1j  # the second base point of verify basepoint
 
 
 def _parse_gamma(text: str):
@@ -104,6 +112,10 @@ def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | No
         h = default_collection(cfg)
         g = _parse_gamma(gamma or "S")
         rep = verify_equivariance(h, g, _Y_MID, _X_LO, panel, D, quad)
+    elif identity == "basepoint":
+        h = default_collection(cfg)
+        g = _parse_gamma(gamma or "S")
+        rep = verify_base_point_independence(h, g, cfg.z0, _Z0_ALT, panel, D, quad)
     elif identity == "mult":
         h = default_collection(cfg)
         rep = verify_multiplicativity(h, _Z_HI, _Y_MID, _X_LO, panel, D, quad)
@@ -161,9 +173,13 @@ def cmd_mlv(cfg: RunConfig, form_specs: list, max_order: int) -> tuple:
         raise ConfigError("mlv needs at least one form spec")
     report = {"tables": []}
     if max_order == 1:
+        code = 0
         for spec in form_specs:
             f = _parse_form(spec)
             M = moments_table(f, 1.0, quad)
+            probe = lambda_probe(f, quad)
+            ok = probe["max_rel"] <= cfg.threshold
+            code = max(code, 0 if ok else 2)
             w = len(M) - 1
             rows = []
             for k, mk in enumerate(M):
@@ -180,8 +196,10 @@ def cmd_mlv(cfg: RunConfig, form_specs: list, max_order: int) -> tuple:
                 "normalization": "moment M_k = int_0^ioo f(tau) tau^k dtau; "
                                  "Lambda(f, k+1) = M_k / i^(k+1)",
                 "rows": rows,
+                "funceq": {"sign": probe["sign"], "max_rel": probe["max_rel"]},
+                "pass": bool(ok),
             })
-        return report, 0
+        return report, code
     if max_order == 2:
         if len(form_specs) != 2:
             raise ConfigError("max-order 2 needs exactly two form specs")
@@ -253,6 +271,24 @@ def cmd_roundtrip(cfg: RunConfig, hidden_path: str | None, random: bool) -> tupl
     report = rep.to_dict()
     report.update(comparison=comparison, max_rel_err=worst, **{"pass": bool(ok)})
     return report, (0 if ok else 2)
+
+
+def cmd_peel(cfg: RunConfig, path: str) -> tuple:
+    """Peel the values file at path (the shape `ncperiods psi` writes) against
+    the catalog of the config's alphabet, degree and panel."""
+    data = read_json(path)
+    alphabet = cfg.the_alphabet()
+    try:
+        X = cocycle_from_json(data, alphabet, cfg.degree)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}")
+    quad = cfg.quad()
+    catalog = build_catalog(alphabet, cfg.degree, cfg.panel_array(), quad)
+    try:
+        _, rep = peel(X, catalog, z0=cfg.z0, cfg=quad)
+    except UnavailableValue as e:
+        raise ConfigError(f"{path}: {e.args[0]} {cfg.resolved()['panel']}")
+    return rep.to_dict(), 0
 
 
 def cmd_catalog(cfg: RunConfig) -> tuple:
@@ -356,6 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("psi", parents=[common], help="dump cocycle panel values")
     pp.add_argument("--gamma", help="single group element (default: the standard grid)")
 
+    pk = sub.add_parser("peel", parents=[common], help="recover a collection from psi values")
+    pk.add_argument("values", help="JSON file in the shape ncperiods psi writes")
+
     return p
 
 
@@ -383,6 +422,8 @@ def main(argv=None) -> int:
             report, code = cmd_catalog(cfg)
         elif args.command == "psi":
             report, code = cmd_psi(cfg, args.gamma)
+        elif args.command == "peel":
+            report, code = cmd_peel(cfg, args.values)
         else:  # pragma: no cover
             raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, OSError) as e:

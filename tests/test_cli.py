@@ -48,6 +48,15 @@ def test_verify_rel_identities(tmp_path):
     assert json.loads(text3)["identity"] == "path_split_3"
 
 
+def test_verify_basepoint_passes(tmp_path):
+    code, text = run(tmp_path, "verify", "basepoint", "--alphabet", "10:trivial",
+                     "--degree", "2")
+    rep = json.loads(text)
+    assert rep["identity"] == "base_point_independence"
+    assert rep["gamma"] == [0, -1, 1, 0]
+    assert code == 0 and rep["pass"] is True
+
+
 def test_threshold_breach_exits_2(tmp_path):
     code, text = run(tmp_path, "verify", "rel2", "--threshold", "1e-30")
     assert code == 2
@@ -277,16 +286,28 @@ def test_mlv_refuses_no_form_spec(tmp_path, capsys):
 
 
 def test_mlv_table(tmp_path):
-    code, text = run(tmp_path, "mlv", "S12.1")
+    """One table per form, each with its functional-equation residual; S18.1
+    has sign -1, so its central value Lambda(9) is 0."""
+    code, text = run(tmp_path, "mlv", "S12.1", "S18.1")
     assert code == 0
     rep = json.loads(text)
-    tab = rep["tables"][0]
-    assert tab["shifted_weight"] == 10
-    assert len(tab["rows"]) == 11
-    for row in tab["rows"]:
-        assert row["lambda_s"] == row["k"] + 1
-        lam = complex(*row["lambda"])
-        assert abs(lam.imag) < 1e-12 * max(1.0, abs(lam))
+    for tab, w, sign in zip(rep["tables"], (10, 16), (1, -1)):
+        assert tab["shifted_weight"] == w
+        assert len(tab["rows"]) == w + 1
+        for row in tab["rows"]:
+            assert row["lambda_s"] == row["k"] + 1
+            lam = complex(*row["lambda"])
+            assert abs(lam.imag) < 1e-12 * max(1.0, abs(lam))
+        assert tab["funceq"]["sign"] == sign
+        assert tab["funceq"]["max_rel"] <= 1e-12
+        assert tab["pass"] is True
+
+
+def test_mlv_funceq_breach_exits_2(tmp_path):
+    code, text = run(tmp_path, "mlv", "S12.1", "--threshold", "1e-30")
+    tab = json.loads(text)["tables"][0]
+    assert code == 2 and tab["pass"] is False
+    assert tab["funceq"]["max_rel"] > 1e-30
 
 
 def test_mlv_eta24_is_delta(tmp_path):
@@ -397,6 +418,68 @@ def test_psi_dump_feeds_evaluator(tmp_path):
     h = CuspCollection.from_letters(ab, [level_one_basis(12)[0]])
     want = psi_evaluator(h, 1)(S, panel)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+_AB2 = ("--alphabet", "10:trivial,4:trivial", "--degree", "2")
+
+
+@pytest.fixture(scope="module")
+def psi_values(tmp_path_factory):
+    """The grid dump `psi` writes for the default collection at _AB2."""
+    path = tmp_path_factory.mktemp("psi") / "psi.json"
+    assert main(["psi", *_AB2, "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def test_psi_feeds_peel(tmp_path, psi_values):
+    """peel on the file psi writes fits what roundtrip fits when it hides the
+    default collection (A1 = S12.1 with coefficient 1), byte for byte."""
+    values = tmp_path / "psi.json"
+    values.write_text(json.dumps(psi_values))
+    code, text = run(tmp_path, "peel", str(values), *_AB2)
+    assert code == 0
+    hidden = tmp_path / "h.json"
+    hidden.write_text('{"A1": [1]}')
+    code_rt, text_rt = run(tmp_path, "roundtrip", str(hidden), *_AB2, name="rt.json")
+    assert code_rt == 0
+    got, want = json.loads(text), json.loads(text_rt)
+    for key in ("degrees", "final_residual"):
+        assert json.dumps(got[key], sort_keys=True) == json.dumps(want[key], sort_keys=True)
+    assert got["degrees"][0]["fits"]["A1"]["coefficients"] == pytest.approx([1.0], abs=1e-10)
+
+
+def _perturb_x_s(data):
+    for entry in data["entries"]:
+        if entry["gamma"] == "S":
+            entry["values"]["A1"][0][0] *= 1.0 + 1e-3
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("content,argv,code,message", [
+    pytest.param(lambda data: "{not json", _AB2, 1, "error: {path}: not a readable JSON file",
+                 id="not-json"),
+    pytest.param(lambda data: json.dumps({"degree": 2}), _AB2, 1,
+                 "error: {path}: cocycle values need a field 'entries'", id="no-entries"),
+    pytest.param(json.dumps, ("--alphabet", "10:trivial,4:trivial", "--degree", "1"), 1,
+                 "error: {path}: cocycle values were dumped at degree 2, read at degree 1",
+                 id="degree-mismatch"),
+    pytest.param(json.dumps, (*_AB2, "--panel=-0.8j;-1.5j;-0.4-0.9j;0.6-1.1j"), 1,
+                 "error: {path}: peel needs X_S on its panel [[0.0, -0.8], [0.0, -1.5], "
+                 "[-0.4, -0.9], [0.6, -1.1]]\n",
+                 id="off-panel"),
+    pytest.param(_perturb_x_s, _AB2, 2, "recovery failure: ", id="perturbed-x-s"),
+])
+def test_peel_refuses_bad_values_file(tmp_path, capsys, psi_values, content, argv, code,
+                                      message):
+    """A values file peel cannot read is refused with one "error:" line that
+    names the file; a readable one that is not a reachable cocycle is a
+    recovery failure."""
+    path = tmp_path / "values.json"
+    path.write_text(content(json.loads(json.dumps(psi_values))))
+    assert run(tmp_path, "peel", str(path), *argv) == (code, "")
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=path)), err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_psi_grid_dump(tmp_path):

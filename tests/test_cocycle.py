@@ -254,6 +254,8 @@ def test_verify_equivariance(delta):
     assert rep["max"] < 1e-7
     rep_t = verify_equivariance(h, T, None, 0, PANEL, 2)
     assert rep_t["max"] < 1e-7
+    rep_ts = verify_equivariance(h, parse_word("TS"), None, 0, PANEL, 2)
+    assert rep_ts["max"] < 1e-7
 
 
 def test_base_point_independence(delta):
