@@ -236,8 +236,6 @@ def _hidden_from_file(path: str) -> dict:
             vec = np.array(val, dtype=float)
         except (ValueError, OverflowError) as e:
             raise ConfigError(f"{key}: {e}")
-        if not np.all(np.isfinite(vec)):
-            raise ConfigError(f"{key}: coefficients must be finite")
         if m in coeffs:
             raise ConfigError(f"{key}: monomial {mono_str(m)} given twice")
         coeffs[m] = vec

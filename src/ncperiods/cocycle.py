@@ -27,8 +27,8 @@ from .config import RunConfig
 from .iterint import (Endpoint, IterIntError, QuadConfig, identity_report, j_rows_direct,
                       vertical_J)
 from .modforms import EvalError
-from .ncpoly import (Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight,
-                     series_inv, series_mul, slash_factors)
+from .ncpoly import (Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight, nc_inv,
+                     nc_mul, slash_factors)
 from .sl2z import GroupElement
 
 __all__ = [
@@ -128,12 +128,12 @@ class CuspCollection:
 
 def rows_mul(words: GradedWords, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-by-row series product, rounded to complex128."""
-    return series_mul(words, A, B).astype(complex)
+    return nc_mul(words, A, B).astype(complex)
 
 
 def rows_inv(words: GradedWords, A: np.ndarray) -> np.ndarray:
     """Row-by-row series inverse of the complex128 rows of A, rounded to complex128."""
-    return series_inv(words, np.asarray(A, dtype=complex)).astype(complex)
+    return nc_inv(words, np.asarray(A, dtype=complex)).astype(complex)
 
 
 def rows_slash(words: GradedWords, rows_at_gamma_t: np.ndarray,
@@ -169,8 +169,9 @@ def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
     the reads, each base point's panels not yet solved (repeats dropped by
     bytes) go to one vertical_J call on their concatenated points, and each
     panel's slice is kept under its own key, so the reads then solve
-    nothing.  A read without a plan solves its rays on its own panel.  A
-    ray that fails re-raises naming z0, gamma and gamma^(-1) z0.
+    nothing.  Every read goes through plan, so a read made without one plans
+    its own two rays.  A ray that fails re-raises naming z0, gamma and
+    gamma^(-1) z0.
     """
     words = h.words(D)
     z0 = complex(z0)
@@ -187,12 +188,6 @@ def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
             at = [f"{w + 0.0:.6g}" for w in (z, z0, gamma.inv().mobius(z0))]
             raise type(e)(f"ray from {at[0]} for Psi_gamma, gamma = {gamma!r}, z0 = {at[1]}, "
                           f"gamma^-1 z0 = {at[2]}: {e}") from e
-
-    def ray(z, t, gamma):
-        key = (z, t.tobytes())
-        if key not in solves:
-            solves[key] = solve(z, t, gamma)
-        return solves[key]
 
     def plan(reads):
         todo = {}  # base point -> (the first gamma reading it, {panel bytes: panel})
@@ -216,9 +211,10 @@ def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
             out = np.zeros((len(t), words.total), dtype=complex)
             out[:, 0] = 1.0
             return out
+        plan([(gamma, t)])
         (z, gt), (zi, _) = rays(gamma, t)
-        slashed = rows_slash(words, ray(z, gt, gamma), gamma, t)
-        return rows_mul(words, rows_inv(words, slashed), ray(zi, t, gamma))
+        slashed = rows_slash(words, solves[z, gt.tobytes()], gamma, t)
+        return rows_mul(words, rows_inv(words, slashed), solves[zi, t.tobytes()])
 
     ev.plan = plan
     return ev

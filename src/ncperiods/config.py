@@ -41,13 +41,22 @@ class ConfigError(ValueError):
 
 def read_json(path: str):
     """The JSON value in the file at path.  A file that is not UTF-8 JSON,
-    nests too deeply to decode, holds an integer too long to convert or gives
-    one object key twice is a ConfigError naming the file."""
+    nests too deeply to decode, holds an integer too long to convert or a
+    non-finite number (NaN, Infinity, -Infinity, or 1e999, which overflows)
+    or gives one object key twice is a ConfigError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_unique_keys,
+                             parse_float=_finite_float, parse_constant=_finite_float)
     except (ValueError, RecursionError) as e:
         raise ConfigError(f"{path}: not a readable JSON file: {e}") from None
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def _unique_keys(pairs) -> dict:

@@ -5,10 +5,6 @@ is w + 2) and a multiplier spec.  Words over the letters are graded by length
 and indexed degree-major, positionally within a degree (base-ell digits, most
 significant first), so concatenation is index arithmetic and degreewise
 multiplication reduces to outer products.
-
-An NcPoly holds one complex coefficient per word of degree <= D.  Everything
-is immutable after construction; mixing truncation degrees or alphabets is an
-error, never an implicit re-truncation.
 """
 
 from __future__ import annotations
@@ -27,14 +23,11 @@ __all__ = [
     "Letter",
     "Alphabet",
     "GradedWords",
-    "NcPoly",
     "mono_weight",
     "mono_multiplier",
     "mono_str",
     "parse_mono",
     "series_block",
-    "series_mul",
-    "series_inv",
     "nc_mul",
     "nc_inv",
     "slash_factors",
@@ -190,13 +183,6 @@ class GradedWords:
             self.offsets.append(self.offsets[-1] + ell**d)
         self.total = self.offsets[-1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedWords)
-            and self.alphabet == other.alphabet
-            and self.D == other.D
-        )
-
     def index(self, m: Mono) -> int:
         d = len(m)
         if d > self.D:
@@ -242,57 +228,6 @@ class GradedWords:
         return w, n
 
 
-@dataclass(frozen=True)
-class NcPoly:
-    """Element of the truncated series ring: one coefficient per word."""
-
-    words: GradedWords
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != (self.words.total,):
-            raise ValueError("coefficient vector length mismatch")
-
-    @staticmethod
-    def zero(words: GradedWords) -> "NcPoly":
-        return NcPoly(words, np.zeros(words.total, dtype=complex))
-
-    @staticmethod
-    def one(words: GradedWords) -> "NcPoly":
-        c = np.zeros(words.total, dtype=complex)
-        c[0] = 1.0
-        return NcPoly(words, c)
-
-    @staticmethod
-    def from_dict(words: GradedWords, data: dict) -> "NcPoly":
-        c = np.zeros(words.total, dtype=complex)
-        for m, v in data.items():
-            c[words.index(m)] = v
-        return NcPoly(words, c)
-
-    def coeff(self, m: Mono) -> complex:
-        return complex(self.coeffs[self.words.index(m)])
-
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def is_unit_normalized(self) -> bool:
-        return abs(self.coeffs[0] - 1.0) <= UNIT_TOL
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        _check_same(self, other)
-        return NcPoly(self.words, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        _check_same(self, other)
-        return NcPoly(self.words, self.coeffs - other.coeffs)
-
-
-def _check_same(x: NcPoly, y: NcPoly):
-    if x.words != y.words:
-        raise ValueError("mixed truncation degree or alphabet")
-
-
 def series_block(words: GradedWords, xs, ys, d: int, x_degrees) -> np.ndarray:
     """Block d of the concatenation product of (..., n_words) coefficient
     arrays, in their common dtype; leading axes broadcast.
@@ -312,7 +247,7 @@ def series_block(words: GradedWords, xs, ys, d: int, x_degrees) -> np.ndarray:
     return out
 
 
-def series_mul(words: GradedWords, xs, ys) -> np.ndarray:
+def nc_mul(words: GradedWords, xs, ys) -> np.ndarray:
     """Concatenation product of (..., n_words) coefficient arrays, truncated
     at D; leading axes broadcast, so one call multiplies a whole panel of rows.
 
@@ -328,9 +263,9 @@ def series_mul(words: GradedWords, xs, ys) -> np.ndarray:
                            for d in range(words.D + 1)], axis=-1)
 
 
-def series_inv(words: GradedWords, xs) -> np.ndarray:
+def nc_inv(words: GradedWords, xs) -> np.ndarray:
     """Inverse of (..., n_words) coefficient arrays by the geometric series
-    sum_{k<=D} (1-x)^k, in clongdouble like series_mul.
+    sum_{k<=D} (1-x)^k, in clongdouble like nc_mul.
 
     Exact in the truncated ring (u = 1-x is nilpotent); every row needs
     constant term 1.
@@ -345,27 +280,9 @@ def series_inv(words: GradedWords, xs) -> np.ndarray:
     out[..., 0] = 1.0
     power = out.copy()
     for _ in range(words.D):
-        power = series_mul(words, power, u)
+        power = nc_mul(words, power, u)
         out += power
     return out
-
-
-def nc_mul(x: NcPoly, y: NcPoly) -> NcPoly:
-    """Concatenation product, truncated at D, in the inputs' common dtype."""
-    _check_same(x, y)
-    dtype = np.result_type(x.coeffs, y.coeffs)
-    return NcPoly(x.words, series_mul(x.words, x.coeffs, y.coeffs).astype(dtype))
-
-
-def nc_inv(x: NcPoly) -> NcPoly:
-    """Inverse in N(A).
-
-    The result keeps the extended-precision dtype of the accumulation:
-    inverse coefficients are large and cancel against x in products, and
-    rounding them to double costs three digits in the two-sided inverse
-    residual for no benefit.
-    """
-    return NcPoly(x.words, series_inv(x.words, x.coeffs))
 
 
 def slash_factors(words: GradedWords, gamma: GroupElement, t) -> np.ndarray:

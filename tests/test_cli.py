@@ -126,13 +126,24 @@ def test_nonfinite_points_are_refused(tmp_path, capsys):
     """A NaN or infinite panel point or z0 is a config error named up front,
     not a quadrature or ODE failure further down."""
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"z0": [float("nan"), 1.0]}))
+    cfgfile.write_text(json.dumps({"z0": "nan+1j"}))  # a JSON NaN is refused on reading
     for argv in (["verify", "rel2", "--degree", "1", "--panel=nan-1j"],
                  ["verify", "rel2", "--degree", "1", "--panel=-infj"],
                  ["verify", "cocycle", "--degree", "1", "--config", str(cfgfile)]):
         assert run(tmp_path, *argv) == (1, ""), argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not a finite point" in err, (argv, err)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_json_files_refuse_nonfinite_numbers(tmp_path, capsys, literal):
+    """Every JSON file the CLI reads refuses a number that is not finite,
+    naming the file, before any field is looked at."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"rtol": %s}' % literal)
+    assert run(tmp_path, "verify", "rel2", "--degree", "1", "--config", str(cfgfile)) == (1, "")
+    err = capsys.readouterr().err
+    assert err == f"error: {cfgfile}: not a readable JSON file: non-finite number {literal}\n"
 
 
 def test_huge_finite_points_are_refused_by_name(tmp_path, capsys):
@@ -455,9 +466,18 @@ def _perturb_x_s(data):
     return json.dumps(data)
 
 
+def _nan_x_s(data):
+    entry = next(e for e in data["entries"] if e["gamma"] == "S")
+    entry["values"]["A1"][0][0] = float("nan")
+    return json.dumps(data)  # writes the literal NaN
+
+
 @pytest.mark.parametrize("content,argv,code,message", [
     pytest.param(lambda data: "{not json", _AB2, 1, "error: {path}: not a readable JSON file",
                  id="not-json"),
+    pytest.param(_nan_x_s, _AB2, 1,
+                 "error: {path}: not a readable JSON file: non-finite number NaN",
+                 id="nan-x-s"),
     pytest.param(lambda data: json.dumps({"degree": 2}), _AB2, 1,
                  "error: {path}: cocycle values need a field 'entries'", id="no-entries"),
     pytest.param(json.dumps, ("--alphabet", "10:trivial,4:trivial", "--degree", "1"), 1,

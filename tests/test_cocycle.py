@@ -25,7 +25,7 @@ from ncperiods.cocycle import (
     verify_multiplicativity,
 )
 from ncperiods.config import DEFAULT_PANEL
-from ncperiods.iterint import Endpoint, QuadConfig
+from ncperiods.iterint import Endpoint, QuadConfig, report_passes
 from ncperiods.modforms import CuspForm, QSeries, eta_form, level_one_basis
 from ncperiods.ncpoly import Alphabet, GradedWords, Letter
 from ncperiods.reconstruct import PEEL_VALUE_GRID, _grid_values, dump_cocycle_values
@@ -256,6 +256,23 @@ def test_verify_equivariance(delta):
     assert rep_t["max"] < 1e-7
     rep_ts = verify_equivariance(h, parse_word("TS"), None, 0, PANEL, 2)
     assert rep_ts["max"] < 1e-7
+
+
+_INTERIOR = st.builds(complex, st.floats(-0.6, 0.6), st.floats(0.8, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 23), min_size=1, max_size=2), _TOKENS,
+       st.one_of(st.just((None, 0)), st.tuples(_INTERIOR, _INTERIOR)))
+def test_equivariance_over_eta_alphabets(powers, toks, ends):
+    """(J(y,x)|gamma)(t) = J(gamma^-1 y, gamma^-1 x)(t) at D=2 over one- and
+    two-letter eta^N alphabets, whose kernels carry half-integer powers and
+    the multiplier eps^N, for random words gamma and the path oo -> 0 or one
+    between two interior points."""
+    ab = Alphabet(tuple(Letter.eta(N) for N in powers))
+    h = CuspCollection.from_letters(ab, [eta_form(N) for N in powers])
+    rep = verify_equivariance(h, word_product(toks), *ends, PANEL, 2)
+    assert report_passes(rep, 1e-7), rep
 
 
 def test_base_point_independence(delta):

@@ -27,7 +27,7 @@ from ncperiods.iterint import (
     zt_pow,
 )
 from ncperiods.modforms import level_one_basis
-from ncperiods.ncpoly import Alphabet, GradedWords, Letter, series_block, series_mul
+from ncperiods.ncpoly import Alphabet, GradedWords, Letter, nc_mul, series_block
 
 PANEL = np.array([-0.7j, -0.4 - 0.6j])
 
@@ -388,14 +388,14 @@ def rhs_cases(draw):
 def test_series_block_over_support_degrees(case):
     """Block k of Omega J summed over the support's degrees only, as the ray
     ODE sweeps it, is bitwise the block summed over every degree, keeps the
-    rows' dtype and agrees with block k of series_mul; Omega carries
+    rows' dtype and agrees with block k of nc_mul; Omega carries
     om_row[:, b] at support monomial b."""
     words, support, om_row, J = case
     omega = np.zeros_like(J)
     for b, m in enumerate(support):
         omega[:, words.index(m)] = om_row[:, b]
     degrees = sorted({len(m) for m in support})
-    want = series_mul(words, omega, J)
+    want = nc_mul(words, omega, J)
     for k in range(words.D + 1):
         got = series_block(words, omega, J, k, degrees)
         assert got.dtype == J.dtype
