@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -252,12 +253,6 @@ def cmd_roundtrip(cfg: RunConfig, hidden_path: str | None, random: bool) -> tupl
     if random:
         rng = np.random.default_rng(cfg.seed)
         coeffs = {e.mono: rng.uniform(-2.0, 2.0, size=e.dim) for e in catalog.entries}
-    for m, vec in coeffs.items():
-        entry = catalog.entry(m)
-        if entry is None:
-            raise ConfigError(f"{mono_str(m)}: no cusp forms exist for this monomial")
-        if len(vec) != entry.dim:
-            raise ConfigError(f"{mono_str(m)}: expected {entry.dim} coefficients, got {len(vec)}")
     try:
         h = hidden_collection(catalog, coeffs)
     except ValueError as e:
@@ -376,22 +371,28 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("identity", choices=IDENTITIES)
     pv.add_argument("--gamma", help='group element, word ("TS") or "m:a,b,c,d"')
     pv.add_argument("--delta", help="second group element for the cocycle relation")
+    pv.set_defaults(run=lambda cfg, a: cmd_verify(cfg, a.identity, a.gamma, a.delta))
 
     pm = sub.add_parser("mlv", parents=[common], help="L-value tables")
     pm.add_argument("forms", nargs="*", help="form specs like S12.1")
     pm.add_argument("--max-order", type=int, default=1, choices=(1, 2))
+    pm.set_defaults(run=lambda cfg, a: cmd_mlv(cfg, a.forms, a.max_order))
 
     pr = sub.add_parser("roundtrip", parents=[common], help="hide, peel, compare")
     pr.add_argument("hidden", nargs="?", help="JSON file: monomial -> coefficients")
     pr.add_argument("--random", action="store_true", help="random hidden collection from --seed")
+    pr.set_defaults(run=lambda cfg, a: cmd_roundtrip(cfg, a.hidden, a.random))
 
-    sub.add_parser("catalog", parents=[common], help="dump the basis catalog")
+    pc = sub.add_parser("catalog", parents=[common], help="dump the basis catalog")
+    pc.set_defaults(run=lambda cfg, a: cmd_catalog(cfg))
 
     pp = sub.add_parser("psi", parents=[common], help="dump cocycle panel values")
     pp.add_argument("--gamma", help="single group element (default: the standard grid)")
+    pp.set_defaults(run=lambda cfg, a: cmd_psi(cfg, a.gamma))
 
     pk = sub.add_parser("peel", parents=[common], help="recover a collection from psi values")
     pk.add_argument("values", help="JSON file in the shape ncperiods psi writes")
+    pk.set_defaults(run=lambda cfg, a: cmd_peel(cfg, a.values))
 
     return p
 
@@ -400,30 +401,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = RunConfig.from_sources(
-            args.config,
-            alphabet=args.alphabet,
-            degree=args.degree,
-            rtol=args.rtol,
-            atol=args.atol,
-            panel=args.panel,
-            format=args.format,
-            seed=args.seed,
-            threshold=args.threshold,
-        )
-        if args.command == "verify":
-            report, code = cmd_verify(cfg, args.identity, args.gamma, args.delta)
-        elif args.command == "mlv":
-            report, code = cmd_mlv(cfg, args.forms, args.max_order)
-        elif args.command == "roundtrip":
-            report, code = cmd_roundtrip(cfg, args.hidden, args.random)
-        elif args.command == "catalog":
-            report, code = cmd_catalog(cfg)
-        elif args.command == "psi":
-            report, code = cmd_psi(cfg, args.gamma)
-        elif args.command == "peel":
-            report, code = cmd_peel(cfg, args.values)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
+            args.config, **{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+        report, code = args.run(cfg, args)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -19,18 +19,17 @@ at integer arguments is Lambda(f, s) = M_{s-1} / i^s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .iterint import QuadConfig, cutoff_height, identity_report
 from .modforms import CuspForm, eval_forms
 from .quadrature import adaptive_pw
 
 __all__ = [
-    "PeriodPolynomial",
     "moment",
     "moments_table",
     "lambda_value",
@@ -43,27 +42,6 @@ __all__ = [
 ]
 
 PROBE_SPLITS = (0.7, 1.3)  # the functional-equation probe's two split heights
-
-
-@dataclass(frozen=True)
-class PeriodPolynomial:
-    """p(t) = sum_j coeffs[j] t^j, degree <= shifted weight(s) involved."""
-
-    shifted_weight: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        if len(self.coeffs) != self.shifted_weight + 1:
-            raise ValueError("coefficient count must be shifted_weight + 1")
-
-    def __call__(self, t):
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=complex), self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if len(nz) else -1
 
 
 def _check_trivial(f: CuspForm) -> int:
@@ -121,15 +99,16 @@ def lambda_value(f: CuspForm, s: int, split: float = 1.0,
     return moment(f, s - 1, split, cfg) / 1j**s
 
 
-def period_polynomial(f: CuspForm, cfg: QuadConfig = QuadConfig()) -> PeriodPolynomial:
+def _kernel_expansion(w: int) -> np.ndarray:
+    """Exact ints C(w,k) (-1)^(w-k), k = 0..w: the tau^k t^(w-k) terms of (tau - t)^w."""
+    return np.array([comb(w, k) * (-1) ** (w - k) for k in range(w + 1)], dtype=object)
+
+
+def period_polynomial(f: CuspForm, cfg: QuadConfig = QuadConfig()) -> Polynomial:
     """p(t) = sum_k C(w,k) (-1)^(w-k) M_k t^(w-k), equal to the single
     iterated integral from 0 to oo with kernel (tau - t)^w."""
     w = _check_trivial(f)
-    M = moments_table(f, 1.0, cfg)
-    coeffs = np.zeros(w + 1, dtype=complex)
-    for k in range(w + 1):
-        coeffs[w - k] = comb(w, k) * (-1) ** (w - k) * M[k]
-    return PeriodPolynomial(w, coeffs)
+    return Polynomial((_kernel_expansion(w).astype(float) * moments_table(f, 1.0, cfg))[::-1])
 
 
 def double_moments(f1: CuspForm, f2: CuspForm,
@@ -166,18 +145,17 @@ def double_moments(f1: CuspForm, f2: CuspForm,
 
 
 def double_period_polynomial(f1: CuspForm, f2: CuspForm,
-                             cfg: QuadConfig = QuadConfig()) -> PeriodPolynomial:
+                             cfg: QuadConfig = QuadConfig()) -> Polynomial:
     """Coefficients in t of the order-2 integral from 0 to oo: both kernels
-    expanded binomially against the double moments."""
+    expanded binomially; term (k1, k2) adds to t^((w1-k1)+(w2-k2)) in loop order."""
     w1 = _check_trivial(f1)
     w2 = _check_trivial(f2)
-    M = double_moments(f1, f2, cfg)
+    # exact int products rounded once, as the loop's were (C(w,k) passes 2^53 at w = 57)
+    binom = np.outer(_kernel_expansion(w1), _kernel_expansion(w2)).astype(float)
+    terms = binom * double_moments(f1, f2, cfg)
     coeffs = np.zeros(w1 + w2 + 1, dtype=complex)
-    for k1 in range(w1 + 1):
-        for k2 in range(w2 + 1):
-            j = (w1 - k1) + (w2 - k2)
-            coeffs[j] += comb(w1, k1) * comb(w2, k2) * (-1) ** j * M[k1, k2]
-    return PeriodPolynomial(w1 + w2, coeffs)
+    np.add.at(coeffs, np.add.outer(range(w1, -1, -1), range(w2, -1, -1)), terms)
+    return Polynomial(coeffs)
 
 
 def verify_shuffle(f1: CuspForm, f2: CuspForm, panel,
@@ -188,11 +166,10 @@ def verify_shuffle(f1: CuspForm, f2: CuspForm, panel,
     with the S-equivariance of the order-1 integrals.
     """
     t = np.atleast_1d(np.asarray(panel, dtype=complex))
-    w = _check_trivial(f1) + _check_trivial(f2)
-    P2 = double_period_polynomial(f1, f2, cfg)
+    P2 = double_period_polynomial(f1, f2, cfg)  # degree w1 + w2
     P1 = period_polynomial(f1, cfg)
     Q1 = period_polynomial(f2, cfg)
-    lhs = P2(t) + t**w * P2(-1.0 / t)
+    lhs = P2(t) + t ** P2.degree() * P2(-1.0 / t)
     return identity_report("shuffle", lhs, P1(t) * Q1(t), t, forms=[f1.label, f2.label])
 
 

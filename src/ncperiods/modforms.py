@@ -302,6 +302,8 @@ def form_linear_combination(coeffs, forms) -> CuspForm:
     forms = list(forms)
     if not forms:
         raise ValueError("need at least one form")
+    if len(coeffs) != len(forms):
+        raise ValueError(f"expected {len(forms)} coefficients, got {len(coeffs)}")
     w, mult = forms[0].shifted_weight, forms[0].multiplier
     for f in forms[1:]:
         if f.shifted_weight != w or f.multiplier != mult:

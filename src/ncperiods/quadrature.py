@@ -7,9 +7,9 @@ unresolved the panel is.  Antiderivatives stay in the same representation,
 which is what makes layered iterated integrals cheap: integrate once, then
 reevaluate the antiderivative anywhere.
 
-Every panel has the same order, so the fit (TMAT), evaluation (a Legendre
-Vandermonde row per point) and the antiderivative (legint of the identity)
-are fixed linear maps, each applied to all panels in one product.
+Every panel has the same order, so the fit (TMAT) and the antiderivative
+(LEGINT) are fixed matrices, each applied to all panels in one product;
+evaluation builds a Legendre Vandermonde row per point at each read.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ INIT_PANELS = 4
 
 # row k: (2k+1)/2 * w_i * P_k(x_i); TMAT @ values == Legendre coefficients
 TMAT = L.legvander(NODES, NPTS - 1).T * WEIGHTS * (np.arange(NPTS) + 0.5)[:, None]
+# column j: antiderivative of P_j on [-1, 1] vanishing at -1 (NPTS + 1 rows)
+LEGINT = L.legint(np.eye(NPTS), lbnd=-1)
 
 
 class QuadratureError(Exception):
@@ -61,9 +63,7 @@ class PwPoly:
     def antiderivative(self) -> "PwPoly":
         """Antiderivative vanishing at breaks[0], continuous across panels."""
         half = (np.diff(self.breaks) / 2).reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
-        # column j: antiderivative of P_j on [-1, 1] vanishing at -1
-        legint = L.legint(np.eye(self.coeffs.shape[1]), lbnd=-1)
-        out = np.einsum("ij,pj...->pi...", legint, self.coeffs * half)
+        out = np.einsum("ij,pj...->pi...", LEGINT, self.coeffs * half)
         # integral of panel p is width * c0 (only P_0 survives over [-1,1])
         out[1:, 0] += np.cumsum(2 * half[:, 0] * self.coeffs[:, 0], axis=0)[:-1]
         return PwPoly(self.breaks, out)

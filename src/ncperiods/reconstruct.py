@@ -84,11 +84,7 @@ class BasisCatalog:
     entries: tuple
 
     def entry(self, mono):
-        mono = tuple(mono)
-        for e in self.entries:
-            if e.mono == mono:
-                return e
-        return None
+        return next((e for e in self.entries if e.mono == tuple(mono)), None)
 
 
 def build_catalog(alphabet: Alphabet, D: int, panel,
@@ -129,8 +125,11 @@ def hidden_collection(catalog: BasisCatalog, coeffs: dict) -> CuspCollection:
     coeffs[m] of the catalog basis at m (the input a round trip hides)."""
     forms = {}
     for m, c in coeffs.items():
+        entry = catalog.entry(m)
+        if entry is None:
+            raise ValueError(f"{mono_str(m)}: no cusp forms exist for this monomial")
         try:
-            forms[m] = form_linear_combination(c, catalog.entry(m).forms)
+            forms[m] = form_linear_combination(c, entry.forms)
         except ValueError as e:
             raise ValueError(f"{mono_str(m)}: {e}") from None
     return CuspCollection(catalog.alphabet, forms)
@@ -171,6 +170,22 @@ def _canon_key(gamma: GroupElement) -> tuple:
     raise ValueError("singular matrix")
 
 
+def _json_points(pairs, what: str) -> np.ndarray:
+    """Complex points from a JSON list of [re, im] pairs.  Only JSON numbers
+    are numbers: a string or a bool is refused with the point it sits in."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"{what} must list [re,im] pairs of numbers")
+    for j, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(x) in (int, float) for x in pair)):
+            raise ValueError(f"{what} must list [re,im] pairs of numbers; point {j} is {pair!r}")
+    try:
+        arr = np.array(pairs, dtype=float).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError(f"{what}: a number overflows float64") from None
+    return arr[:, 0] + 1j * arr[:, 1]
+
+
 def cocycle_from_json(data, alphabet: Alphabet, D: int):
     """Evaluator backed by the parsed JSON of precomputed panel values.
 
@@ -201,10 +216,7 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
         for name in ("gamma", "panel", "values"):
             if name not in ent:
                 raise ValueError(f"{where}: missing field {name!r}")
-        try:
-            panel_pts = np.array([complex(re, im) for re, im in ent["panel"]], dtype=complex)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{where}: field 'panel' must list [re,im] pairs") from None
+        panel_pts = _json_points(ent["panel"], f"{where}: field 'panel'")
         label, values = ent["gamma"], ent["values"]
         if not isinstance(label, str):
             raise ValueError(f"{where}: field 'gamma' must be a label string")
@@ -226,14 +238,10 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
                 raise ValueError(f"{where}: bad monomial {key!r}: {e}") from None
             if not m:
                 continue
-            bad = ValueError(f"{label}/{key}: need one [re,im] pair per panel point")
-            try:
-                arr = np.asarray(pairs, dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                raise bad from None
-            if arr.shape != (len(panel_pts), 2):
-                raise bad
-            rows[:, col] = arr[:, 0] + 1j * arr[:, 1]
+            pts = _json_points(pairs, f"{label}/{key}: values")
+            if len(pts) != len(panel_pts):
+                raise ValueError(f"{label}/{key}: need one [re,im] pair per panel point")
+            rows[:, col] = pts
         store[(_canon_key(gamma), panel_pts.tobytes())] = (panel_pts, rows)
 
     def ev(gamma: GroupElement, t):

@@ -466,6 +466,18 @@ def _perturb_x_s(data):
     return json.dumps(data)
 
 
+def _numbers_as(convert, field):
+    """The dump with every number of each entry's field ("values" or "panel")
+    rewritten by convert."""
+    def rewrite(data):
+        for entry in data["entries"]:
+            lists = entry["values"].values() if field == "values" else [entry["panel"]]
+            for pairs in lists:
+                pairs[:] = [[convert(v) for v in pair] for pair in pairs]
+        return json.dumps(data)
+    return rewrite
+
+
 def _nan_x_s(data):
     entry = next(e for e in data["entries"] if e["gamma"] == "S")
     entry["values"]["A1"][0][0] = float("nan")
@@ -488,6 +500,17 @@ def _nan_x_s(data):
                  "[-0.4, -0.9], [0.6, -1.1]]\n",
                  id="off-panel"),
     pytest.param(_perturb_x_s, _AB2, 2, "recovery failure: ", id="perturbed-x-s"),
+    # a number spelled as a string, or a bool, is not a number (the first
+    # entries hold X_T = 1 and list no values)
+    pytest.param(_numbers_as(str, "values"), _AB2, 1,
+                 "error: {path}: S/A1: values must list [re,im] pairs of numbers; "
+                 "point 0 is ['", id="string-values"),
+    pytest.param(_numbers_as(bool, "values"), _AB2, 1,
+                 "error: {path}: S/A1: values must list [re,im] pairs of numbers; "
+                 "point 0 is [True, ", id="bool-values"),
+    pytest.param(_numbers_as(bool, "panel"), _AB2, 1,
+                 "error: {path}: entry 0: field 'panel' must list [re,im] pairs of numbers; "
+                 "point 0 is [False, True]\n", id="bool-panel"),
 ])
 def test_peel_refuses_bad_values_file(tmp_path, capsys, psi_values, content, argv, code,
                                       message):

@@ -8,7 +8,6 @@ import pytest
 
 from ncperiods.iterint import QuadConfig, r_direct
 from ncperiods.mlv import (
-    PeriodPolynomial,
     clear_caches,
     double_moments,
     double_period_polynomial,
@@ -87,7 +86,29 @@ def test_period_polynomial_vs_layered_route(delta, g16):
         p = period_polynomial(f)
         direct = r_direct([f], None, 0, PANEL)
         assert np.max(np.abs(p(PANEL) - direct)) < 1e-12
-        assert p.degree == int(f.shifted_weight)
+        assert p.coef[-1] != 0 and p.degree() == int(f.shifted_weight)
+
+
+@pytest.mark.parametrize("specs", [((12, 0), (26, 0)), ((24, 1), (24, 1)), ((60, 0), (60, 0))],
+                         ids=["S12.1xS26.1", "S24.2", "S60.1"])
+def test_period_polynomials_match_binomial_loops(specs):
+    """The array expansions equal the explicit binomial sums bit for bit, also
+    at w = 58, where C(w,k) passes 2^53 and a float product would round twice."""
+    f1, f2 = (level_one_basis(k)[i] for k, i in specs)
+    w1, w2 = int(f1.shifted_weight), int(f2.shifted_weight)
+    for f, w in ((f1, w1), (f2, w2)):
+        M = moments_table(f)
+        want = np.zeros(w + 1, dtype=complex)
+        for k in range(w + 1):
+            want[w - k] = math.comb(w, k) * (-1) ** (w - k) * M[k]
+        assert period_polynomial(f).coef.tobytes() == want.tobytes()
+    M2 = double_moments(f1, f2)
+    want = np.zeros(w1 + w2 + 1, dtype=complex)
+    for k1 in range(w1 + 1):
+        for k2 in range(w2 + 1):
+            j = (w1 - k1) + (w2 - k2)
+            want[j] += math.comb(w1, k1) * math.comb(w2, k2) * (-1) ** j * M2[k1, k2]
+    assert double_period_polynomial(f1, f2).coef.tobytes() == want.tobytes()
 
 
 def test_double_period_polynomial_vs_layered_route(delta, g16):
@@ -133,15 +154,6 @@ def test_moment_index_range(delta):
         moment(delta, -1)
     with pytest.raises(ValueError):
         moment(delta, 11)
-
-
-def test_period_polynomial_class():
-    with pytest.raises(ValueError):
-        PeriodPolynomial(4, np.ones(3))
-    p = PeriodPolynomial(2, [1.0, 0.0, -2.0])
-    assert p(2.0) == pytest.approx(1.0 - 8.0)
-    assert p.degree == 2
-    assert PeriodPolynomial(2, np.zeros(3)).degree == -1
 
 
 def test_determinism_and_cache(delta):

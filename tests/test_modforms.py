@@ -150,6 +150,11 @@ def test_form_linear_combination():
         form_linear_combination([1.0, 1.0], [b[0], level_one_basis(12)[0]])
     with pytest.raises(ValueError, match="not finite"):
         form_linear_combination([1e300, 0.0], b)
+    # one coefficient per form: neither list is cut to the other's length
+    with pytest.raises(ValueError, match="expected 1 coefficients, got 2"):
+        form_linear_combination([1.0, 5.0], [b[0]])
+    with pytest.raises(ValueError, match="expected 2 coefficients, got 1"):
+        form_linear_combination([1.0], b)
 
 
 def test_cached_constants_cannot_go_stale():

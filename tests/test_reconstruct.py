@@ -30,6 +30,7 @@ from ncperiods.reconstruct import (
     cocycle_from_json,
     deconjugate,
     dump_cocycle_values,
+    hidden_collection,
     injectivity_probe,
     peel,
     psi_evaluator,
@@ -74,6 +75,16 @@ def test_catalog_samples_match_period_polynomials(catalog, delta, g16):
     w14 = catalog.entry((1, 2)).forms[0]
     q = period_polynomial(w14)
     assert np.max(np.abs(catalog.entry((1, 2)).psi_samples[:, 0] - q(PANEL))) < 1e-9
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ({(1,): np.array([1.0, 5.0])}, "A1: expected 1 coefficients, got 2"),
+    # S_6 = 0: the catalog has no entry for A2
+    ({(2,): np.array([1.0])}, "A2: no cusp forms exist for this monomial"),
+])
+def test_hidden_collection_refuses_coefficients_off_the_catalog(catalog, coeffs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hidden_collection(catalog, coeffs)
 
 
 def test_catalog_rejects_bad_panel():
@@ -258,6 +269,18 @@ def test_cocycle_from_json_unavailable():
     # a bare pair is not a list of pairs, even for a one-point panel
     ({"entries": [{"gamma": "S", "panel": [[0, -1]], "values": {"A1": [2.0, 0.5]}}]},
      ("S/A1", "pair")),
+    # only JSON numbers are numbers: not strings, not bools
+    ({"entries": [{"gamma": "S", "panel": [[0, -1]], "values": {"A1": [["0.5", "0"]]}}]},
+     ("S/A1", "point 0", "'0.5'")),
+    ({"entries": [{"gamma": "S", "panel": [[0, -1]], "values": {"A1": [[True, 0.5]]}}]},
+     ("S/A1", "point 0", "True")),
+    ({"entries": [{"gamma": "S", "panel": [[0, "-1"]], "values": {}}]},
+     ("entry 0", "panel", "'-1'")),
+    ({"entries": [{"gamma": "S", "panel": [[False, -1]], "values": {}}]},
+     ("entry 0", "panel", "False")),
+    # an int JSON reads exactly, too large for a float
+    ({"entries": [{"gamma": "S", "panel": [[0, -1]], "values": {"A1": [[10**400, 0]]}}]},
+     ("S/A1", "overflows")),
 ])
 def test_cocycle_from_json_names_malformed_entry(data, named):
     with pytest.raises(ValueError) as err:
