@@ -127,13 +127,13 @@ class CuspCollection:
 # --- batched series arithmetic on value rows -------------------------------
 
 def rows_mul(words: GradedWords, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-by-row series product, rounded to complex128."""
-    return nc_mul(words, A, B).astype(complex)
+    """Row-by-row series product."""
+    return nc_mul(words, A, B)
 
 
 def rows_inv(words: GradedWords, A: np.ndarray) -> np.ndarray:
-    """Row-by-row series inverse of the complex128 rows of A, rounded to complex128."""
-    return nc_inv(words, np.asarray(A, dtype=complex)).astype(complex)
+    """Row-by-row series inverse."""
+    return nc_inv(words, A)
 
 
 def rows_slash(words: GradedWords, rows_at_gamma_t: np.ndarray,

@@ -101,8 +101,8 @@ class Endpoint:
     @staticmethod
     def point(z) -> "Endpoint":
         z = complex(z)
-        if z.imag <= 0:
-            raise ValueError("interior endpoint needs Im z > 0")
+        if not (np.isfinite(z) and z.imag > 0):
+            raise ValueError(f"a point of the upper half plane needs finite z, Im z > 0, got {z}")
         return Endpoint("point", z=z)
 
     @staticmethod
@@ -446,9 +446,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     step onto the same panel (y, width) share its form values.
     """
     t = _validate_t(t)
-    z0 = complex(z0)
-    if z0.imag <= 0:
-        raise ValueError("base point must have Im z0 > 0")
+    z0 = Endpoint.point(z0).z
     words = GradedWords(h.alphabet, D)
     monos = tuple(h.support_monos)
     if not monos:

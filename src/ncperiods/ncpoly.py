@@ -250,13 +250,9 @@ def series_block(words: GradedWords, xs, ys, d: int, x_degrees) -> np.ndarray:
 def nc_mul(words: GradedWords, xs, ys) -> np.ndarray:
     """Concatenation product of (..., n_words) coefficient arrays, truncated
     at D; leading axes broadcast, so one call multiplies a whole panel of rows.
-
-    Accumulates and returns 80-bit extended precision (clongdouble): inverse
-    coefficients grow large and cancel, and the extra digits keep a result
-    rounded to double at the cancellation-free rounding floor.
     """
-    xs = np.asarray(xs, dtype=np.clongdouble)
-    ys = np.asarray(ys, dtype=np.clongdouble)
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
     if xs.shape[-1] != words.total or ys.shape[-1] != words.total:
         raise ValueError("coefficient vector length mismatch")
     return np.concatenate([series_block(words, xs, ys, d, range(d + 1))
@@ -264,24 +260,20 @@ def nc_mul(words: GradedWords, xs, ys) -> np.ndarray:
 
 
 def nc_inv(words: GradedWords, xs) -> np.ndarray:
-    """Inverse of (..., n_words) coefficient arrays by the geometric series
-    sum_{k<=D} (1-x)^k, in clongdouble like nc_mul.
+    """Inverse y of (..., n_words) coefficient arrays x, degree by degree:
+    block d of x y = 1 gives y_d = -y_0 sum_{1<=d1<=d} x_d1 y_(d-d1), with
+    y_0 = 1/x_0.
 
-    Exact in the truncated ring (u = 1-x is nilpotent); every row needs
-    constant term 1.
+    Every row needs constant term 1 (within UNIT_TOL).
     """
-    xs = np.asarray(xs)
+    xs = np.asarray(xs, dtype=complex)
     bad = np.abs(xs[..., 0] - 1.0) > UNIT_TOL
     if np.any(bad):
         raise ValueError(f"series inverse needs constant term 1, got {xs[..., 0][bad][0]}")
-    u = -xs.astype(np.clongdouble)
-    u[..., 0] += 1.0  # u = 1 - x, constant term ~ 0
-    out = np.zeros(u.shape, dtype=np.clongdouble)
-    out[..., 0] = 1.0
-    power = out.copy()
-    for _ in range(words.D):
-        power = nc_mul(words, power, u)
-        out += power
+    out = np.zeros(xs.shape, dtype=complex)
+    out[..., 0] = 1.0 / xs[..., 0]
+    for d in range(1, words.D + 1):
+        out[..., words.block(d)] = -out[..., :1] * series_block(words, xs, out, d, range(1, d + 1))
     return out
 
 

@@ -192,9 +192,10 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
     data has the shape that dump_cocycle_values and `ncperiods psi` write:
         {"entries": [{"gamma": "S", "panel": [[re,im],...],
                       "values": {"A1": [[re,im],...], ...}}, ...]}
-    with one values list per monomial, one pair per panel point.  Monomials
-    not listed are zero, the constant term is fixed at 1.  A "degree" field,
-    which dump_cocycle_values writes, must equal D.  Requests off the
+    with one values list per monomial, one pair per panel point, and at most
+    one entry per gamma (up to sign) and panel.  Monomials not listed are
+    zero, the constant term is fixed at 1.  A "degree" field, which
+    dump_cocycle_values writes, must be the JSON int D.  Requests off the
     stored grid raise UnavailableValue (peel then records the affected checks
     as skipped).  Any other shape raises ValueError.
     """
@@ -206,9 +207,12 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
         raise ValueError("cocycle values need a field 'entries' (the shape ncperiods psi writes)")
     if not isinstance(data["entries"], list):
         raise ValueError("field 'entries' must be a list of objects")
-    if data.get("degree", D) != D:
-        raise ValueError(f"cocycle values were dumped at degree {data['degree']!r}, "
-                         f"read at degree {D}")
+    degree = data.get("degree", D)
+    if type(degree) is not int:
+        raise ValueError(f"field 'degree' must be a JSON int, got {degree!r}")
+    if degree != D:
+        raise ValueError(f"cocycle values were dumped at degree {degree}, read at degree {D}")
+    seen = {}  # store slot -> the entry that filled it
     for i, ent in enumerate(data["entries"]):
         where = f"entry {i}"
         if not isinstance(ent, dict):
@@ -242,7 +246,11 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
             if len(pts) != len(panel_pts):
                 raise ValueError(f"{label}/{key}: need one [re,im] pair per panel point")
             rows[:, col] = pts
-        store[(_canon_key(gamma), panel_pts.tobytes())] = (panel_pts, rows)
+        slot = (_canon_key(gamma), panel_pts.tobytes())
+        if slot in seen:
+            raise ValueError(f"{where}: gamma {label!r} repeats {seen[slot]} on its panel, up to sign")
+        seen[slot] = f"entry {i} ({label!r})"
+        store[slot] = (panel_pts, rows)
 
     def ev(gamma: GroupElement, t):
         t = np.atleast_1d(np.asarray(t, dtype=complex))

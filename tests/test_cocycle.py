@@ -112,12 +112,21 @@ def test_rows_kernel_matches_dict_reference(case):
         want = _concat_reference(words, A[r], B[r])
         assert np.max(np.abs(prod[r] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     inv = rows_inv(words, A)
+    assert inv.dtype == complex
     unit = np.zeros_like(A)
     unit[:, 0] = 1.0
     # the residual cancels terms as large as the product of the factor sizes
     scale = max(1.0, np.max(np.abs(inv))) * max(1.0, np.max(np.abs(A)))
     assert np.max(np.abs(rows_mul(words, inv, A) - unit)) <= 1e-13 * scale
     assert np.max(np.abs(rows_mul(words, A, inv) - unit)) <= 1e-13 * scale
+
+
+def test_psi_evaluator_refuses_nonfinite_base_point(delta):
+    """A NaN z0 is refused by its ray solve, naming it, not by a failed
+    lookup of its solve (NaN keys never compare equal)."""
+    ev = psi_evaluator(_one_letter(delta), 2, complex(0.0, float("nan")))
+    with pytest.raises(ValueError, match="nan"):
+        ev(S, PANEL)
 
 
 def test_psi_parabolic_unit(delta):

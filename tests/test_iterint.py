@@ -317,6 +317,20 @@ def test_determinism_and_cache(delta):
     assert d1.tobytes() == d2.tobytes()
 
 
+@pytest.mark.parametrize("z", [complex(0.0, math.nan), complex(0.0, math.inf),
+                               complex(math.nan, 1.0), complex(math.inf, 1.0)])
+def test_nonfinite_point_is_refused_by_name(delta, z):
+    """A NaN or infinite base point is refused naming it; a NaN height used
+    to end the ray loop at once and return the unit series."""
+    h = CuspCollection.from_letters(Alphabet((Letter.trivial(10),)), [delta])
+    with pytest.raises(ValueError, match="finite") as err:
+        vertical_J(h, z, PANEL, 2)
+    assert str(z) in str(err.value)
+    with pytest.raises(ValueError, match="finite") as err:
+        Endpoint.point(z)
+    assert str(z) in str(err.value)
+
+
 def test_endpoint_validation():
     with pytest.raises(ValueError):
         Endpoint.point(0.5 - 0.2j)
@@ -400,5 +414,4 @@ def test_series_block_over_support_degrees(case):
         got = series_block(words, omega, J, k, degrees)
         assert got.dtype == J.dtype
         assert got.tobytes() == series_block(words, omega, J, k, range(k + 1)).tobytes()
-        np.testing.assert_allclose(got, want[:, words.block(k)].astype(complex),
-                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, want[:, words.block(k)], rtol=0, atol=1e-13)

@@ -15,6 +15,7 @@ from ncperiods.ncpoly import (
     nc_inv,
     nc_mul,
     parse_mono,
+    series_block,
     slash_factors,
 )
 from ncperiods.sl2z import S, T, eta_epsilon, parse_word
@@ -115,15 +116,10 @@ def unit_rows(draw, words):
 WORDS23 = GradedWords(AB2, 3)
 
 
-def _mul23(x, y):
-    """Product on WORDS23, rounded to complex128 before any next product."""
-    return nc_mul(WORDS23, x, y).astype(complex)
-
-
 @given(unit_rows(WORDS23), unit_rows(WORDS23), unit_rows(WORDS23))
 def test_nc_mul_associative(a, b, c):
-    lhs = _mul23(_mul23(a, b), c)
-    rhs = _mul23(a, _mul23(b, c))
+    lhs = nc_mul(WORDS23, nc_mul(WORDS23, a, b), c)
+    rhs = nc_mul(WORDS23, a, nc_mul(WORDS23, b, c))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -135,6 +131,56 @@ def test_nc_inv_two_sided(a):
     right = nc_mul(WORDS23, a, ainv)
     assert np.max(np.abs(left - one)) < 1e-9
     assert np.max(np.abs(right - one)) < 1e-9
+
+
+def _ref_mul(words, xs, ys):
+    """The former product: the kernel accumulated in extended precision."""
+    xs = np.asarray(xs, dtype=np.clongdouble)
+    ys = np.asarray(ys, dtype=np.clongdouble)
+    return np.concatenate([series_block(words, xs, ys, d, range(d + 1))
+                           for d in range(words.D + 1)], axis=-1)
+
+
+def _ref_inv(words, xs):
+    """The former inverse: the geometric series sum_{k<=D} (1-x)^k in
+    extended precision."""
+    u = -np.asarray(xs, dtype=np.clongdouble)
+    u[..., 0] += 1.0
+    out = np.zeros(u.shape, dtype=np.clongdouble)
+    out[..., 0] = 1.0
+    power = out.copy()
+    for _ in range(words.D):
+        power = _ref_mul(words, power, u)
+        out += power
+    return out
+
+
+@pytest.mark.parametrize("growth", [1.0, 1e3, 1e6])
+def test_kernel_matches_extended_precision_reference(growth):
+    """On criterion 1's draws, with block d scaled by growth^d, the complex128
+    product and degree-recursion inverse agree with the extended-precision
+    product and geometric-series inverse to 1e-14 of the term scale: the
+    product of the absolute values, and for the inverse the same geometric
+    series in |1 - x|."""
+    words = GradedWords(AB2, 4)
+    parts = np.random.default_rng(2024).uniform(-1, 1, (500, 3, 2, words.total))
+    a, b, c = np.moveaxis(parts[:, :, 0] + 1j * parts[:, :, 1], 1, 0)
+    degree = np.repeat(np.arange(words.D + 1), np.diff(words.offsets))
+    for x in (a, b, c):
+        x[:, 0] = 1.0
+        x *= growth ** degree
+    one = np.zeros(words.total)
+    one[0] = 1.0
+    for x, y in ((a, b), (b, c), (c, a)):
+        got = nc_mul(words, x, y)
+        assert got.dtype == np.complex128
+        err = np.abs(got - _ref_mul(words, x, y))
+        assert np.all(err <= 1e-14 * nc_mul(words, np.abs(x), np.abs(y)).real)
+    for x in (a, b, c):
+        got = nc_inv(words, x)
+        assert got.dtype == np.complex128
+        err = np.abs(got - _ref_inv(words, x))
+        assert np.all(err <= 1e-14 * nc_inv(words, one - np.abs(one - x)).real)
 
 
 def test_nc_inv_needs_unit():

@@ -281,6 +281,14 @@ def test_cocycle_from_json_unavailable():
     # an int JSON reads exactly, too large for a float
     ({"entries": [{"gamma": "S", "panel": [[0, -1]], "values": {"A1": [[10**400, 0]]}}]},
      ("S/A1", "overflows")),
+    # only a JSON int is a degree: not a bool, not a float
+    ({"degree": True, "entries": []}, ("field 'degree'", "True")),
+    ({"degree": 1.0, "entries": []}, ("field 'degree'", "1.0")),
+    # two entries for one gamma (up to sign) on one panel: neither wins silently
+    ({"entries": [{"gamma": "S", "panel": [[0, -1]], "values": {"A1": [[1, 0]]}},
+                  {"gamma": "T", "panel": [[0, -1]], "values": {}},
+                  {"gamma": "m:0,1,-1,0", "panel": [[0, -1]], "values": {"A1": [[9, 9]]}}]},
+     ("entry 2", "'m:0,1,-1,0'", "entry 0", "'S'")),
 ])
 def test_cocycle_from_json_names_malformed_entry(data, named):
     with pytest.raises(ValueError) as err:
