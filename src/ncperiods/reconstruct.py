@@ -186,6 +186,11 @@ def _json_points(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _same_panel(pts: np.ndarray, t: np.ndarray) -> bool:
+    """The values reader's panel match: same length, every point within 1e-12."""
+    return len(pts) == len(t) and np.allclose(pts, t, rtol=0, atol=1e-12)
+
+
 def cocycle_from_json(data, alphabet: Alphabet, D: int):
     """Evaluator backed by the parsed JSON of precomputed panel values.
 
@@ -193,14 +198,15 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
         {"entries": [{"gamma": "S", "panel": [[re,im],...],
                       "values": {"A1": [[re,im],...], ...}}, ...]}
     with one values list per monomial, one pair per panel point, and at most
-    one entry per gamma (up to sign) and panel.  Monomials not listed are
+    one entry per gamma (up to sign) and panel, two panels being one when the
+    reader cannot tell them apart (_same_panel).  Monomials not listed are
     zero, the constant term is fixed at 1.  A "degree" field, which
     dump_cocycle_values writes, must be the JSON int D.  Requests off the
     stored grid raise UnavailableValue (peel then records the affected checks
     as skipped).  Any other shape raises ValueError.
     """
     words = GradedWords(alphabet, D)
-    store = {}
+    store = []  # (canonical gamma, panel points, rows, the entry that gave them)
     if not isinstance(data, dict):
         raise ValueError("cocycle values must be a JSON object")
     if "entries" not in data:
@@ -212,7 +218,6 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
         raise ValueError(f"field 'degree' must be a JSON int, got {degree!r}")
     if degree != D:
         raise ValueError(f"cocycle values were dumped at degree {degree}, read at degree {D}")
-    seen = {}  # store slot -> the entry that filled it
     for i, ent in enumerate(data["entries"]):
         where = f"entry {i}"
         if not isinstance(ent, dict):
@@ -246,17 +251,17 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
             if len(pts) != len(panel_pts):
                 raise ValueError(f"{label}/{key}: need one [re,im] pair per panel point")
             rows[:, col] = pts
-        slot = (_canon_key(gamma), panel_pts.tobytes())
-        if slot in seen:
-            raise ValueError(f"{where}: gamma {label!r} repeats {seen[slot]} on its panel, up to sign")
-        seen[slot] = f"entry {i} ({label!r})"
-        store[slot] = (panel_pts, rows)
+        canon = _canon_key(gamma)
+        for gk, pts, _, who in store:
+            if gk == canon and _same_panel(pts, panel_pts):
+                raise ValueError(f"{where}: gamma {label!r} repeats {who} on its panel, up to sign")
+        store.append((canon, panel_pts, rows, f"entry {i} ({label!r})"))
 
     def ev(gamma: GroupElement, t):
         t = np.atleast_1d(np.asarray(t, dtype=complex))
         key = _canon_key(gamma)
-        for (gk, _), (pts, rows) in store.items():
-            if gk == key and len(pts) == len(t) and np.allclose(pts, t, rtol=0, atol=1e-12):
+        for gk, pts, rows, _ in store:
+            if gk == key and _same_panel(pts, t):
                 return rows.copy()
         raise UnavailableValue(f"no stored values for {gamma.entries()} at this panel")
 

@@ -56,6 +56,73 @@ def test_vector_valued():
     assert pw.coeffs.shape[2:] == (3,)
 
 
+def _one_scale_build(fun, a, b, tol):
+    """The single-array rule as a plain reference: one running scale over
+    every value column, panels judged in order, bisection until resolved."""
+    edges = np.linspace(a, b, quadrature.INIT_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    accepted, scale = [], 0.0
+    while len(lo):
+        pts = (NODES[None, :] * (hi - lo)[:, None] / 2 + (hi + lo)[:, None] / 2).ravel()
+        vals = np.asarray(fun(pts))
+        vals = vals.reshape((len(lo), NPTS) + vals.shape[1:])
+        coeffs = np.moveaxis(np.tensordot(quadrature.TMAT, vals, axes=([1], [1])), 0, 1)
+        split = np.zeros(len(lo), dtype=bool)
+        for i, c in enumerate(coeffs):
+            scale = max(scale, np.abs(c).max())
+            if (np.abs(c[-2]) + np.abs(c[-1])).max() <= tol * max(scale, 1e-300):
+                accepted.append((lo[i], hi[i], c))
+            else:
+                split[i] = True
+        mid = (lo[split] + hi[split]) / 2
+        lo = np.stack([lo[split], mid], axis=1).ravel()
+        hi = np.stack([mid, hi[split]], axis=1).ravel()
+    accepted.sort(key=lambda p: p[0])
+    return np.array([p[0] for p in accepted] + [accepted[-1][1]]), np.stack([p[2] for p in accepted])
+
+
+@pytest.mark.parametrize("fun, a, b, tol", [
+    (lambda s: np.exp(37j * s), 0.0, 2.0, 1e-13),
+    (lambda s: np.cos(3 * s), 0.0, 4.0, 1e-13),
+    (lambda s: np.exp(np.outer(-s, [1.0, 2.0, 3.0])), 0.0, 5.0, 1e-13),
+    (lambda s: 1.0 / (1e-6 + (s - 0.3) ** 2), 0.0, 1.0, 1e-13),
+    (lambda s: np.sin(s) ** 2, 0.0, 3.0, 1e-13),
+    (lambda s: np.exp(np.multiply.outer(s, [[1.0, -2.0], [0.5j, 3.0]])), 0.0, 2.0, 1e-12),
+], ids=["oscillatory", "cos", "vector", "needle", "sin2", "matrix"])
+def test_single_array_fun_keeps_one_running_scale(fun, a, b, tol):
+    """A fun returning one array is the one-group case: its build is bit for
+    bit the single-scale rule, whatever the shape of its value axes."""
+    breaks, coeffs = _one_scale_build(fun, a, b, tol)
+    pw = adaptive_pw(fun, a, b, tol)
+    assert pw.breaks.tobytes() == breaks.tobytes()
+    assert pw.coeffs.tobytes() == coeffs.tobytes()
+
+
+def test_tuple_groups_resolve_to_their_own_scale():
+    """A fun returning a tuple of sample arrays gets one running scale per
+    array: a rough group 1e-8 the size of a smooth one is resolved to tol of
+    its own size, where one scale over both columns accepts it coarse."""
+    tol = 1e-10
+
+    def big(s):
+        return np.exp(s)[:, None] * np.array([1.0, 2.0])
+
+    def small(s):
+        return 1e-8 * np.cos(60.0 * s)[:, None]
+
+    pw = adaptive_pw(lambda s: (big(s), small(s)), 0.0, 1.0, tol)
+    assert pw.coeffs.shape[2:] == (3,)  # the groups' columns, concatenated
+    s = np.linspace(0.0, 1.0, 201)
+    assert np.max(np.abs(pw(s)[:, :2] - big(s))) <= 10 * tol * 2 * np.e
+    own = np.max(np.abs(pw(s)[:, 2] - small(s)[:, 0]))
+    assert own <= 10 * tol * 1e-8
+    assert abs(pw.integral()[2] - 1e-8 * np.sin(60.0) / 60.0) <= tol * 1e-8
+
+    one = adaptive_pw(lambda s: np.concatenate([big(s), small(s)], axis=1), 0.0, 1.0, tol)
+    assert len(one.breaks) < len(pw.breaks)
+    assert np.max(np.abs(one(s)[:, 2] - small(s)[:, 0])) > 100 * own
+
+
 def test_panel_budget(monkeypatch):
     # needle far too sharp for 8 panels
     monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
@@ -105,11 +172,12 @@ def test_polynomial_exactness(cs):
 
 @st.composite
 def pwpolys(draw):
-    """Random sorted breaks (1-6 panels) and complex (K, 16[, 3]) coefficients."""
+    """Random sorted breaks (1-6 panels) and complex (K, 16[, 3]) coefficients,
+    or (K, 16, n_t, ncols) as the layered route's antiderivatives hold them."""
     K = draw(st.integers(1, 6))
     start = draw(st.floats(-5, 5))
     widths = draw(st.lists(st.floats(0.01, 3), min_size=K, max_size=K))
-    shape = (K, NPTS) + draw(st.sampled_from([(), (3,)]))
+    shape = (K, NPTS) + draw(st.sampled_from([(), (3,), (4, 7)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeffs *= draw(st.floats(1e-3, 1e3))
@@ -135,6 +203,8 @@ def test_pwpoly_matches_per_panel_reference(pw):
     s = np.concatenate([br, (br[:-1] + br[1:]) / 2, [br[0] - 0.7, br[-1] + 0.4]])
     want, size = _reference(pw, s)
     assert np.max(np.abs(pw(s) - want)) <= 1e-13 * size
+    # a one-point read runs the same recurrence as a many-point one, bit for bit
+    assert all(np.array_equal(pw(s[j:j + 1]), pw(s)[j:j + 1]) for j in range(len(s)))
     scale = max(1.0, float(np.max(np.abs(pw.coeffs))))
 
     # antiderivative: legint per panel, offset by the integrals of earlier panels
@@ -153,6 +223,27 @@ def test_pwpoly_matches_per_panel_reference(pw):
     assert np.shape(pw(mid)) == pw.coeffs.shape[2:]
     assert np.shape(F(mid)) == pw.coeffs.shape[2:]
     assert np.array_equal(pw(mid), pw(np.array([mid]))[0])
+
+
+def test_product_integral_is_gauss_on_the_product():
+    """Parseval on shared breaks equals 16-point Gauss on the product of the
+    two degree-15 series, summed over the shared middle axis."""
+    rng = np.random.default_rng(5)
+    breaks = np.array([1.0, 1.5, 2.75, 3.0])
+    a = PwPoly(breaks, rng.standard_normal((3, NPTS, 2, 4)) + 1j * rng.standard_normal((3, NPTS, 2, 4)))
+    b = PwPoly(breaks, rng.standard_normal((3, NPTS, 2, 5)))
+    want = np.zeros((4, 5), dtype=complex)
+    for p in range(3):
+        half = (breaks[p + 1] - breaks[p]) / 2
+        va, vb = (np.moveaxis(L.legval(NODES, pw.coeffs[p]), -1, 0) for pw in (a, b))  # (16, 2, m)
+        want += half * np.einsum("q,qhi,qhj->ij", WEIGHTS, va, vb)
+    got = a.product_integral(b)
+    assert got.shape == (4, 5)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(ValueError):
+        a.product_integral(PwPoly(breaks + 0.1, b.coeffs))
+    with pytest.raises(ValueError):
+        a.product_integral(PwPoly(breaks, b.coeffs[:, :, :1]))
 
 
 def test_pwpoly_shape_validation():

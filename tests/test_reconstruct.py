@@ -289,6 +289,10 @@ def test_cocycle_from_json_unavailable():
                   {"gamma": "T", "panel": [[0, -1]], "values": {}},
                   {"gamma": "m:0,1,-1,0", "panel": [[0, -1]], "values": {"A1": [[9, 9]]}}]},
      ("entry 2", "'m:0,1,-1,0'", "entry 0", "'S'")),
+    # panels the reader cannot tell apart (within its 1e-12 match) are one panel
+    ({"entries": [{"gamma": "S", "panel": [[0, -1]], "values": {"A1": [[1, 0]]}},
+                  {"gamma": "S", "panel": [[1e-14, -1]], "values": {"A1": [[9, 9]]}}]},
+     ("entry 1", "'S'", "repeats entry 0", "on its panel")),
 ])
 def test_cocycle_from_json_names_malformed_entry(data, named):
     with pytest.raises(ValueError) as err:
