@@ -38,7 +38,7 @@ from .cocycle import (
 from .iterint import IterIntError, path_split_check, report_passes
 from .mlv import double_moments, lambda_probe, moments_table, verify_shuffle
 from .modforms import EvalError, cusp_space_basis, eta_form, level_one_basis
-from .ncpoly import mono_str, parse_mono
+from .ncpoly import mono_str, parse_mono_keys
 from .quadrature import QuadratureError
 from .reconstruct import (
     PEEL_VALUE_GRID,
@@ -227,19 +227,16 @@ def _hidden_from_file(path: str) -> dict:
     catalog is built: each value a list of finite JSON numbers."""
     raw = read_json(path)
     if not isinstance(raw, dict):
-        raise ConfigError("hidden-h file must map monomials to coefficient lists")
+        raise ConfigError(f"{path}: hidden-h file must map monomials to coefficient lists")
     coeffs = {}
-    for key, val in raw.items():
-        if not (isinstance(val, list) and all(type(x) in (int, float) for x in val)):
-            raise ConfigError(f"{key}: coefficients must be a list of numbers")
-        try:
-            m = parse_mono(key)
-            vec = np.array(val, dtype=float)
-        except (ValueError, OverflowError) as e:
-            raise ConfigError(f"{key}: {e}")
-        if m in coeffs:
-            raise ConfigError(f"{key}: monomial {mono_str(m)} given twice")
-        coeffs[m] = vec
+    try:
+        for m, key in parse_mono_keys(raw).items():
+            val = raw[key]
+            if not (isinstance(val, list) and all(type(x) in (int, float) for x in val)):
+                raise ValueError(f"{key}: coefficients must be a list of numbers")
+            coeffs[m] = np.array(val, dtype=float)
+    except (ValueError, OverflowError) as e:
+        raise ConfigError(f"{path}: {e}") from None
     return coeffs
 
 

@@ -208,9 +208,7 @@ def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
     def ev(gamma: GroupElement, t):
         t = np.atleast_1d(np.asarray(t, dtype=complex))
         if gamma.c == 0:
-            out = np.zeros((len(t), words.total), dtype=complex)
-            out[:, 0] = 1.0
-            return out
+            return words.unit_rows(len(t))
         plan([(gamma, t)])
         (z, gt), (zi, _) = rays(gamma, t)
         slashed = rows_slash(words, solves[z, gt.tobytes()], gamma, t)
@@ -335,8 +333,7 @@ def eta_example_check(h: CuspCollection, z0: complex, t, D: int,
     product = rows_mul(words, sTp, sT)
     sS = rows_slash(words, P(S, S.mobius(t)), S, t)
     involution = rows_mul(words, sS, psiS)
-    unit = np.zeros_like(psiS)
-    unit[:, 0] = 1.0
+    unit = words.unit_rows(len(t))
     return identity_report(
         "eta_example", np.concatenate([psiS, involution]), np.concatenate([product, unit]),
         t, words, product_relation_max=float(np.max(np.abs(psiS - product))),

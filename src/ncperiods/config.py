@@ -8,7 +8,6 @@ field names; explicit flags override file values.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import sys
@@ -16,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .iterint import QuadConfig, series_weight
+from .iterint import Endpoint, QuadConfig, series_weight, validate_panel
 from .ncpoly import Alphabet, Letter
 
 __all__ = [
@@ -27,6 +26,7 @@ __all__ = [
     "format_alphabet",
     "parse_panel",
     "read_json",
+    "json_points",
 ]
 
 # canonical 5-point panel in the lower half plane
@@ -66,6 +66,26 @@ def _unique_keys(pairs) -> dict:
             raise ValueError(f"key {key!r} given twice")
         out[key] = value
     return out
+
+
+def _is_pair(p) -> bool:
+    """An [re, im] pair: a list of two JSON numbers (a bool is not a number)."""
+    return isinstance(p, list) and len(p) == 2 and all(type(x) in (int, float) for x in p)
+
+
+def json_points(pairs, what: str) -> np.ndarray:
+    """Complex points from a JSON list of [re, im] pairs.  Only JSON numbers
+    are numbers: a string or a bool is refused with the point it sits in."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"{what} must list [re,im] pairs of numbers")
+    for j, pair in enumerate(pairs):
+        if not _is_pair(pair):
+            raise ValueError(f"{what} must list [re,im] pairs of numbers; point {j} is {pair!r}")
+    try:
+        arr = np.array(pairs, dtype=float).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError(f"{what}: a number overflows float64") from None
+    return arr[:, 0] + 1j * arr[:, 1]
 
 
 def parse_alphabet(spec: str) -> Alphabet:
@@ -129,7 +149,9 @@ def _point(p) -> complex:
     """One point from a number, an "re+imj" string or an [re, im] pair."""
     if isinstance(p, str):
         return complex(p.replace(" ", ""))
-    if isinstance(p, (list, tuple)) and len(p) == 2:
+    if isinstance(p, list):
+        if not _is_pair(p):
+            raise ValueError(f"{p!r} is not an [re, im] pair of numbers")
         return complex(*p)
     return complex(p)
 
@@ -139,13 +161,9 @@ def parse_panel(spec) -> tuple:
     try:
         parts = [p for p in spec.split(";") if p.strip()] if isinstance(spec, str) else spec
         vals = [_point(p) for p in parts]
-    except (ValueError, TypeError) as e:
+        validate_panel(vals)
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"bad panel {spec!r} (want \"re+imj;...\" or [re, im] pairs): {e}")
-    if not vals:
-        raise ConfigError("empty panel")
-    for v in vals:
-        if not (cmath.isfinite(v) and v.imag < 0):
-            raise ConfigError(f"panel point {v} is not a finite point of the lower half plane")
     return tuple(vals)
 
 
@@ -193,12 +211,9 @@ class RunConfig:
         object.__setattr__(self, "panel", parse_panel(self.panel))
         parse_alphabet(self.alphabet)  # validate early
         try:
-            z0 = _point(self.z0)
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"bad z0 {self.z0!r} (want a number or an [re, im] pair): {e}")
-        if not (cmath.isfinite(z0) and z0.imag > 0):
-            raise ConfigError(f"z0 {z0} is not a finite point of the upper half plane")
-        object.__setattr__(self, "z0", z0)
+            object.__setattr__(self, "z0", Endpoint.point(_point(self.z0)).z)
+        except (ValueError, TypeError, OverflowError) as e:
+            raise ConfigError(f"bad z0 {self.z0!r}: {e}") from None
         self.check_kernel_range(self.degree)
 
     def check_kernel_range(self, degree: int, weights=None):

@@ -56,6 +56,7 @@ __all__ = [
     "cusp_frame",
     "cutoff_height",
     "series_weight",
+    "validate_panel",
     "zt_pow",
     "r_direct",
     "j_rows_direct",
@@ -102,7 +103,7 @@ class Endpoint:
     def point(z) -> "Endpoint":
         z = complex(z)
         if not (np.isfinite(z) and z.imag > 0):
-            raise ValueError(f"a point of the upper half plane needs finite z, Im z > 0, got {z}")
+            raise ValueError(f"{z} is not a finite point of the upper half plane")
         return Endpoint("point", z=z)
 
     @staticmethod
@@ -243,10 +244,14 @@ def build_path(x: Endpoint, y: Endpoint, cutoff: float) -> list:
     return path
 
 
-def _validate_t(t) -> np.ndarray:
+def validate_panel(t) -> np.ndarray:
+    """t as a nonempty 1-d complex panel whose points are finite with Im t < 0."""
     t = np.atleast_1d(np.asarray(t, dtype=complex))
-    if not np.all(np.isfinite(t) & (t.imag < 0)):
-        raise ValueError("t panel points must be finite and strictly in the lower half plane")
+    if not len(t):
+        raise ValueError("empty panel")
+    bad = ~(np.isfinite(t) & (t.imag < 0))
+    if np.any(bad):
+        raise ValueError(f"panel point {t[bad][0]} is not a finite point of the lower half plane")
     return t
 
 
@@ -290,7 +295,7 @@ def r_direct(forms, y, x, t, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     one adaptive pass per level and path segment, level d integrating
     f_{l-d+1}(z) (z-t)^w against level d-1.  Returns shape (len(t),).
     """
-    t = _validate_t(t)
+    t = validate_panel(t)
     forms = list(forms)
     y = Endpoint.coerce(y)
     x = Endpoint.coerce(x)
@@ -316,12 +321,11 @@ def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndar
     the lower degrees' antiderivatives: one adaptive pass per degree and path
     segment, with one form evaluation serving the whole support.
     """
-    t = _validate_t(t)
+    t = validate_panel(t)
     y = Endpoint.coerce(y)
     x = Endpoint.coerce(x)
     words = GradedWords(h.alphabet, D)
-    out = np.zeros((len(t), words.total), dtype=complex)
-    out[:, 0] = 1.0
+    out = words.unit_rows(len(t))
     support = [(m, f) for m, f in h.support if len(m) <= D]
     if y == x or not support:
         return out
@@ -336,7 +340,7 @@ def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndar
 
     path = build_path(x, y, _series_cutoff(h, D, t, cfg.atol))
     ends = _layers(path, t, [[f for _, f in support]] * D, block, cfg)
-    out[:, 1:] = np.concatenate(ends, axis=-1)
+    out[:, words.block(1).start:] = np.concatenate(ends, axis=-1)
     return out
 
 
@@ -377,7 +381,7 @@ def path_split_check(forms, z, y, x, t, cfg: QuadConfig = QuadConfig()) -> dict:
 
     Every term is an independent layered quadrature, so the identity is a
     genuine cross-check, not a rearrangement of one computation."""
-    t = _validate_t(t)
+    t = validate_panel(t)
     forms = list(forms)
     l = len(forms)
     total = r_direct(forms, z, x, t, cfg)
@@ -445,14 +449,12 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     panels, which bounds the (nodes, points, words) arrays; groups that
     step onto the same panel (y, width) share its form values.
     """
-    t = _validate_t(t)
+    t = validate_panel(t)
     z0 = Endpoint.point(z0).z
     words = GradedWords(h.alphabet, D)
     monos = tuple(h.support_monos)
     if not monos:
-        out = np.zeros((len(t), words.total), dtype=complex)
-        out[:, 0] = 1.0
-        return out
+        return words.unit_rows(len(t))
 
     forms = list(h.support_forms)
     wvec = np.array([float(mono_weight(h.alphabet, m)) for m in monos])  # kernel powers w(B)
@@ -470,8 +472,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
 
     def solve(tc):
         """The ray for the panel points tc, from J = 1 at the cutoff height."""
-        J = np.zeros((len(tc), words.total), dtype=complex)
-        J[:, 0] = 1.0
+        J = words.unit_rows(len(tc))
         om = np.zeros((_NODES, len(tc), n_om), dtype=complex)  # Omega at the panel's nodes
         s = 0.0
         width = min(1.0, L / 10)

@@ -27,6 +27,7 @@ __all__ = [
     "mono_multiplier",
     "mono_str",
     "parse_mono",
+    "parse_mono_keys",
     "series_block",
     "nc_mul",
     "nc_inv",
@@ -162,6 +163,20 @@ def parse_mono(text: str) -> Mono:
     return tuple(out)
 
 
+def parse_mono_keys(keys) -> dict:
+    """{monomial: key} by parse_mono, refusing a bad key or two spellings of one monomial."""
+    out = {}
+    for key in keys:
+        try:
+            m = parse_mono(key)
+        except ValueError as e:
+            raise ValueError(f"bad monomial {key!r}: {e}") from None
+        if m in out:
+            raise ValueError(f"keys {out[m]!r} and {key!r} both spell monomial {mono_str(m)}")
+        out[m] = key
+    return out
+
+
 class GradedWords:
     """Indexing of all words of degree <= D over an alphabet.
 
@@ -186,12 +201,12 @@ class GradedWords:
     def index(self, m: Mono) -> int:
         d = len(m)
         if d > self.D:
-            raise ValueError(f"degree {d} exceeds truncation {self.D}")
+            raise ValueError(f"{mono_str(m)}: degree {d} exceeds truncation {self.D}")
         ell = self.alphabet.ell
         pos = 0
         for j in m:
             if not 1 <= j <= ell:
-                raise ValueError(f"letter index {j} out of range")
+                raise ValueError(f"{mono_str(m)}: letter index {j} out of range")
             pos = pos * ell + (j - 1)
         return self.offsets[d] + pos
 
@@ -215,6 +230,12 @@ class GradedWords:
 
     def block(self, d: int) -> slice:
         return slice(self.offsets[d], self.offsets[d + 1])
+
+    def unit_rows(self, n: int) -> np.ndarray:
+        """(n, n_words) complex rows of the unit series 1."""
+        out = np.zeros((n, self.total), dtype=complex)
+        out[:, 0] = 1.0
+        return out
 
     @cached_property
     def _tables(self):

@@ -27,10 +27,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cocycle import CuspCollection, psi, psi_evaluator, rows_slash, untwist_rows
-from .config import ConfigError, RunConfig
-from .iterint import Endpoint, QuadConfig, r_direct
+from .config import ConfigError, RunConfig, json_points
+from .iterint import Endpoint, QuadConfig, r_direct, validate_panel
 from .modforms import cusp_space_basis, form_linear_combination
-from .ncpoly import Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight, parse_mono
+from .ncpoly import Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight, parse_mono_keys
 from .sl2z import GroupElement, S, parse_gamma_label, parse_word
 
 __all__ = [
@@ -95,9 +95,7 @@ def build_catalog(alphabet: Alphabet, D: int, panel,
     The samples depend only on the cusp space (weight, multiplier), so every
     monomial of one space shares one basis tuple and one read-only samples
     array, sampled once per call."""
-    panel = np.atleast_1d(np.asarray(panel, dtype=complex))
-    if np.any(panel.imag >= 0):
-        raise ValueError("panel points must lie in the lower half-plane")
+    panel = validate_panel(panel)
     words = GradedWords(alphabet, D)
     top = Endpoint.cusp(None)
     zero = Endpoint.cusp(Fraction(0))
@@ -124,7 +122,9 @@ def hidden_collection(catalog: BasisCatalog, coeffs: dict) -> CuspCollection:
     """The collection whose form at each monomial m is the combination
     coeffs[m] of the catalog basis at m (the input a round trip hides)."""
     forms = {}
+    words = GradedWords(catalog.alphabet, catalog.D)
     for m, c in coeffs.items():
+        words.index(m)  # names a degree above D or a letter outside the alphabet
         entry = catalog.entry(m)
         if entry is None:
             raise ValueError(f"{mono_str(m)}: no cusp forms exist for this monomial")
@@ -170,22 +170,6 @@ def _canon_key(gamma: GroupElement) -> tuple:
     raise ValueError("singular matrix")
 
 
-def _json_points(pairs, what: str) -> np.ndarray:
-    """Complex points from a JSON list of [re, im] pairs.  Only JSON numbers
-    are numbers: a string or a bool is refused with the point it sits in."""
-    if not isinstance(pairs, list):
-        raise ValueError(f"{what} must list [re,im] pairs of numbers")
-    for j, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(type(x) in (int, float) for x in pair)):
-            raise ValueError(f"{what} must list [re,im] pairs of numbers; point {j} is {pair!r}")
-    try:
-        arr = np.array(pairs, dtype=float).reshape(-1, 2)
-    except OverflowError:
-        raise ValueError(f"{what}: a number overflows float64") from None
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
 def _same_panel(pts: np.ndarray, t: np.ndarray) -> bool:
     """The values reader's panel match: same length, every point within 1e-12."""
     return len(pts) == len(t) and np.allclose(pts, t, rtol=0, atol=1e-12)
@@ -197,10 +181,10 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
     data has the shape that dump_cocycle_values and `ncperiods psi` write:
         {"entries": [{"gamma": "S", "panel": [[re,im],...],
                       "values": {"A1": [[re,im],...], ...}}, ...]}
-    with one values list per monomial, one pair per panel point, and at most
-    one entry per gamma (up to sign) and panel, two panels being one when the
-    reader cannot tell them apart (_same_panel).  Monomials not listed are
-    zero, the constant term is fixed at 1.  A "degree" field, which
+    with one values list and one key per monomial, one pair per panel point,
+    and at most one entry per gamma (up to sign) and panel, two panels being
+    one when the reader cannot tell them apart (_same_panel).  Monomials not
+    listed are zero, the constant term is fixed at 1.  A "degree" field, which
     dump_cocycle_values writes, must be the JSON int D.  Requests off the
     stored grid raise UnavailableValue (peel then records the affected checks
     as skipped).  Any other shape raises ValueError.
@@ -225,7 +209,6 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
         for name in ("gamma", "panel", "values"):
             if name not in ent:
                 raise ValueError(f"{where}: missing field {name!r}")
-        panel_pts = _json_points(ent["panel"], f"{where}: field 'panel'")
         label, values = ent["gamma"], ent["values"]
         if not isinstance(label, str):
             raise ValueError(f"{where}: field 'gamma' must be a label string")
@@ -235,19 +218,14 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
             raise ValueError(f"{where}: bad gamma label {label!r}: {e}") from None
         if not isinstance(values, dict):
             raise ValueError(f"{where}: values must map monomials to [re,im] pairs")
-        if not len(panel_pts) or not np.all(np.isfinite(panel_pts) & (panel_pts.imag < 0)):
-            raise ValueError(f"{where}: panel points must be finite and in the lower half plane")
-        rows = np.zeros((len(panel_pts), words.total), dtype=complex)
-        rows[:, 0] = 1.0
-        for key, pairs in values.items():
-            try:
-                m = parse_mono(key)
-                col = words.index(m)
-            except ValueError as e:
-                raise ValueError(f"{where}: bad monomial {key!r}: {e}") from None
-            if not m:
-                continue
-            pts = _json_points(pairs, f"{label}/{key}: values")
+        try:
+            panel_pts = validate_panel(json_points(ent["panel"], "field 'panel'"))
+            cols = {key: words.index(m) for m, key in parse_mono_keys(values).items() if m}
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
+        rows = words.unit_rows(len(panel_pts))
+        for key, col in cols.items():
+            pts = json_points(values[key], f"{label}/{key}: values")
             if len(pts) != len(panel_pts):
                 raise ValueError(f"{label}/{key}: need one [re,im] pair per panel point")
             rows[:, col] = pts
@@ -321,7 +299,7 @@ def dump_cocycle_values(X, alphabet: Alphabet, D: int, panel, grid=PEEL_VALUE_GR
     for label, move, gamma, pts in _grid_reads(X, panel, grid):
         rows = np.asarray(X(gamma, pts), dtype=complex)
         values = {}
-        for i in range(1, words.total):
+        for i in range(words.block(1).start, words.total):
             col = rows[:, i]
             if np.max(np.abs(col)) == 0.0:
                 continue
@@ -350,6 +328,9 @@ def deconjugate(X, n, words: GradedWords):
         t = np.atleast_1d(np.asarray(t, dtype=complex))
         return untwist_rows(words, np.asarray(X(gamma, t), dtype=complex),
                             n_at(t), n_at(gamma.mobius(t)), gamma, t)
+
+    if hasattr(X, "plan"):  # ev reads X at the (gamma, panel) pairs ev is read at
+        ev.plan = X.plan
     return ev
 
 
@@ -437,8 +418,7 @@ def peel(X, catalog: BasisCatalog, z0=RunConfig.z0, cfg: QuadConfig = QuadConfig
 
     report = PeelReport(panel=[[float(p.real), float(p.imag)] for p in panel])
 
-    unit = np.zeros((len(panel), words.total), dtype=complex)
-    unit[:, 0] = 1.0
+    unit = words.unit_rows(len(panel))
     xv = _grid_values(X, panel)
     x_t, x_s = xv.get(("T", None)), xv.get(("S", None))
     if x_t is None:

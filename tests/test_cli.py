@@ -103,7 +103,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["verify", "rel2", "--panel", "abc"]) == 1
     assert main(["verify", "rel2", "--panel", "1+2j;x"]) == 1
     cfgfile = tmp_path / "cfg.json"
-    for bad in ({"degree": "3"}, {"panel": [[1]]}, {"rtol": "x"}, {"z0": [1]}, {"seed": -1}):
+    # a bool is not a number, inside an [re, im] pair either
+    for bad in ({"degree": "3"}, {"panel": [[1]]}, {"rtol": "x"}, {"z0": [1]}, {"seed": -1},
+                {"panel": [[True, -1], [0.5, -1.2]]}, {"z0": [False, 2]},
+                {"panel": [[0, -10**400]]}):  # an int JSON reads exactly, too large for a float
         cfgfile.write_text(json.dumps(bad))
         assert main(["verify", "rel2", "--config", str(cfgfile)]) == 1
     # tolerances that would silently break the solvers: atol 0 puts the
@@ -478,6 +481,13 @@ def _numbers_as(convert, field):
     return rewrite
 
 
+def _second_spelling(data):
+    """X_S's A1 column given again under the key A+1, with other values."""
+    entry = next(e for e in data["entries"] if e["gamma"] == "S")
+    entry["values"]["A+1"] = [[9.0, 9.0] for _ in entry["values"]["A1"]]
+    return json.dumps(data)
+
+
 def _nan_x_s(data):
     entry = next(e for e in data["entries"] if e["gamma"] == "S")
     entry["values"]["A1"][0][0] = float("nan")
@@ -511,6 +521,10 @@ def _nan_x_s(data):
     pytest.param(_numbers_as(bool, "panel"), _AB2, 1,
                  "error: {path}: entry 0: field 'panel' must list [re,im] pairs of numbers; "
                  "point 0 is [False, True]\n", id="bool-panel"),
+    # two spellings of one monomial: neither column may win silently
+    pytest.param(_second_spelling, _AB2, 1,
+                 "error: {path}: entry 2: keys 'A1' and 'A+1' both spell monomial A1\n",
+                 id="two-spellings"),
 ])
 def test_peel_refuses_bad_values_file(tmp_path, capsys, psi_values, content, argv, code,
                                       message):
@@ -555,6 +569,10 @@ def test_matrix_label_needs_m_prefix(capsys):
         ('{"B1": [1.0]}', "error: "),
         ('{"A1": ["x"]}', "error: "),
         ('{"A1": [NaN]}', "error: "),
+        ('{"A1": [1], "A+1": [2]}',
+         r"error: .*h\.json: keys 'A1' and 'A\+1' both spell monomial A1$"),
+        # longer than the catalog's degree, not a monomial without cusp forms
+        ('{"A1*A1": [1.0]}', r"error: A1\*A1: degree 2 exceeds truncation 1$"),
         # overflows while the hidden form is combined
         ('{"A1": [1e300]}', "error: A1: combination overflows"),
         # finite, but too large for any stored expansion to certify

@@ -351,8 +351,10 @@ def test_t_panel_validation(delta):
         r_direct([delta], None, 0, np.array([-0.5j, 0.0j]))
     # a non-finite point is refused by name, not by exhausting the quadrature
     for bad in (complex(math.nan, -1.0), complex(0.0, -math.inf)):
-        with pytest.raises(ValueError, match="finite"):
-            r_direct([delta], None, 0, np.array([-0.5j, bad]))
+        with pytest.raises(ValueError, match="finite") as err:
+            r_direct([delta], None, 0, np.array([-0.5j, bad, complex(math.inf, -1.0)]))
+        # the message names the first bad point
+        assert str(err.value) == f"panel point {bad} is not a finite point of the lower half plane"
     ab = Alphabet((Letter.trivial(10),))
     h = CuspCollection.from_letters(ab, [delta])
     with pytest.raises(ValueError):

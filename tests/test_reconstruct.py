@@ -81,6 +81,9 @@ def test_catalog_samples_match_period_polynomials(catalog, delta, g16):
     ({(1,): np.array([1.0, 5.0])}, "A1: expected 1 coefficients, got 2"),
     # S_6 = 0: the catalog has no entry for A2
     ({(2,): np.array([1.0])}, "A2: no cusp forms exist for this monomial"),
+    # S42 has dimension 3, but the catalog stops at degree 3
+    ({(1, 1, 1, 1): np.array([1.0])}, "A1\\*A1\\*A1\\*A1: degree 4 exceeds truncation 3"),
+    ({(3,): np.array([1.0])}, "A3: letter index 3 out of range"),
 ])
 def test_hidden_collection_refuses_coefficients_off_the_catalog(catalog, coeffs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -90,6 +93,10 @@ def test_hidden_collection_refuses_coefficients_off_the_catalog(catalog, coeffs,
 def test_catalog_rejects_bad_panel():
     with pytest.raises(ValueError):
         build_catalog(AB1, 1, np.array([0.5 + 0.5j]))
+    # refused by the panel rule itself, also where no cusp space has forms
+    # to integrate
+    with pytest.raises(ValueError, match=r"panel point \(nan-1j\) is not a finite point"):
+        build_catalog(Alphabet((Letter.trivial(4),)), 1, [complex("nan-1j"), -1j])
 
 
 def test_catalog_samples_each_cusp_space_once(monkeypatch):
@@ -292,7 +299,10 @@ def test_cocycle_from_json_unavailable():
     # panels the reader cannot tell apart (within its 1e-12 match) are one panel
     ({"entries": [{"gamma": "S", "panel": [[0, -1]], "values": {"A1": [[1, 0]]}},
                   {"gamma": "S", "panel": [[1e-14, -1]], "values": {"A1": [[9, 9]]}}]},
-     ("entry 1", "'S'", "repeats entry 0", "on its panel")),
+     ("entry 1", "'S'", "repeats entry 0", "on its panel")),    # two spellings of one monomial: neither column wins silently
+    ({"entries": [{"gamma": "S", "panel": [[0, -1]],
+                   "values": {"A1": [[1, 0]], "A01": [[9, 9]]}}]},
+     ("entry 0", "keys 'A1' and 'A01'", "monomial A1")),
 ])
 def test_cocycle_from_json_names_malformed_entry(data, named):
     with pytest.raises(ValueError) as err:
@@ -416,6 +426,37 @@ def test_deconjugate_evaluates_n_once_per_panel(delta):
     dump_cocycle_values(deconjugate(X, n, words), AB1, 2, PANEL)
     assert len(calls) == 7
     assert set(calls.values()) == {1}
+
+
+def test_deconjugate_keeps_the_planner(monkeypatch, delta):
+    """Reading the peel grid through deconjugate solves as many rays as
+    reading it from the bare evaluator: the twist forwards the evaluator's
+    plan, so the grid's reads are solved ahead in one call per base point."""
+    from ncperiods import cocycle
+
+    real = cocycle.vertical_J
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(cocycle, "vertical_J", counting)
+    words = GradedWords(AB2, 2)
+
+    def n(t):
+        rows = np.zeros((len(t), words.total), dtype=complex)
+        rows[:, 0] = 1.0
+        rows[:, 1] = 0.3 * t**2
+        return rows
+
+    solves = []
+    for wrap in (lambda X: X, lambda X: deconjugate(X, n, words)):
+        calls.clear()
+        reconstruct._grid_values(wrap(psi_evaluator(CuspCollection(AB2, {(1,): delta}), 2)),
+                                 PANEL)
+        solves.append(len(calls))
+    assert solves[0] == solves[1] == 4
 
 
 def test_injectivity_probe(delta, g16):
