@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig
 from .iterint import (Endpoint, IterIntError, QuadConfig, identity_report, j_rows_direct,
-                      vertical_J)
+                      validate_panel, vertical_J)
 from .modforms import EvalError
 from .ncpoly import (Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight, nc_inv,
                      nc_mul, slash_factors)
@@ -161,7 +161,9 @@ def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
 
     Psi_gamma is exactly 1 for c = 0 (gamma = +-T^m fixes oo and the two
     series coincide); otherwise it takes two vertical solves, J(z0) at gamma t
-    and J(gamma^(-1) z0) at t.  The evaluator keeps its solves, keyed on
+    and J(gamma^(-1) z0) at t.  Reads and plans of either kind refuse a
+    panel that breaks iterint.validate_panel's rule before anything else.
+    The evaluator keeps its solves, keyed on
     (base point, panel bytes), so requests sharing a ray solve it once.
 
     ev.plan(reads) takes a list of (gamma, panel) reads before they are
@@ -192,9 +194,9 @@ def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
     def plan(reads):
         todo = {}  # base point -> (the first gamma reading it, {panel bytes: panel})
         for gamma, t in reads:
+            t = validate_panel(t)
             if gamma.c == 0:
                 continue
-            t = np.atleast_1d(np.asarray(t, dtype=complex))
             for z, pts in rays(gamma, t):
                 key = pts.tobytes()
                 if (z, key) not in solves:
@@ -206,7 +208,7 @@ def psi_evaluator(h: CuspCollection, D: int, z0=RunConfig.z0,
                 solves[z, key] = part
 
     def ev(gamma: GroupElement, t):
-        t = np.atleast_1d(np.asarray(t, dtype=complex))
+        t = validate_panel(t)
         if gamma.c == 0:
             return words.unit_rows(len(t))
         plan([(gamma, t)])
@@ -227,7 +229,7 @@ def psi(h: CuspCollection, gamma: GroupElement, z0: complex, t, D: int,
 def j_between(h: CuspCollection, y, x, t, D: int,
               cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     """J(h; y, x; t) rows for interior points y, x, via the common base at oo."""
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
+    t = validate_panel(t)
     words = h.words(D)
     Jy = vertical_J(h, complex(y), t, D, cfg)
     Jx = vertical_J(h, complex(x), t, D, cfg)
@@ -263,7 +265,7 @@ def verify_cocycle(h: CuspCollection, gamma: GroupElement, delta: GroupElement,
     of the factors' entrywise absolute values: each entry is the sum of the
     sizes of the terms that make the matching entry of the right side.
     sides_max keeps max(|lhs|, |rhs|) for reading."""
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
+    t = validate_panel(t)
     words = h.words(D)
     P = psi_evaluator(h, D, z0, cfg)
     lhs = P(gamma * delta, t)
@@ -281,7 +283,7 @@ def verify_multiplicativity(h: CuspCollection, z, y, x, t, D: int,
     """J(z,x) = J(z,y) J(y,x) with every side from independent layered
     integrals; the degree-2 block is the classical two-term composition rule,
     degree 3 the three-term one."""
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
+    t = validate_panel(t)
     words = h.words(D)
     lhs = j_rows_direct(h, z, x, t, D, cfg)
     rhs = rows_mul(words, j_rows_direct(h, z, y, t, D, cfg),
@@ -293,7 +295,7 @@ def verify_equivariance(h: CuspCollection, gamma: GroupElement, y, x, t, D: int,
                         cfg: QuadConfig = QuadConfig()) -> dict:
     """(J(y,x)|gamma)(t) = J(gamma^(-1) y, gamma^(-1) x)(t), both sides from
     the layered route coefficient by coefficient."""
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
+    t = validate_panel(t)
     words = h.words(D)
     y = Endpoint.coerce(y)
     x = Endpoint.coerce(x)
@@ -306,7 +308,7 @@ def verify_equivariance(h: CuspCollection, gamma: GroupElement, y, x, t, D: int,
 def verify_base_point_independence(h: CuspCollection, gamma: GroupElement,
                                    z0a: complex, z0b: complex, t, D: int,
                                    cfg: QuadConfig = QuadConfig()) -> dict:
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
+    t = validate_panel(t)
     return identity_report("base_point_independence", psi(h, gamma, z0a, t, D, cfg),
                            psi(h, gamma, z0b, t, D, cfg), t, h.words(D),
                            gamma=gamma.entries())
@@ -323,7 +325,7 @@ def eta_example_check(h: CuspCollection, z0: complex, t, D: int,
     Psi_S on a different t panel, hence separate vertical solves.
     """
     from .sl2z import S, T
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
+    t = validate_panel(t)
     words = h.words(D)
     Tp = T * S * T
     P = psi_evaluator(h, D, z0, cfg)

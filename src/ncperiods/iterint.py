@@ -21,7 +21,11 @@ they can cross-check each other:
   vertical ray from a certified cutoff height, J(cutoff) = 1.  Omega raises
   word degree, so on each Chebyshev panel D Picard sweeps, one per degree,
   are exact up to the panel's interpolation error; rtol/atol set how finely
-  the panels resolve the integrand.
+  the panels resolve the integrand, in one test per panel after the sweeps.
+  The kernel is the power (z - t)**w (repeated squaring at the integer
+  weights of trivial multipliers), the panel's scaling dz/dx rides on the
+  form values it caches, and the row groups of one call, solved in an order
+  fixed by their points, try first the widths earlier groups accepted.
 
 Paths run point -> vertical -> horizontal connector -> vertical -> point.
 A cusp endpoint is traversed in a frame gamma with gamma(oo) = cusp: the
@@ -410,18 +414,21 @@ _VALS_TO_COEFS[[0, -1]] /= 2
 _CHEB_INT = chebyshev.chebval(_CHEB_X, chebyshev.chebint(_VALS_TO_COEFS, lbnd=-1)).T
 _CHEB_INT[0] = 0.0
 _CHEB_TAIL = _VALS_TO_COEFS[-2:]
+# A Picard sweep is one real product with _SWEEP, or _SWEEP_TOP for the top
+# degree, which needs only the panel end, on integrand values that already
+# carry the panel's dz/dx = -i width/2.  It gives the integrals from the
+# panel start, then the two trailing coefficients times 2, so that the sum
+# of their absolute values is width (|c_14| + |c_15|) of the integrand in x.
+_SWEEP = np.concatenate([_CHEB_INT, 2 * _CHEB_TAIL])
+_SWEEP_TOP = np.concatenate([_CHEB_INT[-1:], 2 * _CHEB_TAIL])
 # a smooth integrand at height y is analytic in the disk of radius y about
 # it, so it is resolved on panels far wider than this share of y
 _MIN_WIDTH = 2.0**-20
 # panel points solved at once, bounding the (nodes, points, words) arrays:
-# at 64 a 256-point psi grid peaked 1.4 MB higher in memory
+# at 64 a 256-point psi grid peaked 1.4 MB higher in memory, and the row
+# groups already share form values and accepted widths, so more rows per
+# group saves little
 _MAX_ROWS = 32
-
-
-def _sweep_matrix(ints, width: float) -> np.ndarray:
-    """The real matrix of one Picard sweep on a panel of this width: the
-    integral rows ints of _CHEB_INT, scaled to the panel, over _CHEB_TAIL."""
-    return np.concatenate([ints * (width / 2), _CHEB_TAIL])
 
 
 def _real_rows(M, g) -> np.ndarray:
@@ -440,14 +447,22 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     panels.  Omega raises word degree, so on each panel block k of J is the
     exact integral of Omega J read from the blocks below k: one form
     evaluation at the panel's points, then one Picard sweep per degree, each
-    the series_block product over the support's degrees.  The top degree
+    the series_block product over the support's degrees.  The kernel is
+    (z - t)**w, which numpy takes by repeated squaring for the integer
+    weights of trivial multipliers and by the general complex power for
+    fractional ones; the panel's dz/dx = -i width/2 is folded into the form
+    values once, so a sweep is one real product with _SWEEP.  The top degree
     feeds no later sweep, so its sweep integrates to the panel end only and
-    the panel's nodes hold only the blocks below it.  A
-    panel is accepted when the trailing Chebyshev coefficients of every
-    integrand block stay below atol + rtol |J|, and halved otherwise.  The
-    panel points are solved _MAX_ROWS at a time, each group on its own
-    panels, which bounds the (nodes, points, words) arrays; groups that
-    step onto the same panel (y, width) share its form values.
+    the panel's nodes hold only the blocks below it.  After the D sweeps one
+    test accepts the panel when the trailing Chebyshev coefficients of every
+    integrand block stay below atol + rtol |J| (J at either end); a rejected
+    panel is halved.  The panel points are solved _MAX_ROWS at a time, each
+    group on its own panels, which bounds the (nodes, points, words) arrays.
+    Within the call, groups that step onto the same panel (y, width) share
+    its form values, and a group that was not just rejected at a height
+    first tries the width an earlier group accepted there.  The groups run in
+    the order of their points' bytes, so the rows do not depend on where in
+    t a group stands.
     """
     t = validate_panel(t)
     z0 = Endpoint.point(z0).z
@@ -457,65 +472,69 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         return words.unit_rows(len(t))
 
     forms = list(h.support_forms)
-    wvec = np.array([float(mono_weight(h.alphabet, m)) for m in monos])  # kernel powers w(B)
     ymax = max(_series_cutoff(h, D, t, cfg.atol), z0.imag + 1.0)
     L = ymax - z0.imag
     # Omega: the support truncated at D (the cutoff above keeps the whole
     # support), held up to its top degree (a buffer of all words only crowds
     # the cache)
     keep = [b for b, m in enumerate(monos) if len(m) <= D]
+    wvec = np.array([float(mono_weight(h.alphabet, monos[b])) for b in keep])  # kernel powers w(B)
     cols = [words.index(monos[b]) for b in keep]
     degrees = sorted({len(monos[b]) for b in keep})
     n_om = words.block(max(degrees, default=0)).stop
     below = words.block(D).start
-    form_vals = {}  # (y, width) -> (_NODES, len(keep)) support values at that panel's nodes
+    form_vals = {}  # (y, width) -> (_NODES, len(keep)) support values at the panel's nodes, times dz/dx
+    accepted = {}  # y -> the width the first group to pass height y accepted there
 
     def solve(tc):
         """The ray for the panel points tc, from J = 1 at the cutoff height."""
         J = words.unit_rows(len(tc))
         om = np.zeros((_NODES, len(tc), n_om), dtype=complex)  # Omega at the panel's nodes
+        tails = np.zeros((2,) + J.shape, dtype=complex)  # the sweeps' trailing coefficients
         s = 0.0
         width = min(1.0, L / 10)
+        rejected = False
         while L - s > 1e-13 * L:
             y = ymax - s
+            if not rejected:
+                width = accepted.get(y, width)
             if width < _MIN_WIDTH * y:
                 raise IterIntError(f"ray unresolved at height {y:.3f}: panel width {width:.2e} "
                                    "and the integrand's Chebyshev tail still above tolerance")
             width = min(width, L - s)  # a short last panel is not a failure to resolve
             z = z0.real + 1j * (y - (_CHEB_X + 1) * (width / 2))
             if (y, width) not in form_vals:
-                form_vals[y, width] = eval_forms(forms, z)[keep].T
-            om[:, :, cols] = form_vals[y, width][:, None, :] * np.exp(
-                wvec[keep] * np.log(z[:, None] - tc)[:, :, None])
+                form_vals[y, width] = eval_forms(forms, z)[keep].T * (-0.5j * width)
+            om[:, :, cols] = form_vals[y, width][:, None, :] * (z[:, None] - tc)[:, :, None] ** wvec
             # the top degree feeds no later sweep: the nodes hold only the
             # blocks below it, and its sweep only the panel end
             nodes = np.repeat(J[None, :, :below], _NODES, axis=0)
             end_top = J[:, below:].copy()
-            start = np.abs(J)  # |J| at the panel start, for the tolerance scale
-            lower, top = _sweep_matrix(_CHEB_INT, width), _sweep_matrix(_CHEB_INT[-1:], width)
-            worst = 0.0
             for k in range(1, D + 1):
                 # block k of Omega J reads only the blocks of J below k
                 g = series_block(words, om, nodes, k, degrees)
-                sweep = _real_rows(top if k == D else lower, g)
-                ints = sweep[:-2]
-                ints *= -1j  # dz/ds = -i going down
+                sweep = _real_rows(_SWEEP_TOP if k == D else _SWEEP, g)
                 blk = end_top[None] if k == D else nodes[:, :, words.block(k)]
-                blk += ints
-                tail = width * np.abs(sweep[-2:]).sum(axis=0)
-                scale = cfg.atol + cfg.rtol * np.maximum(start[:, words.block(k)], np.abs(blk[-1]))
-                err = float(np.max(tail / scale))
-                if not math.isfinite(err):
-                    raise IterIntError(f"ODE state went non-finite at height {y:.3f}")
-                worst = max(worst, err)
-                if worst > 1.0:
-                    width /= 2
-                    break
-            else:
-                s += width
-                J = np.concatenate([nodes[-1], end_top], axis=1)
-                # the tail shrinks like width^_NODES: grow towards a 1e-3 tail, at most twofold
-                width *= min(2.0, max(1.0, (1e-3 / max(worst, 1e-300)) ** (1 / _NODES)))
+                blk += sweep[:-2]
+                tails[:, :, words.block(k)] = sweep[-2:]
+            end = np.concatenate([nodes[-1], end_top], axis=1)
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(J), np.abs(end))
+            err = float(np.max((np.abs(tails[0]) + np.abs(tails[1])) / scale))
+            if not math.isfinite(err):
+                raise IterIntError(f"ODE state went non-finite at height {y:.3f}")
+            rejected = err > 1.0
+            if rejected:
+                width /= 2
+                continue
+            accepted.setdefault(y, width)
+            s += width
+            J = end
+            # the tail shrinks like width^_NODES: grow towards a 1e-3 tail, at most twofold
+            width *= min(2.0, max(1.0, (1e-3 / max(err, 1e-300)) ** (1 / _NODES)))
         return J
 
-    return np.concatenate([solve(t[i:i + _MAX_ROWS]) for i in range(0, len(t), _MAX_ROWS)])
+    groups = [t[i:i + _MAX_ROWS] for i in range(0, len(t), _MAX_ROWS)]
+    rows = [None] * len(groups)
+    for i in sorted(range(len(groups)), key=lambda i: groups[i].tobytes()):
+        rows[i] = solve(groups[i])
+    return np.concatenate(rows)

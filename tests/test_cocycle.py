@@ -137,6 +137,19 @@ def test_psi_parabolic_unit(delta):
         assert np.max(np.abs(rows[:, 1:])) == 0.0
 
 
+@pytest.mark.parametrize("bad", [[complex("nan+1j"), 0.5 - 2j], [0.5 - 2j, 0.5 + 2j], []])
+def test_parabolic_read_keeps_the_panel_rule(delta, bad):
+    """A c = 0 read needs no ray, but its panel is refused as a c != 0 read's
+    is: a NaN, an upper-half-plane point or no point at all, by read and by
+    plan alike."""
+    ev = psi_evaluator(_one_letter(delta), 1)
+    for gamma in (T, I2):
+        with pytest.raises(ValueError, match="panel"):
+            ev(gamma, bad)
+        with pytest.raises(ValueError, match="panel"):
+            ev.plan([(gamma, bad)])
+
+
 @pytest.fixture
 def ray_calls(monkeypatch):
     """The (base point, panel) of every vertical_J call the cocycle module

@@ -255,6 +255,29 @@ def test_row_groups_share_form_values_by_panel(monkeypatch, delta, g16):
     assert np.concatenate([swapped[32:], swapped[:32]]).tobytes() == rows.tobytes()
 
 
+def test_row_groups_start_from_accepted_widths(monkeypatch, delta, g16):
+    """A later row group first tries the widths an earlier group of the same
+    call accepted at the same heights, so one call over both groups tries
+    fewer panels than the two groups solved in separate calls."""
+    h = CuspCollection.from_letters(Alphabet((Letter.trivial(10), Letter.trivial(14))),
+                                    [delta, g16])
+    t = _two_group_panel()
+    panels = []
+    real_block = iterint.series_block
+
+    def counting_block(words, xs, ys, d, degrees):
+        panels.append(d == 1)
+        return real_block(words, xs, ys, d, degrees)
+
+    monkeypatch.setattr(iterint, "series_block", counting_block)
+    vertical_J(h, 2j, t, 3)
+    together = sum(panels)
+    panels.clear()
+    vertical_J(h, 2j, t[:32], 3)
+    vertical_J(h, 2j, t[32:], 3)
+    assert together < sum(panels)
+
+
 def test_vertical_J_unit_at_degree_zero(delta):
     ab = Alphabet((Letter.trivial(10),))
     h = CuspCollection.from_letters(ab, [delta])
