@@ -22,6 +22,10 @@ they can cross-check each other:
   word degree, so on each Chebyshev panel D Picard sweeps, one per degree,
   are exact up to the panel's interpolation error; rtol/atol set how finely
   the panels resolve the integrand, in one test per panel after the sweeps.
+  The panels have 24 nodes: the integrand is entire in z, so a higher order
+  means fewer, wider panels, which is nearly all gain where a ray pays
+  Python overhead per panel, while the sweep product on wide row groups
+  grows as the order squared and outweighs the saving past 24.
   The kernel is the power (z - t)**w (repeated squaring at the integer
   weights of trivial multipliers), the panel's scaling dz/dx rides on the
   form values it caches, and the row groups of one call, solved in an order
@@ -399,14 +403,30 @@ def path_split_check(forms, z, y, x, t, cfg: QuadConfig = QuadConfig()) -> dict:
 # generating series along a vertical ray
 
 
-# Chebyshev-Picard panels on second-kind points x_k of [-1, 1], both ends
-# included.  The T_j are discretely orthogonal on these points, which gives
-# the map from values to interpolant coefficients in closed form (end points
-# and first and last coefficients halved; no linear solve, so importing the
-# module loads no LAPACK).  _CHEB_INT takes integrand values to the integral
-# of their interpolant from -1 to each point (row 0, from -1 to -1, exactly
-# 0); _CHEB_TAIL to the two trailing coefficients.
-_NODES = 16
+# Chebyshev-Picard panels on _NODES second-kind points x_k of [-1, 1], both
+# ends included.  The T_j are discretely orthogonal on these points, which
+# gives the map from values to interpolant coefficients in closed form (end
+# points and first and last coefficients halved; no linear solve, so
+# importing the module loads no LAPACK).  _CHEB_INT takes integrand values to
+# the integral of their interpolant from -1 to each point (row 0, from -1 to
+# -1, exactly 0); _CHEB_TAIL to the two trailing coefficients.
+#
+# The order.  The integrand is entire in z, so a higher order buys wider
+# panels.  Panels tried (rejected) in one seed-13 operation of the perfbench
+# workloads, and the median over three 10 s runs of the median wall time of
+# one operation, on a 2-core machine:
+#   nodes   roundtrip              psi_wide
+#   16      531 (118)  0.25 s      2,025 (49)  0.96 s
+#   20      382 (105)  0.20 s      1,393 (43)  0.77 s
+#   24      299  (86)  0.17 s      1,089 (40)  0.75 s
+#   28      264  (79)  0.16 s        944 (33)  0.79 s
+#   32      235  (70)  0.18 s        887 (23)  0.97 s
+# roundtrip solves one row group per ray and pays Python overhead on every
+# panel, so fewer panels are nearly all gain there.  psi_wide pays the
+# (N+2) x N sweep product on 32 x 31-word row groups, which grows as N^2:
+# past 24 it costs more than the fewer panels save.  24 is the fastest on
+# psi_wide and within the runs' spread of the fastest on roundtrip.
+_NODES = 24
 _CHEB_X = chebyshev.chebpts2(_NODES)
 _VALS_TO_COEFS = chebyshev.chebvander(_CHEB_X, _NODES - 1).T * (2.0 / (_NODES - 1))
 _VALS_TO_COEFS[:, [0, -1]] /= 2
@@ -418,7 +438,8 @@ _CHEB_TAIL = _VALS_TO_COEFS[-2:]
 # degree, which needs only the panel end, on integrand values that already
 # carry the panel's dz/dx = -i width/2.  It gives the integrals from the
 # panel start, then the two trailing coefficients times 2, so that the sum
-# of their absolute values is width (|c_14| + |c_15|) of the integrand in x.
+# of their absolute values is width (|c_{N-2}| + |c_{N-1}|) of the integrand
+# in x, N = _NODES.
 _SWEEP = np.concatenate([_CHEB_INT, 2 * _CHEB_TAIL])
 _SWEEP_TOP = np.concatenate([_CHEB_INT[-1:], 2 * _CHEB_TAIL])
 # a smooth integrand at height y is analytic in the disk of radius y about
@@ -447,13 +468,16 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     panels.  Omega raises word degree, so on each panel block k of J is the
     exact integral of Omega J read from the blocks below k: one form
     evaluation at the panel's points, then one Picard sweep per degree, each
-    the series_block product over the support's degrees.  The kernel is
-    (z - t)**w, which numpy takes by repeated squaring for the integer
-    weights of trivial multipliers and by the general complex power for
-    fractional ones; the panel's dz/dx = -i width/2 is folded into the form
-    values once, so a sweep is one real product with _SWEEP.  The top degree
-    feeds no later sweep, so its sweep integrates to the panel end only and
-    the panel's nodes hold only the blocks below it.  After the D sweeps one
+    the series_block product over the support's degrees.  A panel has
+    _NODES = 24 nodes: fewer, wider panels cost less Python overhead, and
+    past 24 the sweep product on wide row groups, which grows as the order
+    squared, costs more than they save.  The kernel is (z - t)**w, which
+    numpy takes by repeated squaring for the integer weights of trivial
+    multipliers and by the general complex power for fractional ones; the
+    panel's dz/dx = -i width/2 is folded into the form values once, so a
+    sweep is one real product with _SWEEP.  The top degree feeds no later
+    sweep, so its sweep integrates to the panel end only and the panel's
+    nodes hold only the blocks below it.  After the D sweeps one
     test accepts the panel when the trailing Chebyshev coefficients of every
     integrand block stay below atol + rtol |J| (J at either end); a rejected
     panel is halved.  The panel points are solved _MAX_ROWS at a time, each

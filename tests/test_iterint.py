@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.polynomial import chebyshev
 
 from ncperiods import iterint
 from ncperiods.cocycle import CuspCollection, j_rows_direct
@@ -26,7 +27,7 @@ from ncperiods.iterint import (
     vertical_J,
     zt_pow,
 )
-from ncperiods.modforms import level_one_basis
+from ncperiods.modforms import eta_form, level_one_basis
 from ncperiods.ncpoly import Alphabet, GradedWords, Letter, nc_mul, series_block
 
 PANEL = np.array([-0.7j, -0.4 - 0.6j])
@@ -147,6 +148,34 @@ def test_dual_route_agreement_multi_prefix(delta):
     ode = vertical_J(h, z0, PANEL, 3)
     quad = j_rows_direct(h, z0, None, PANEL, 3)
     assert np.max(np.abs(ode - quad)) <= 1e-12 * np.max(np.abs(ode))
+
+
+@pytest.mark.parametrize("N", [1, 3, 5])
+def test_dual_route_agreement_fractional_weight(N):
+    """A one-letter eta^N collection has the half-integer weight N/2 - 2, so
+    the ray's kernel takes the general complex power, not repeated squaring.
+    Checked against the layered route at D=3."""
+    h = CuspCollection.from_letters(Alphabet((Letter.eta(N),)), [eta_form(N)])
+    z0 = 0.25 + 1.3j
+    ode = vertical_J(h, z0, PANEL, 3)
+    quad = j_rows_direct(h, z0, None, PANEL, 3)
+    assert np.max(np.abs(ode - quad)) <= 1e-12 * max(1.0, np.max(np.abs(ode)))
+
+
+def test_panel_maps_follow_the_node_count():
+    """The ray's import-time Chebyshev maps, at whatever _NODES is: values to
+    coefficients inverts the Chebyshev Vandermonde matrix on the nodes, the
+    integral map is exact from -1 on every polynomial the nodes resolve, and
+    the sweep matrices stack those integrals over twice the tail rows."""
+    n = iterint._NODES
+    V = chebyshev.chebvander(iterint._CHEB_X, n - 1)  # column j: T_j at the nodes
+    assert np.allclose(iterint._VALS_TO_COEFS @ V, np.eye(n), rtol=0, atol=1e-13)
+    exact = chebyshev.chebval(iterint._CHEB_X, chebyshev.chebint(np.eye(n), lbnd=-1)).T
+    assert np.allclose(iterint._CHEB_INT @ V, exact, rtol=0, atol=1e-13)
+    assert iterint._SWEEP.shape == (n + 2, n)
+    assert np.array_equal(iterint._SWEEP[:-2], iterint._CHEB_INT)
+    assert np.array_equal(iterint._SWEEP[-2:], 2 * iterint._CHEB_TAIL)
+    assert np.array_equal(iterint._SWEEP_TOP, iterint._SWEEP[[n - 1, n, n + 1]])
 
 
 def test_one_pass_per_degree_and_segment(monkeypatch, delta, g16):
