@@ -89,6 +89,16 @@ def default_collection(cfg: RunConfig) -> CuspCollection:
     return CuspCollection(alphabet, entries)
 
 
+def _checked_collection(cfg: RunConfig, identity: str) -> CuspCollection:
+    """default_collection, refused when it is empty: the identity would then
+    compare 1 with 1 and pass having checked nothing."""
+    h = default_collection(cfg)
+    if not h.support:
+        raise ConfigError(f"verify {identity}: no letter of alphabet "
+                          f"{format_alphabet(h.alphabet)} carries a cusp form; nothing to check")
+    return h
+
+
 def _first_trivial_forms(cfg: RunConfig, count: int) -> list:
     """The form pair/tuple the decomposition and shuffle identities run on."""
     h = default_collection(cfg)
@@ -101,24 +111,28 @@ def _first_trivial_forms(cfg: RunConfig, count: int) -> list:
 
 
 def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | None) -> tuple:
+    if gamma is not None and identity not in ("cocycle", "equivariance", "basepoint"):
+        raise ConfigError(f"verify {identity} takes no --gamma")
+    if delta is not None and identity != "cocycle":
+        raise ConfigError(f"verify {identity} takes no --delta")
     panel = cfg.panel_array()
     quad = cfg.quad()
     D = cfg.degree
     if identity == "cocycle":
-        h = default_collection(cfg)
+        h = _checked_collection(cfg, identity)
         g = _parse_gamma(gamma or "S")
         d = _parse_gamma(delta or "T")
         rep = verify_cocycle(h, g, d, cfg.z0, panel, D, quad)
     elif identity == "equivariance":
-        h = default_collection(cfg)
+        h = _checked_collection(cfg, identity)
         g = _parse_gamma(gamma or "S")
         rep = verify_equivariance(h, g, _Y_MID, _X_LO, panel, D, quad)
     elif identity == "basepoint":
-        h = default_collection(cfg)
+        h = _checked_collection(cfg, identity)
         g = _parse_gamma(gamma or "S")
         rep = verify_base_point_independence(h, g, cfg.z0, _Z0_ALT, panel, D, quad)
     elif identity == "mult":
-        h = default_collection(cfg)
+        h = _checked_collection(cfg, identity)
         rep = verify_multiplicativity(h, _Z_HI, _Y_MID, _X_LO, panel, D, quad)
     elif identity in ("rel2", "rel3"):
         order = 2 if identity == "rel2" else 3
@@ -126,9 +140,9 @@ def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | No
         forms = _first_trivial_forms(cfg, order)
         rep = path_split_check(forms, _Z_HI, _Y_MID, _X_LO, panel, quad)
     elif identity == "eta-example":
-        h = default_collection(cfg)
-        if any(L.multiplier.kind != "eta_power" for L in h.alphabet.letters):
+        if any(L.multiplier.kind != "eta_power" for L in cfg.the_alphabet().letters):
             raise ConfigError("eta-example needs an eta alphabet, e.g. --alphabet eta4")
+        h = _checked_collection(cfg, identity)
         rep = eta_example_check(h, cfg.z0, panel, D, quad)
     elif identity == "shuffle":
         cfg.check_kernel_range(max(D, 2))
@@ -247,6 +261,10 @@ def cmd_roundtrip(cfg: RunConfig, hidden_path: str | None, random: bool) -> tupl
     panel = cfg.panel_array()
     quad = cfg.quad()
     catalog = build_catalog(cfg.the_alphabet(), cfg.degree, panel, quad)
+    if not catalog.entries:
+        raise ConfigError(f"roundtrip: no monomial of degree <= {cfg.degree} over alphabet "
+                          f"{format_alphabet(catalog.alphabet)} carries a cusp form; "
+                          "nothing to recover")
     if random:
         rng = np.random.default_rng(cfg.seed)
         coeffs = {e.mono: rng.uniform(-2.0, 2.0, size=e.dim) for e in catalog.entries}
@@ -366,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common], help="verify one identity")
     pv.add_argument("identity", choices=IDENTITIES)
-    pv.add_argument("--gamma", help='group element, word ("TS") or "m:a,b,c,d"')
+    pv.add_argument("--gamma", help='group element, word ("TS") or "m:a,b,c,d", for '
+                    "cocycle, equivariance and basepoint")
     pv.add_argument("--delta", help="second group element for the cocycle relation")
     pv.set_defaults(run=lambda cfg, a: cmd_verify(cfg, a.identity, a.gamma, a.delta))
 

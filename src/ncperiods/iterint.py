@@ -22,14 +22,11 @@ they can cross-check each other:
   word degree, so on each Chebyshev panel D Picard sweeps, one per degree,
   are exact up to the panel's interpolation error; rtol/atol set how finely
   the panels resolve the integrand, in one test per panel after the sweeps.
-  The panels have 24 nodes: the integrand is entire in z, so a higher order
-  means fewer, wider panels, which is nearly all gain where a ray pays
-  Python overhead per panel, while the sweep product on wide row groups
-  grows as the order squared and outweighs the saving past 24.
+  The panels have 24 nodes, the order measured fastest (see _NODES).
   The kernel is the power (z - t)**w (repeated squaring at the integer
   weights of trivial multipliers), the panel's scaling dz/dx rides on the
-  form values it caches, and the row groups of one call, solved in an order
-  fixed by their points, try first the widths earlier groups accepted.
+  form values, and the row groups of one call, solved in an order fixed by
+  their points, first try the panel an earlier group accepted at a height.
 
 Paths run point -> vertical -> horizontal connector -> vertical -> point.
 A cusp endpoint is traversed in a frame gamma with gamma(oo) = cusp: the
@@ -53,7 +50,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .modforms import eval_forms, transformation_factor
-from .ncpoly import GradedWords, mono_weight, series_block
+from .ncpoly import GradedWords, series_block
 from .quadrature import adaptive_pw
 from .sl2z import I2, GroupElement
 
@@ -447,8 +444,7 @@ _SWEEP_TOP = np.concatenate([_CHEB_INT[-1:], 2 * _CHEB_TAIL])
 _MIN_WIDTH = 2.0**-20
 # panel points solved at once, bounding the (nodes, points, words) arrays:
 # at 64 a 256-point psi grid peaked 1.4 MB higher in memory, and the row
-# groups already share form values and accepted widths, so more rows per
-# group saves little
+# groups already share accepted panels, so more rows per group saves little
 _MAX_ROWS = 32
 
 
@@ -469,46 +465,43 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     exact integral of Omega J read from the blocks below k: one form
     evaluation at the panel's points, then one Picard sweep per degree, each
     the series_block product over the support's degrees.  A panel has
-    _NODES = 24 nodes: fewer, wider panels cost less Python overhead, and
-    past 24 the sweep product on wide row groups, which grows as the order
-    squared, costs more than they save.  The kernel is (z - t)**w, which
-    numpy takes by repeated squaring for the integer weights of trivial
-    multipliers and by the general complex power for fractional ones; the
-    panel's dz/dx = -i width/2 is folded into the form values once, so a
-    sweep is one real product with _SWEEP.  The top degree feeds no later
-    sweep, so its sweep integrates to the panel end only and the panel's
-    nodes hold only the blocks below it.  After the D sweeps one
-    test accepts the panel when the trailing Chebyshev coefficients of every
-    integrand block stay below atol + rtol |J| (J at either end); a rejected
-    panel is halved.  The panel points are solved _MAX_ROWS at a time, each
-    group on its own panels, which bounds the (nodes, points, words) arrays.
-    Within the call, groups that step onto the same panel (y, width) share
-    its form values, and a group that was not just rejected at a height
-    first tries the width an earlier group accepted there.  The groups run in
-    the order of their points' bytes, so the rows do not depend on where in
-    t a group stands.
+    _NODES = 24 nodes, the order measured fastest (the table at _NODES).  The
+    kernel is (z - t)**w, which numpy takes by repeated squaring for the
+    integer weights of trivial multipliers and by the general complex power
+    for fractional ones; the panel's dz/dx = -i width/2 is folded into the
+    form values once, so a sweep is one real product with _SWEEP.  The top
+    degree feeds no later sweep, so its sweep integrates to the panel end
+    only and the panel's nodes hold only the blocks below it.  After the D
+    sweeps one test accepts the panel when the trailing Chebyshev
+    coefficients of every integrand block stay below atol + rtol |J| (J at
+    either end); a rejected panel is halved.  The panel points are solved
+    _MAX_ROWS at a time, each group on its own panels, which bounds the
+    (nodes, points, words) arrays.
+    Within the call, a group's first attempt at a height reuses the panel
+    the first group to pass that height accepted, its width and its form
+    values; every other attempt evaluates its own.  The groups run in the
+    order of their points' bytes, so the rows do not depend on where in t a
+    group stands.
     """
     t = validate_panel(t)
     z0 = Endpoint.point(z0).z
     words = GradedWords(h.alphabet, D)
-    monos = tuple(h.support_monos)
-    if not monos:
-        return words.unit_rows(len(t))
-
-    forms = list(h.support_forms)
-    ymax = max(_series_cutoff(h, D, t, cfg.atol), z0.imag + 1.0)
-    L = ymax - z0.imag
-    # Omega: the support truncated at D (the cutoff above keeps the whole
+    # Omega: the support truncated at D (the cutoff below keeps the whole
     # support), held up to its top degree (a buffer of all words only crowds
     # the cache)
-    keep = [b for b, m in enumerate(monos) if len(m) <= D]
-    wvec = np.array([float(mono_weight(h.alphabet, monos[b])) for b in keep])  # kernel powers w(B)
-    cols = [words.index(monos[b]) for b in keep]
-    degrees = sorted({len(monos[b]) for b in keep})
-    n_om = words.block(max(degrees, default=0)).stop
+    support = [(m, f) for m, f in h.support if len(m) <= D]
+    if not support:
+        return words.unit_rows(len(t))
+
+    forms = [f for _, f in support]
+    ymax = max(_series_cutoff(h, D, t, cfg.atol), z0.imag + 1.0)
+    L = ymax - z0.imag
+    wvec = np.array([float(f.shifted_weight) for f in forms])  # kernel powers w(B)
+    cols = [words.index(m) for m, _ in support]
+    degrees = sorted({len(m) for m, _ in support})
+    n_om = words.block(degrees[-1]).stop
     below = words.block(D).start
-    form_vals = {}  # (y, width) -> (_NODES, len(keep)) support values at the panel's nodes, times dz/dx
-    accepted = {}  # y -> the width the first group to pass height y accepted there
+    accepted = {}  # y -> (width, form values times dz/dx) of the first panel accepted at y
 
     def solve(tc):
         """The ray for the panel points tc, from J = 1 at the cutoff height."""
@@ -520,16 +513,15 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         rejected = False
         while L - s > 1e-13 * L:
             y = ymax - s
-            if not rejected:
-                width = accepted.get(y, width)
+            width, vals = accepted[y] if not rejected and y in accepted else (width, None)
             if width < _MIN_WIDTH * y:
                 raise IterIntError(f"ray unresolved at height {y:.3f}: panel width {width:.2e} "
                                    "and the integrand's Chebyshev tail still above tolerance")
             width = min(width, L - s)  # a short last panel is not a failure to resolve
             z = z0.real + 1j * (y - (_CHEB_X + 1) * (width / 2))
-            if (y, width) not in form_vals:
-                form_vals[y, width] = eval_forms(forms, z)[keep].T * (-0.5j * width)
-            om[:, :, cols] = form_vals[y, width][:, None, :] * (z[:, None] - tc)[:, :, None] ** wvec
+            if vals is None:
+                vals = eval_forms(forms, z).T * (-0.5j * width)
+            om[:, :, cols] = vals[:, None, :] * (z[:, None] - tc)[:, :, None] ** wvec
             # the top degree feeds no later sweep: the nodes hold only the
             # blocks below it, and its sweep only the panel end
             nodes = np.repeat(J[None, :, :below], _NODES, axis=0)
@@ -550,7 +542,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
             if rejected:
                 width /= 2
                 continue
-            accepted.setdefault(y, width)
+            accepted.setdefault(y, (width, vals))
             s += width
             J = end
             # the tail shrinks like width^_NODES: grow towards a 1e-3 tail, at most twofold

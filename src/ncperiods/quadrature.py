@@ -82,10 +82,6 @@ class PwPoly:
         out[1:, 0] += np.cumsum(2 * half[:, 0] * self.coeffs[:, 0], axis=0)[:-1]
         return PwPoly(self.breaks, out)
 
-    def integral(self):
-        widths = np.diff(self.breaks)
-        return np.tensordot(widths, self.coeffs[:, 0], axes=([0], [0]))
-
     def product_integral(self, other: "PwPoly") -> np.ndarray:
         """(m, n) table of int sum_mid a[..., i](s) b[..., j](s) ds for a = self
         and b = other on the same breaks, coeffs (K, ncoef, *mid, m) and

@@ -30,7 +30,8 @@ from .cocycle import CuspCollection, psi, psi_evaluator, rows_slash, untwist_row
 from .config import ConfigError, RunConfig, json_points
 from .iterint import Endpoint, QuadConfig, r_direct, validate_panel
 from .modforms import cusp_space_basis, form_linear_combination
-from .ncpoly import Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight, parse_mono_keys
+from .ncpoly import (Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight, parse_mono_keys,
+                     slash_factors)
 from .sl2z import GroupElement, S, parse_gamma_label, parse_word
 
 __all__ = [
@@ -394,6 +395,23 @@ def _abelian_check(xv, pv, words, d, panel, cfg) -> dict:
             "scale": scale, "threshold": thresh}
 
 
+def _fit(design, rhs) -> tuple:
+    """Real coefficients of the complex rhs on the complex columns of design:
+    least squares on the stacked real and imaginary parts, columns scaled to
+    unit norm.  Returns (coefficients, residual, cond): the largest misfit
+    relative to max(1, the largest entry of rhs or of the fit), and the
+    condition number of the scaled columns from the solve's singular values."""
+    A = np.concatenate([design.real, design.imag])
+    colnorm = np.linalg.norm(A, axis=0)
+    colnorm[colnorm == 0.0] = 1.0
+    A = A / colnorm
+    b = np.concatenate([rhs.real, rhs.imag])
+    coef, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+    fit = A @ coef
+    resid = float(np.max(np.abs(fit - b)) / max(1.0, np.max(np.abs(b)), np.max(np.abs(fit))))
+    return coef / colnorm, resid, float(sv[0] / sv[-1])
+
+
 def peel(X, catalog: BasisCatalog, z0=RunConfig.z0, cfg: QuadConfig = QuadConfig()) -> tuple:
     """Reconstruct a collection from cocycle panel values.
 
@@ -463,19 +481,11 @@ def peel(X, catalog: BasisCatalog, z0=RunConfig.z0, cfg: QuadConfig = QuadConfig
             if entry is None:
                 absent_rel = max(absent_rel, float(np.max(np.abs(col))) / block_scale)
                 continue
-            A = np.concatenate([(-entry.psi_samples).real, (-entry.psi_samples).imag])
-            colnorm = np.linalg.norm(A, axis=0)
-            colnorm[colnorm == 0.0] = 1.0
-            An = A / colnorm
-            b = np.concatenate([col.real, col.imag])
-            coefn, *_ = np.linalg.lstsq(An, b, rcond=None)
-            coef = coefn / colnorm
-            denom = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(An @ coefn))))
-            resid = float(np.max(np.abs(An @ coefn - b))) / denom
+            coef, resid, cond = _fit(-entry.psi_samples, col)
             fits[mono_str(m)] = {
                 "coefficients": [float(c) for c in coef],
                 "residual": resid,
-                "cond": float(np.linalg.cond(An)),
+                "cond": cond,
             }
             if resid > PEEL_TOL:
                 report.degrees.append(stage)
@@ -528,10 +538,7 @@ def _degree_one_coboundaries(words: GradedWords, idx: int, t: np.ndarray):
     L = words.alphabet.letter(j)
     if L.multiplier.eta_N % 24 != 0:
         return None
-    from .ncpoly import slash_factors
-    fac = slash_factors(words, S, t)[:, idx]
-    A = (fac - 1.0)[:, None]
-    return A / np.linalg.norm(A, axis=0)
+    return slash_factors(words, S, t)[:, idx] - 1.0
 
 
 def injectivity_probe(h: CuspCollection, hp: CuspCollection, panel, z0=RunConfig.z0,
@@ -577,10 +584,10 @@ def injectivity_probe(h: CuspCollection, hp: CuspCollection, panel, z0=RunConfig
     for idx in range(blk.start, blk.stop):
         col = diff[:, idx]
         if dstar == 1:
-            A = _degree_one_coboundaries(words, idx, t)
-            if A is not None:
-                coef, *_ = np.linalg.lstsq(A, col, rcond=None)
-                col = col - A @ coef
+            q = _degree_one_coboundaries(words, idx, t)
+            if q is not None:  # a complex multiple of q is a real one of (q, iq)
+                A = np.stack([q, 1j * q], axis=1)
+                col = col - A @ _fit(A, col)[0]
         worst = float(np.max(np.abs(col)))
         word_scale = max(1.0, float(np.max(np.abs(rows_h[:, idx]))),
                          float(np.max(np.abs(rows_hp[:, idx]))))

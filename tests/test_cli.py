@@ -57,6 +57,31 @@ def test_verify_basepoint_passes(tmp_path):
     assert code == 0 and rep["pass"] is True
 
 
+@pytest.mark.parametrize("identity,flag", [
+    (identity, flag) for identity in IDENTITIES for flag in ("--gamma", "--delta")
+    if identity not in {"--gamma": ("cocycle", "equivariance", "basepoint"),
+                        "--delta": ("cocycle",)}[flag]])
+def test_verify_refuses_a_flag_it_does_not_read(tmp_path, capsys, identity, flag):
+    assert run(tmp_path, "verify", identity, flag, "TS", "--degree", "1") == (1, "")
+    assert capsys.readouterr().err == f"error: verify {identity} takes no {flag}\n"
+
+
+_NO_FORMS = "no letter of alphabet 4:trivial carries a cusp form; nothing to check"
+
+
+@pytest.mark.parametrize("argv,message", [
+    *[pytest.param(["verify", identity], f"verify {identity}: {_NO_FORMS}", id=identity)
+      for identity in ("cocycle", "equivariance", "mult", "basepoint")],
+    pytest.param(["roundtrip", "--random"], "roundtrip: no monomial of degree <= 2 over "
+                 "alphabet 4:trivial carries a cusp form; nothing to recover", id="roundtrip"),
+])
+def test_nothing_to_check_is_refused(tmp_path, capsys, argv, message):
+    """A collection with no forms makes every identity read 1 = 1 and the round
+    trip compare nothing: refused, not passed."""
+    assert run(tmp_path, *argv, "--alphabet", "4:trivial", "--degree", "2") == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_threshold_breach_exits_2(tmp_path):
     code, text = run(tmp_path, "verify", "rel2", "--threshold", "1e-30")
     assert code == 2

@@ -26,7 +26,7 @@ from ncperiods.cocycle import (
 )
 from ncperiods.config import DEFAULT_PANEL
 from ncperiods.iterint import Endpoint, QuadConfig, report_passes
-from ncperiods.modforms import CuspForm, QSeries, eta_form, level_one_basis
+from ncperiods.modforms import CuspForm, QSeries, eta_form, form_linear_combination, level_one_basis
 from ncperiods.ncpoly import Alphabet, GradedWords, Letter
 from ncperiods.reconstruct import PEEL_VALUE_GRID, _grid_values, dump_cocycle_values
 from ncperiods.sl2z import I2, S, T, parse_gamma_label, parse_word, word_product
@@ -67,6 +67,16 @@ def test_collection_validation(delta, g16):
     zero = CuspForm(_F(10), delta.multiplier, QSeries(_F(1), _np.zeros(5, complex)))
     h = CuspCollection(ab, {(1,): zero})
     assert h.support == ()
+
+
+def test_collection_digest_keys_on_the_forms(delta, g16):
+    """Equal collections, however their support is spelled, share a digest;
+    a changed form changes it."""
+    ab = Alphabet((Letter.trivial(10), Letter.trivial(14)))
+    h = CuspCollection.from_letters(ab, [delta, g16])
+    assert CuspCollection(ab, {(2,): g16, (1,): delta}).digest == h.digest
+    doubled = CuspCollection.from_letters(ab, [delta, form_linear_combination([2.0], [g16])])
+    assert doubled.digest != h.digest
 
 
 def test_block_splits(delta):

@@ -256,10 +256,12 @@ def test_two_row_groups_match_the_layered_route(delta, g16):
 
 
 def test_row_groups_share_form_values_by_panel(monkeypatch, delta, g16):
-    """The row groups of one ray step onto some panels alike and onto others
-    not; a panel's form values are evaluated once and shared.  Swapping the
-    two groups swaps the rows bit for bit, so the panel's (height, width)
-    key holds every input the shared values depend on."""
+    """A row group's first attempt at a height reuses the panel an earlier
+    group accepted there, its form values included, and every other attempt
+    evaluates its own: fewer evaluations than attempts, but more than half.
+    Swapping the two groups swaps the rows bit for bit, so the accepted
+    panel, kept by its height, holds every input the shared values depend
+    on."""
     h = CuspCollection.from_letters(Alphabet((Letter.trivial(10), Letter.trivial(14))),
                                     [delta, g16])
     t = _two_group_panel()

@@ -153,7 +153,7 @@ def _double_moments_tensor(f1, f2, cfg=QuadConfig()):
         return fv[:, None, None] * G
 
     pw = adaptive_pw(outer, 1.0, ycut1, tol=cfg.quad_tol)
-    return 1j ** (k1s + 1)[:, None] * pw.integral()
+    return 1j ** (k1s + 1)[:, None] * pw.antiderivative()(pw.breaks[-1])
 
 
 @pytest.mark.parametrize("specs", [(12, 12), (12, 26), (26, 22), (22, 26), (16, 18), (20, 12)],

@@ -181,6 +181,12 @@ def test_digest_distinguishes():
     assert eta_form(4).digest != eta_form(8).digest
 
 
+def test_eta_power_24_space_is_level_one():
+    """eta^24 is the trivial multiplier: its space is the level-one one."""
+    got = cusp_space_basis(Fraction(10), MultiplierSpec.eta_power(24))
+    assert [f.digest for f in got] == [f.digest for f in level_one_basis(12)]
+
+
 def test_transformation_factor_T():
     """At T the factor reduces to the multiplier alone."""
     delta = level_one_basis(12)[0]

@@ -12,7 +12,7 @@ from ncperiods.cocycle import CuspCollection
 from ncperiods.config import DEFAULT_PANEL, ConfigError
 from ncperiods.iterint import Endpoint, QuadConfig, r_direct
 from ncperiods.mlv import period_polynomial
-from ncperiods.modforms import form_linear_combination, level_one_basis
+from ncperiods.modforms import eta_form, form_linear_combination, level_one_basis
 from ncperiods.ncpoly import (
     Alphabet,
     GradedWords,
@@ -25,7 +25,9 @@ from ncperiods.reconstruct import (
     PEEL_VALUE_GRID,
     PeelError,
     UnavailableValue,
+    _degree_one_coboundaries,
     _extend_panel,
+    _fit,
     build_catalog,
     cocycle_from_json,
     deconjugate,
@@ -480,6 +482,40 @@ def test_injectivity_probe(delta, g16):
 
     with pytest.raises(ValueError):
         injectivity_probe(h, CuspCollection(AB2, {(1,): delta}), PANEL)
+
+
+def test_injectivity_probe_reads_eta_letters_raw():
+    """An eta^4 letter admits no coboundary direction at degree one, so the
+    difference is read as it stands, on the panel as given."""
+    ab = Alphabet((Letter.eta(4),))
+    f = eta_form(4)
+    h = CuspCollection(ab, {(1,): f})
+    hp = CuspCollection(ab, {(1,): form_linear_combination([1.001], [f])})
+    assert _degree_one_coboundaries(GradedWords(ab, 1), 1, PANEL[:3]) is None
+    rep = injectivity_probe(h, hp, PANEL[:3])
+    assert rep["first_differing_degree"] == 1
+    assert rep["separated"] is True
+    assert rep["panel_size"] == 3
+
+
+def test_fit_reads_a_complex_multiple_as_two_real_coefficients():
+    """The pair (q, iq) spans the complex multiples of q: the fit returns the
+    real and imaginary part of the multiple, a misfit relative to the rhs,
+    and the condition number of the scaled stacked columns."""
+    q = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, 6))
+    A = np.stack([q, 1j * q], axis=1)
+    coef, resid, cond = _fit(A, (0.7 - 2.5j) * q)
+    assert np.allclose(coef, [0.7, -2.5], rtol=0, atol=1e-14)
+    assert resid < 1e-15
+    assert cond == pytest.approx(1.0)  # the stacked columns are orthogonal, of equal norm
+    off = np.conj(q) * 1j ** np.arange(6)
+    _, resid_off, _ = _fit(A, (0.7 - 2.5j) * q + off)
+    assert resid_off > 1e-2
+    scaled, _, cond_scaled = _fit(np.stack([q, 1e8 * q ** 2], axis=1), q + q ** 2)
+    assert np.allclose(scaled, [1.0, 1e-8], rtol=1e-12, atol=0)
+    B = np.stack([q, q ** 2], axis=1)
+    Bn = np.concatenate([B.real, B.imag])
+    assert cond_scaled == pytest.approx(np.linalg.cond(Bn / np.linalg.norm(Bn, axis=0)), rel=1e-12)
 
 
 def test_extend_panel():
