@@ -100,11 +100,13 @@ def _checked_collection(cfg: RunConfig, identity: str) -> CuspCollection:
 
 
 def _first_trivial_forms(cfg: RunConfig, count: int) -> list:
-    """The form pair/tuple the decomposition and shuffle identities run on."""
+    """The form pair/tuple the decomposition and shuffle identities run on,
+    refused when no trivial-multiplier letter carries a form."""
     h = default_collection(cfg)
     forms = [f for f in h.support_forms if f.multiplier.kind == "trivial"]
     if not forms:
-        raise ConfigError("identity needs at least one trivial-multiplier letter")
+        raise ConfigError(f"no trivial-multiplier letter of alphabet "
+                          f"{format_alphabet(h.alphabet)} carries a cusp form; nothing to check")
     while len(forms) < count:
         forms.append(forms[-1])
     return forms[:count]

@@ -30,8 +30,8 @@ from .cocycle import CuspCollection, psi, psi_evaluator, rows_slash, untwist_row
 from .config import ConfigError, RunConfig, json_points
 from .iterint import Endpoint, QuadConfig, r_direct, validate_panel
 from .modforms import cusp_space_basis, form_linear_combination
-from .ncpoly import (Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight, parse_mono_keys,
-                     slash_factors)
+from .ncpoly import (Alphabet, GradedWords, mono_multiplier, mono_str, mono_weight, parse_mono,
+                     parse_mono_keys, slash_factors)
 from .sl2z import GroupElement, S, parse_gamma_label, parse_word
 
 __all__ = [
@@ -137,19 +137,21 @@ def hidden_collection(catalog: BasisCatalog, coeffs: dict) -> CuspCollection:
 
 
 def compare_recovery(coeffs: dict, report: PeelReport) -> tuple:
-    """Hidden basis coefficients against the ones peel fitted.
+    """Hidden basis coefficients against the ones peel fitted, on every
+    monomial that was hidden or fitted.
 
     Returns ({monomial: {"hidden", "recovered", "rel_err"}}, worst rel_err);
-    each error is relative to max(1, largest hidden coefficient), and a
-    monomial peel did not fit counts as recovered zero.
+    each error is relative to max(1, largest hidden coefficient), a monomial
+    peel did not fit counts as recovered zero and one that was not hidden
+    as hidden zero.
     """
-    fits = {}
-    for stage in report.degrees:
-        fits.update(stage.get("fits", {}))
+    fits = {parse_mono(key): np.asarray(fit["coefficients"])
+            for stage in report.degrees for key, fit in stage["fits"].items()}
     worst = 0.0
     comparison = {}
-    for m, want in sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        got = np.asarray(fits.get(mono_str(m), {}).get("coefficients", np.zeros_like(want)))
+    for m in sorted(set(coeffs) | set(fits), key=lambda m: (len(m), m)):
+        want = np.asarray(coeffs[m]) if m in coeffs else np.zeros_like(fits[m])
+        got = fits.get(m, np.zeros_like(want))
         err = float(np.max(np.abs(got - want)) / max(1.0, float(np.max(np.abs(want)))))
         worst = max(worst, err)
         comparison[mono_str(m)] = {
@@ -187,8 +189,8 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
     one when the reader cannot tell them apart (_same_panel).  Monomials not
     listed are zero, the constant term is fixed at 1.  A "degree" field, which
     dump_cocycle_values writes, must be the JSON int D.  Requests off the
-    stored grid raise UnavailableValue (peel then records the affected checks
-    as skipped).  Any other shape raises ValueError.
+    stored grid raise UnavailableValue, which peel turns into a refusal naming
+    the missing PEEL_VALUE_GRID entry.  Any other shape raises ValueError.
     """
     words = GradedWords(alphabet, D)
     store = []  # (canonical gamma, panel points, rows, the entry that gave them)
@@ -247,7 +249,7 @@ def cocycle_from_json(data, alphabet: Alphabet, D: int):
     return ev
 
 
-#: (label, panel transform) pairs whose values a file needs for a full peel,
+#: (label, panel transform) pairs whose values peel reads, every one of them,
 #: including the translated panels the abelian checks slash through.
 PEEL_VALUE_GRID = (
     ("T", None),
@@ -275,18 +277,18 @@ def _grid_reads(X, panel, grid) -> list:
     return reads
 
 
-def _grid_values(X, panel, grid=PEEL_VALUE_GRID) -> dict:
-    """X on the (label, move) entries of the grid, keyed by the entry; an
-    entry X has no stored value for is left out, one with a non-finite value
-    is refused."""
+def _grid_values(X, panel) -> dict:
+    """X on every PEEL_VALUE_GRID entry, keyed by (label, move); an entry X
+    has no value for is refused with UnavailableValue, one with a non-finite
+    value with PeelError."""
     out = {}
-    for label, move, gamma, pts in _grid_reads(X, panel, grid):
+    for label, move, gamma, pts in _grid_reads(X, panel, PEEL_VALUE_GRID):
+        where = "t" if move is None else f"{move} t"
         try:
             rows = np.asarray(X(gamma, pts), dtype=complex)
         except UnavailableValue:
-            continue
+            raise UnavailableValue(f"peel needs X_{label} at {where} on its panel") from None
         if not np.all(np.isfinite(rows)):
-            where = "t" if move is None else f"{move} t"
             raise PeelError(f"X_{label} at {where}: non-finite cocycle value")
         out[label, move] = rows
     return out
@@ -340,9 +342,9 @@ def deconjugate(X, n, words: GradedWords):
 @dataclass
 class PeelReport:
     panel: list
+    parabolic_check: str
     degrees: list = field(default_factory=list)
     final_residual: float = float("nan")
-    parabolic_check: str = "unchecked"
 
     def to_dict(self) -> dict:
         return {
@@ -361,13 +363,11 @@ def _abelian_check(xv, pv, words, d, panel, cfg) -> dict:
     """Residual of Ybar_{gd} = Ybar_g|d + Ybar_d on the generator pairs,
     for Ybar the degree-d block of X - Psi(h_prev), read from the grid
     tables xv of X and pv of Psi(h_prev).  Run before fitting the degree; a
-    breach means X is not a cocycle compatible with the lower degrees
-    already recovered."""
+    breach, which means X is not a cocycle compatible with the lower degrees
+    already recovered, raises PeelError."""
     block = words.block(d)
 
     def ybar(label, move=None):
-        if (label, move) not in xv:
-            raise UnavailableValue(f"no stored values for {label} on the peel grid")
         raw, prev = xv[label, move], pv[label, move]
         out = np.zeros_like(raw)
         out[:, block] = raw[:, block] - prev[:, block]
@@ -377,22 +377,22 @@ def _abelian_check(xv, pv, words, d, panel, cfg) -> dict:
     worst = 0.0
     scale = 1.0
     details = {}
-    try:
-        for gl, dl in _ABELIAN_PAIRS:
-            lhs, s1 = ybar(gl + dl)
-            moved, _ = ybar(gl, dl)
-            rhs_g = rows_slash(words, moved, parse_word(dl), panel)
-            rhs_d, s3 = ybar(dl)
-            resid = float(np.max(np.abs((lhs - rhs_g - rhs_d)[:, block])))
-            details[f"{gl},{dl}"] = resid
-            worst = max(worst, resid)
-            scale = max(scale, s1, s3, float(np.max(np.abs(rhs_g[:, block]))))
-    except UnavailableValue:
-        return {"status": "skipped (values unavailable)", "pairs": details}
+    for gl, dl in _ABELIAN_PAIRS:
+        lhs, s1 = ybar(gl + dl)
+        moved, _ = ybar(gl, dl)
+        rhs_g = rows_slash(words, moved, parse_word(dl), panel)
+        rhs_d, s3 = ybar(dl)
+        resid = float(np.max(np.abs((lhs - rhs_g - rhs_d)[:, block])))
+        details[f"{gl},{dl}"] = resid
+        worst = max(worst, resid)
+        scale = max(scale, s1, s3, float(np.max(np.abs(rhs_g[:, block]))))
     thresh = 10.0 * max(cfg.atol, cfg.rtol * scale, cfg.quad_tol * scale)
-    status = "ok" if worst <= thresh else "failed"
-    return {"status": status, "pairs": details, "max": worst,
-            "scale": scale, "threshold": thresh}
+    if worst <= thresh:
+        return {"status": "ok", "pairs": details, "max": worst,
+                "scale": scale, "threshold": thresh}
+    raise PeelError(f"degree {d}: abelian cocycle check failed "
+                    f"(max {worst:.2e} > {thresh:.2e}); "
+                    "input is not a cocycle over the recovered lower degrees")
 
 
 def _fit(design, rhs) -> tuple:
@@ -417,13 +417,15 @@ def peel(X, catalog: BasisCatalog, z0=RunConfig.z0, cfg: QuadConfig = QuadConfig
 
     X is an evaluator (gamma, panel) -> rows: psi_evaluator, or
     cocycle_from_json for a values file.  It is read on the catalog's panel,
-    where the period samples live, up to the catalog's degree, one
-    PEEL_VALUE_GRID read per entry, planned ahead as one grid (as is each
-    Psi(h_<d) peel builds).  Returns
+    where the period samples live, up to the catalog's degree, one read on
+    every PEEL_VALUE_GRID entry, planned ahead as one grid (as is each
+    Psi(h_<d) peel builds).  Every check either passes or refuses.  Returns
     (CuspCollection, PeelReport).
-    Raises PeelError when a degree's discrepancy cannot be explained by the
-    catalog to within PEEL_TOL, or when the abelian pre-check fails, and
-    ConfigError when the panel has fewer than two points per fit dimension.
+    Raises UnavailableValue when X has no value on a grid entry, PeelError
+    when X is not parabolic at oo, when the abelian pre-check fails or when a
+    degree's discrepancy cannot be explained by the catalog to within
+    PEEL_TOL, and ConfigError when the panel has fewer than two points per
+    fit dimension.
     """
     D = catalog.D
     panel = np.asarray(catalog.panel, dtype=complex)
@@ -434,21 +436,15 @@ def peel(X, catalog: BasisCatalog, z0=RunConfig.z0, cfg: QuadConfig = QuadConfig
     if len(panel) < 2 * ndim_max:
         raise ConfigError(f"panel too small: {len(panel)} points for fit dimension {ndim_max}")
 
-    report = PeelReport(panel=[[float(p.real), float(p.imag)] for p in panel])
-
-    unit = words.unit_rows(len(panel))
     xv = _grid_values(X, panel)
-    x_t, x_s = xv.get(("T", None)), xv.get(("S", None))
-    if x_t is None:
-        report.parabolic_check = "skipped (values unavailable)"
-    else:
-        worst_t = float(np.max(np.abs(x_t - unit)) / max(1.0, np.max(np.abs(x_t))))
-        if worst_t > 10.0 * PEEL_TOL:
-            raise PeelError(f"X_T differs from 1 by {worst_t:.2e} relative; "
-                            "peel needs the parabolic normalization at the base point oo")
-        report.parabolic_check = f"ok ({worst_t:.2e})"
-    if x_s is None:
-        raise UnavailableValue("peel needs X_S on its panel")
+    x_t, x_s = xv["T", None], xv["S", None]
+    unit = words.unit_rows(len(panel))
+    worst_t = float(np.max(np.abs(x_t - unit)) / max(1.0, np.max(np.abs(x_t))))
+    if worst_t > 10.0 * PEEL_TOL:
+        raise PeelError(f"X_T differs from 1 by {worst_t:.2e} relative; "
+                        "peel needs the parabolic normalization at the base point oo")
+    report = PeelReport(panel=[[float(p.real), float(p.imag)] for p in panel],
+                        parabolic_check=f"ok ({worst_t:.2e})")
 
     # coefficients grow with the kernel power, so every tolerance below is
     # taken relative to the magnitude of the values whose cancellation
@@ -458,14 +454,8 @@ def peel(X, catalog: BasisCatalog, z0=RunConfig.z0, cfg: QuadConfig = QuadConfig
     for d in range(1, D + 1):
         if P is None:  # Psi(h_<d) of a collection no earlier stage has read
             P = psi_evaluator(CuspCollection(alphabet, dict(entries)), D, z0, cfg)
-            pv = _grid_values(P, panel, xv)
+            pv = _grid_values(P, panel)
         stage = {"degree": d, "abelian": _abelian_check(xv, pv, words, d, panel, cfg)}
-        if stage["abelian"]["status"] == "failed":
-            report.degrees.append(stage)
-            raise PeelError(
-                f"degree {d}: abelian cocycle check failed "
-                f"(max {stage['abelian']['max']:.2e} > {stage['abelian']['threshold']:.2e}); "
-                "input is not a cocycle over the recovered lower degrees")
 
         prev_rows = pv["S", None]
         delta = x_s - prev_rows
@@ -488,14 +478,12 @@ def peel(X, catalog: BasisCatalog, z0=RunConfig.z0, cfg: QuadConfig = QuadConfig
                 "cond": cond,
             }
             if resid > PEEL_TOL:
-                report.degrees.append(stage)
                 raise PeelError(f"{mono_str(m)}: fit residual {resid:.2e} exceeds tol "
                                 f"{PEEL_TOL:.2e}; cocycle not in the reachable class")
             if np.max(np.abs(coef)) > PEEL_TOL:
                 entries[m] = form_linear_combination(coef, entry.forms)
                 recovered.append(mono_str(m))
         if absent_rel > PEEL_TOL:
-            report.degrees.append(stage)
             raise PeelError(f"degree {d}: relative coefficient {absent_rel:.2e} on a monomial "
                             "with zero cusp space; cocycle not in the reachable class")
         stage.update(fits=fits, recovered=recovered, absent_max=absent_rel,

@@ -67,11 +67,15 @@ def test_verify_refuses_a_flag_it_does_not_read(tmp_path, capsys, identity, flag
 
 
 _NO_FORMS = "no letter of alphabet 4:trivial carries a cusp form; nothing to check"
+_NO_TRIVIAL_FORMS = ("no trivial-multiplier letter of alphabet 4:trivial carries a cusp form; "
+                     "nothing to check")
 
 
 @pytest.mark.parametrize("argv,message", [
     *[pytest.param(["verify", identity], f"verify {identity}: {_NO_FORMS}", id=identity)
       for identity in ("cocycle", "equivariance", "mult", "basepoint")],
+    *[pytest.param(["verify", identity], _NO_TRIVIAL_FORMS, id=identity)
+      for identity in ("rel2", "rel3", "shuffle")],
     pytest.param(["roundtrip", "--random"], "roundtrip: no monomial of degree <= 2 over "
                  "alphabet 4:trivial carries a cusp form; nothing to recover", id="roundtrip"),
 ])
@@ -516,6 +520,11 @@ def _second_spelling(data):
     return json.dumps(data)
 
 
+def _without_st(data):
+    data["entries"] = [e for e in data["entries"] if e["gamma"] != "ST"]
+    return json.dumps(data)
+
+
 def _nan_x_s(data):
     entry = next(e for e in data["entries"] if e["gamma"] == "S")
     entry["values"]["A1"][0][0] = float("nan")
@@ -534,9 +543,12 @@ def _nan_x_s(data):
                  "error: {path}: cocycle values were dumped at degree 2, read at degree 1",
                  id="degree-mismatch"),
     pytest.param(json.dumps, (*_AB2, "--panel=-0.8j;-1.5j;-0.4-0.9j;0.6-1.1j"), 1,
-                 "error: {path}: peel needs X_S on its panel [[0.0, -0.8], [0.0, -1.5], "
+                 "error: {path}: peel needs X_T at t on its panel [[0.0, -0.8], [0.0, -1.5], "
                  "[-0.4, -0.9], [0.6, -1.1]]\n",
                  id="off-panel"),
+    # every grid entry is read: one missing is refused, not left out of a check
+    pytest.param(_without_st, _AB2, 1, "error: {path}: peel needs X_ST at t on its panel [",
+                 id="no-x-st"),
     pytest.param(_perturb_x_s, _AB2, 2, "recovery failure: ", id="perturbed-x-s"),
     # a number spelled as a string, or a bool, is not a number (the first
     # entries hold X_T = 1 and list no values)

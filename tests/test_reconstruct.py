@@ -24,12 +24,14 @@ from ncperiods.ncpoly import (
 from ncperiods.reconstruct import (
     PEEL_VALUE_GRID,
     PeelError,
+    PeelReport,
     UnavailableValue,
     _degree_one_coboundaries,
     _extend_panel,
     _fit,
     build_catalog,
     cocycle_from_json,
+    compare_recovery,
     deconjugate,
     dump_cocycle_values,
     hidden_collection,
@@ -188,16 +190,26 @@ def test_peel_reads_each_grid_value_once(catalog, delta):
     assert max(calls.values()) == 1
 
 
-def test_peel_bare_json_skips_unavailable(delta):
-    """A file that stores only X_S on one panel: the parabolic and abelian
-    checks report skipped instead of failing, the fit still lands."""
+def test_peel_refuses_x_s_only_file(delta):
+    """A file that stores only X_S on one panel is refused, naming X_T, the
+    first grid entry it lacks: no check is left out of a peel."""
     cat1 = build_catalog(AB1, 1, PANEL)
     X = psi_evaluator(CuspCollection.from_letters(AB1, [delta]), 1)
     only_s = _values_file("S", PANEL, {"A1": X(S, PANEL)[:, 1]})
-    h_rec, report = peel(cocycle_from_json(only_s, AB1, 1), cat1)
-    assert report.parabolic_check == "skipped (values unavailable)"
-    assert report.degrees[0]["abelian"]["status"] == "skipped (values unavailable)"
-    assert report.degrees[0]["fits"]["A1"]["coefficients"][0] == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(UnavailableValue, match="peel needs X_T at t on its panel"):
+        peel(cocycle_from_json(only_s, AB1, 1), cat1)
+
+
+@pytest.mark.parametrize("label, move", PEEL_VALUE_GRID)
+def test_peel_refuses_a_missing_grid_entry(delta, label, move):
+    """A full dump with one PEEL_VALUE_GRID entry deleted is refused, naming
+    that entry, whichever it is."""
+    X = psi_evaluator(CuspCollection.from_letters(AB1, [delta]), 1)
+    blob = dump_cocycle_values(X, AB1, 1, PANEL)
+    del blob["entries"][PEEL_VALUE_GRID.index((label, move))]
+    where = "t" if move is None else f"{move} t"
+    with pytest.raises(UnavailableValue, match=f"peel needs X_{label} at {where} on its panel"):
+        peel(cocycle_from_json(blob, AB1, 1), build_catalog(AB1, 1, PANEL))
 
 
 def test_peel_refuses_nonfinite_cocycle_value(delta):
@@ -224,13 +236,34 @@ def test_peel_refuses_broken_abelian_relation(delta):
 
 
 def test_peel_refuses_value_on_zero_cusp_space(delta):
-    """S_6 = 0, so a nonzero A2 coefficient of X_S (A2 of shifted weight 4)
-    is outside every reachable cocycle."""
-    X = psi_evaluator(CuspCollection(AB2, {(1,): delta}), 2)
-    blob = dump_cocycle_values(X, AB2, 2, PANEL, grid=(("S", None),))
-    blob["entries"][0]["values"]["A2"] = [[1e-3, 0.0]] * len(PANEL)
+    """S_6 = 0, so a nonzero A2 coefficient of X (A2 of shifted weight 4) is
+    outside every reachable cocycle.  Adding the coboundary c (1|gamma - 1)
+    on the A2 column keeps X_T = 1 and every abelian relation, so only the
+    degree-1 fit can refuse it."""
+    X0 = psi_evaluator(CuspCollection(AB2, {(1,): delta}), 2)
+    words = GradedWords(AB2, 2)
+    a2 = words.index((2,))
+
+    def X(gamma, t):
+        t = np.atleast_1d(np.asarray(t, dtype=complex))
+        rows = np.asarray(X0(gamma, t), dtype=complex)
+        rows[:, a2] += 1e-3 * (slash_factors(words, gamma, t)[:, a2] - 1.0)
+        return rows
+
     with pytest.raises(PeelError, match="relative coefficient .* zero cusp space"):
-        peel(cocycle_from_json(blob, AB2, 2), build_catalog(AB2, 2, PANEL))
+        peel(X, build_catalog(AB2, 2, PANEL))
+
+
+def test_compare_recovery_counts_fits_nothing_was_hidden_at():
+    """A coefficient peel fits where nothing was hidden is compared against
+    hidden zero."""
+    report = PeelReport(panel=[], parabolic_check="ok", degrees=[
+        {"fits": {"A1": {"coefficients": [1.0]}}},
+        {"fits": {"A1*A2": {"coefficients": [0.5]}}},
+    ])
+    comparison, worst = compare_recovery({(1,): np.array([1.0])}, report)
+    assert worst == 0.5
+    assert comparison["A1*A2"] == {"hidden": [0.0], "recovered": [0.5], "rel_err": 0.5}
 
 
 def test_cocycle_from_json_unavailable():
