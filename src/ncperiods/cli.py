@@ -63,6 +63,8 @@ _Z_HI = 2.2j
 _Y_MID = 0.5 + 1.3j
 _X_LO = -0.3 + 0.8j
 _Z0_ALT = 0.4 + 1.1j  # the second base point of verify basepoint
+# a check whose group elements all have c = 0 reads only unit series: refused
+_UNIT_PSI = "c = 0, so every Psi is the unit series; nothing to check"
 
 
 def _parse_gamma(text: str):
@@ -124,6 +126,8 @@ def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | No
         h = _checked_collection(cfg, identity)
         g = _parse_gamma(gamma or "S")
         d = _parse_gamma(delta or "T")
+        if g.c == 0 and d.c == 0:
+            raise ConfigError(f"verify cocycle: gamma {g!r} and delta {d!r} both have {_UNIT_PSI}")
         rep = verify_cocycle(h, g, d, cfg.z0, panel, D, quad)
     elif identity == "equivariance":
         h = _checked_collection(cfg, identity)
@@ -132,6 +136,8 @@ def cmd_verify(cfg: RunConfig, identity: str, gamma: str | None, delta: str | No
     elif identity == "basepoint":
         h = _checked_collection(cfg, identity)
         g = _parse_gamma(gamma or "S")
+        if g.c == 0:
+            raise ConfigError(f"verify basepoint: gamma {g!r} has {_UNIT_PSI}")
         rep = verify_base_point_independence(h, g, cfg.z0, _Z0_ALT, panel, D, quad)
     elif identity == "mult":
         h = _checked_collection(cfg, identity)

@@ -219,12 +219,13 @@ class RunConfig:
     def check_kernel_range(self, degree: int, weights=None):
         """Refuse a panel point t or a z0 so far out that the bound
         (1 + |z0| + |t|)^polw of a product of `degree` kernels overflows
-        float64, polw being the series weight the cutoff height uses for
-        kernels of the given shifted weights (by default the alphabet's
-        letters'): the integrands would turn inf before any later check could
-        name the point.  RunConfig checks its own degree; a command that
-        multiplies more kernels (verify rel3 multiplies three) or kernels of
-        other forms (mlv's shuffle check) checks again at its order."""
+        float64, polw being series_weight, the polynomial weight of a product
+        of `degree` kernels of the given shifted weights (by default the
+        alphabet's letters') at a panel point: the integrands would turn inf
+        before any later check could name the point.  RunConfig checks its
+        own degree; a command that multiplies more kernels (verify rel3
+        multiplies three) or kernels of other forms (mlv's shuffle check)
+        checks again at its order."""
         if weights is None:
             weights = [L.weight for L in self.the_alphabet().letters]
         polw = series_weight(weights, degree)

@@ -84,7 +84,7 @@ class QuadConfig:
     panel is accepted when the trailing coefficients of its integrand stay
     below atol + rtol |J|; quad_tol is the panel resolution criterion of the
     layered route; atol also sets where both routes cut the path off at the
-    cusp (see cutoff_height).
+    cusp (see _series_cutoff).
     """
 
     rtol: float = 1e-9
@@ -200,15 +200,25 @@ def cutoff_height(forms, polw: float, t, atol: float) -> float:
 
 
 def series_weight(weights, D: int) -> float:
-    """Polynomial weight of a degree-D series over forms of the given shifted
-    weights: D kernels of weight at most max w, plus D + 2."""
+    """Polynomial weight of a product of D kernels over forms of the given
+    shifted weights: D kernels of weight at most max w, plus D + 2 (the
+    bound config.check_kernel_range keeps below float64 overflow)."""
     return D * max(max(float(w) for w in weights), 0.0) + D + 2
 
 
-def _series_cutoff(h, D: int, t, atol: float) -> float:
-    """cutoff_height of collection h's whole support for its degree-D series."""
-    polw = series_weight((f.shifted_weight for f in h.support_forms), D)
-    return cutoff_height(h.support_forms, polw, t, atol)
+def _series_cutoff(forms, D: int, t, atol: float) -> float:
+    """Height Y where a path over the forms may leave the cusp: every entry
+    of degree <= D of J(iY, oo) - 1 stays below atol / 100.
+
+    Y is the largest one-form cutoff_height([f], max(w_f, 0) + 3, t,
+    atol / 2^(D-1)) over the forms.  A degree-d word has at most 2^(d-1)
+    factorizations into support words, and the tail of each is bounded by a
+    product of one-form tails, each below atol / (100 2^(D-1)) < 1; their sum
+    stays below atol / 100.  A word of j factors decays like
+    e^(-2 pi kappa j Y), so the one-factor words set the height.  At D = 1
+    this is the form's own cutoff."""
+    tol = atol / 2 ** (D - 1)
+    return max(cutoff_height([f], max(float(f.shifted_weight), 0.0) + 3, t, tol) for f in forms)
 
 
 def _approach(e: Endpoint, H: float, cutoff: float):
@@ -308,8 +318,7 @@ def r_direct(forms, y, x, t, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         return np.ones(len(t), dtype=complex)
     if y == x:
         return np.zeros(len(t), dtype=complex)
-    polw = sum(max(float(f.shifted_weight), 0.0) for f in forms) + len(forms) + 2
-    path = build_path(x, y, cutoff_height(forms, polw, t, cfg.atol))
+    path = build_path(x, y, _series_cutoff(forms, len(forms), t, cfg.atol))
     ends = _layers(path, t, [[f] for f in reversed(forms)],
                    lambda d, kern, lower: kern * lower[..., [d - 1]], cfg)
     return ends[-1][:, 0]
@@ -343,7 +352,7 @@ def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndar
         om[..., cols] = kern
         return series_block(words, om, lower, d, degrees)
 
-    path = build_path(x, y, _series_cutoff(h, D, t, cfg.atol))
+    path = build_path(x, y, _series_cutoff(h.support_forms, D, t, cfg.atol))
     ends = _layers(path, t, [[f for _, f in support]] * D, block, cfg)
     out[:, words.block(1).start:] = np.concatenate(ends, axis=-1)
     return out
@@ -460,15 +469,15 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
 
     Words are indexed by GradedWords(h.alphabet, D); row r is the truncated
     series at t[r].  Solves dJ/dz = Omega(z) J down the vertical ray from the
-    cutoff height (where J = 1 holds to below atol) on adaptive Chebyshev
-    panels.  Omega raises word degree, so on each panel block k of J is the
-    exact integral of Omega J read from the blocks below k: one form
-    evaluation at the panel's points, then one Picard sweep per degree, each
-    the series_block product over the support's degrees.  A panel has
-    _NODES = 24 nodes, the order measured fastest (the table at _NODES).  The
-    kernel is (z - t)**w, which numpy takes by repeated squaring for the
-    integer weights of trivial multipliers and by the general complex power
-    for fractional ones; the panel's dz/dx = -i width/2 is folded into the
+    cutoff height of _series_cutoff (where J = 1 holds to below atol / 100)
+    on adaptive Chebyshev panels.  Omega raises word degree, so on each panel
+    block k of J is the exact integral of Omega J read from the blocks below
+    k: one form evaluation at the panel's points, then one Picard sweep per
+    degree, each the series_block product over the support's degrees.  A
+    panel has _NODES = 24 nodes, the order measured fastest (the table at
+    _NODES).  The kernel is (z - t)**w, which numpy takes by repeated
+    squaring for the integer weights of trivial multipliers and by the
+    general complex power for fractional ones; the panel's dz/dx = -i width/2 is folded into the
     form values once, so a sweep is one real product with _SWEEP.  The top
     degree feeds no later sweep, so its sweep integrates to the panel end
     only and the panel's nodes hold only the blocks below it.  After the D
@@ -494,7 +503,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         return words.unit_rows(len(t))
 
     forms = [f for _, f in support]
-    ymax = max(_series_cutoff(h, D, t, cfg.atol), z0.imag + 1.0)
+    ymax = max(_series_cutoff(h.support_forms, D, t, cfg.atol), z0.imag + 1.0)
     L = ymax - z0.imag
     wvec = np.array([float(f.shifted_weight) for f in forms])  # kernel powers w(B)
     cols = [words.index(m) for m, _ in support]

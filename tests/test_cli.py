@@ -71,18 +71,33 @@ _NO_TRIVIAL_FORMS = ("no trivial-multiplier letter of alphabet 4:trivial carries
                      "nothing to check")
 
 
+_UNIT_PSI = "c = 0, so every Psi is the unit series; nothing to check"
+
+
 @pytest.mark.parametrize("argv,message", [
-    *[pytest.param(["verify", identity], f"verify {identity}: {_NO_FORMS}", id=identity)
+    *[pytest.param(["verify", identity, "--alphabet", "4:trivial"],
+                   f"verify {identity}: {_NO_FORMS}", id=identity)
       for identity in ("cocycle", "equivariance", "mult", "basepoint")],
-    *[pytest.param(["verify", identity], _NO_TRIVIAL_FORMS, id=identity)
+    *[pytest.param(["verify", identity, "--alphabet", "4:trivial"], _NO_TRIVIAL_FORMS,
+                   id=identity)
       for identity in ("rel2", "rel3", "shuffle")],
-    pytest.param(["roundtrip", "--random"], "roundtrip: no monomial of degree <= 2 over "
-                 "alphabet 4:trivial carries a cusp form; nothing to recover", id="roundtrip"),
+    pytest.param(["roundtrip", "--random", "--alphabet", "4:trivial"],
+                 "roundtrip: no monomial of degree <= 2 over alphabet 4:trivial carries a "
+                 "cusp form; nothing to recover", id="roundtrip"),
+    pytest.param(["verify", "cocycle", "--gamma", "T", "--delta", "T"],
+                 f"verify cocycle: gamma [[1,1],[0,1]] and delta [[1,1],[0,1]] both have "
+                 f"{_UNIT_PSI}", id="cocycle-parabolic"),
+    pytest.param(["verify", "cocycle", "--gamma", "SS", "--delta", "m:1,-3,0,1"],
+                 f"verify cocycle: gamma [[-1,0],[0,-1]] and delta [[1,-3],[0,1]] both have "
+                 f"{_UNIT_PSI}", id="cocycle-parabolic-powers"),
+    pytest.param(["verify", "basepoint", "--gamma", "T"],
+                 f"verify basepoint: gamma [[1,1],[0,1]] has {_UNIT_PSI}", id="basepoint-parabolic"),
 ])
 def test_nothing_to_check_is_refused(tmp_path, capsys, argv, message):
     """A collection with no forms makes every identity read 1 = 1 and the round
-    trip compare nothing: refused, not passed."""
-    assert run(tmp_path, *argv, "--alphabet", "4:trivial", "--degree", "2") == (1, "")
+    trip compare nothing; so do group elements with c = 0, whose Psi is the
+    unit series: refused, not passed."""
+    assert run(tmp_path, *argv, "--degree", "2") == (1, "")
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -316,15 +316,65 @@ def test_vertical_J_unit_at_degree_zero(delta):
     assert np.allclose(rows[:, 0], 1.0)
 
 
-def test_automatic_cutoff_high_enough(delta):
+def test_automatic_cutoff_high_enough(delta, g16):
     """Starting the ray a thousand times further into the tail (atol * 1e-3
-    raises the cutoff height) changes nothing beyond the default tolerance."""
-    ab = Alphabet((Letter.trivial(10),))
-    h = CuspCollection.from_letters(ab, [delta])
+    raises the cutoff height) changes nothing beyond the default tolerance,
+    at D = 2 on one letter and at D = 4 on two, where words of up to
+    2^3 factorizations share the one-form cutoff."""
+    one = CuspCollection.from_letters(Alphabet((Letter.trivial(10),)), [delta])
+    two = CuspCollection.from_letters(Alphabet((Letter.trivial(10), Letter.trivial(14))),
+                                      [delta, g16])
     cfg = QuadConfig()
-    a = vertical_J(h, 1.4j, PANEL, 2, cfg)
-    b = vertical_J(h, 1.4j, PANEL, 2, QuadConfig(atol=cfg.atol * 1e-3))
-    assert np.max(np.abs(a - b)) < 1e-9
+    for h, D in [(one, 2), (two, 4)]:
+        a = vertical_J(h, 1.4j, PANEL, D, cfg)
+        b = vertical_J(h, 1.4j, PANEL, D, QuadConfig(atol=cfg.atol * 1e-3))
+        assert np.max(np.abs(a - b)) < 1e-9, D
+
+
+def _certificate_cases():
+    two = Alphabet((Letter.trivial(10), Letter.trivial(14)))
+    s = {k: level_one_basis(k)[0] for k in (12, 16, 26, 36)}
+    return [
+        pytest.param(CuspCollection.from_letters(two, [s[12], s[16]]), 4, id="psi_wide-D4"),
+        pytest.param(CuspCollection(two, {(1,): s[12], (1, 2): s[26], (1, 1, 2): s[36]}), 3,
+                     id="longer-support-D3"),
+        # kappa = 1/6 and a bound within a factor 1e-9 of atol: the tight case
+        pytest.param(CuspCollection.from_letters(Alphabet((Letter.eta(4),)), [eta_form(4)]), 3,
+                     id="eta4-D3"),
+    ]
+
+
+@pytest.mark.parametrize("h,D", _certificate_cases())
+def test_series_cutoff_certificate(panel, h, D):
+    """J(h; iY, oo; t) at the cutoff Y, from the layered route started far
+    higher (atol * 1e-6), is the unit series to below atol / 100: what the
+    one-form cutoff at atol / 2^(D-1) certifies for every word of degree <= D."""
+    cfg = QuadConfig()
+    Y = iterint._series_cutoff(h.support_forms, D, panel, cfg.atol)
+    J = j_rows_direct(h, Endpoint.point(1j * Y), None, panel, D,
+                      QuadConfig(atol=cfg.atol * 1e-6))
+    assert np.max(np.abs(J - h.words(D).unit_rows(len(panel)))) <= cfg.atol / 100
+
+
+def test_series_cutoff_panel_count(monkeypatch, panel, delta, g16):
+    """The psi_wide collection's ray at D = 4 starts at its one-form cutoff
+    (near 16, not 53), so it tries fewer panels than the rule that gave
+    every word the polynomial weight of D kernels: 16 at z0 = 2i and 22 at
+    z0 = 0.5i on the default panel."""
+    h = CuspCollection.from_letters(Alphabet((Letter.trivial(10), Letter.trivial(14))),
+                                    [delta, g16])
+    tried = []
+    real_block = iterint.series_block
+
+    def counting_block(words, xs, ys, d, degrees):
+        tried.append(d == 1)
+        return real_block(words, xs, ys, d, degrees)
+
+    monkeypatch.setattr(iterint, "series_block", counting_block)
+    for z0, before in [(2j, 16), (0.5j, 22)]:
+        tried.clear()
+        vertical_J(h, z0, panel, 4)
+        assert sum(tried) < before, (z0, sum(tried))
 
 
 def test_nonfinite_state_names_the_height(delta, monkeypatch):
