@@ -6,9 +6,9 @@ and multipliers matching) the series J(h; z0, oo; t) transforms under gamma by
     Psi_gamma = (J(z0)|gamma)^(-1) * J(gamma^(-1) z0)
 
 which is a cocycle for the slashed multiplication: Psi_{gd} = (Psi_g|d) Psi_d.
-Psi is independent of the base point z0; the twist Phi^z_gamma =
-J(gamma^(-1) z, z) is base-point dependent but only up to an explicit
-conjugation, which untwist_rows undoes.
+Psi is independent of the base point z0.  A cocycle known only up to a
+conjugation (n|gamma) X_gamma n^(-1), n a series with constant term 1, is
+brought back to X by untwist_rows from n's rows.
 
 Value convention throughout: a "rows" array has shape (n_t, n_words), row r
 the truncated series at panel point t[r], words indexed by
@@ -38,9 +38,7 @@ __all__ = [
     "rows_slash",
     "psi_evaluator",
     "psi",
-    "j_between",
     "j_rows_direct",
-    "phi_twist",
     "untwist_rows",
     "verify_cocycle",
     "verify_multiplicativity",
@@ -224,22 +222,6 @@ def psi(h: CuspCollection, gamma: GroupElement, z0: complex, t, D: int,
         cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     """Psi_gamma rows at the t panel, from a one-off psi_evaluator."""
     return psi_evaluator(h, D, z0, cfg)(gamma, t)
-
-
-def j_between(h: CuspCollection, y, x, t, D: int,
-              cfg: QuadConfig = QuadConfig()) -> np.ndarray:
-    """J(h; y, x; t) rows for interior points y, x, via the common base at oo."""
-    t = validate_panel(t)
-    words = h.words(D)
-    Jy = vertical_J(h, complex(y), t, D, cfg)
-    Jx = vertical_J(h, complex(x), t, D, cfg)
-    return rows_mul(words, Jy, rows_inv(words, Jx))
-
-
-def phi_twist(h: CuspCollection, gamma: GroupElement, z, t, D: int,
-              cfg: QuadConfig = QuadConfig()) -> np.ndarray:
-    """Phi^z_gamma = J(gamma^(-1) z, z) rows."""
-    return j_between(h, gamma.inv().mobius(complex(z)), complex(z), t, D, cfg)
 
 
 def untwist_rows(words: GradedWords, phi1_rows: np.ndarray, n_rows_at_t: np.ndarray,

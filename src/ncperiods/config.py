@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .iterint import Endpoint, QuadConfig, series_weight, validate_panel
+from .iterint import Endpoint, QuadConfig, validate_panel
 from .ncpoly import Alphabet, Letter
 
 __all__ = [
@@ -136,6 +136,9 @@ def parse_alphabet(spec: str) -> Alphabet:
 
 
 def format_alphabet(alphabet: Alphabet) -> str:
+    """The spec parse_alphabet reads back: a one-letter eta alphabet as eta<N>."""
+    if alphabet.ell == 1 and alphabet.letters[0].multiplier.kind != "trivial":
+        return f"eta{alphabet.letters[0].multiplier.N}"
     parts = []
     for L in alphabet.letters:
         if L.multiplier.kind == "trivial":
@@ -143,6 +146,13 @@ def format_alphabet(alphabet: Alphabet) -> str:
         else:
             parts.append(f"{L.weight}:eta{L.multiplier.N}")
     return ",".join(parts)
+
+
+def _series_weight(weights, D: int) -> float:
+    """Polynomial weight of a product of D kernels over forms of the given
+    shifted weights: D kernels of weight at most max w, plus D + 2 (the
+    bound RunConfig.check_kernel_range keeps below float64 overflow)."""
+    return D * max(max(float(w) for w in weights), 0.0) + D + 2
 
 
 def _point(p) -> complex:
@@ -219,7 +229,7 @@ class RunConfig:
     def check_kernel_range(self, degree: int, weights=None):
         """Refuse a panel point t or a z0 so far out that the bound
         (1 + |z0| + |t|)^polw of a product of `degree` kernels overflows
-        float64, polw being series_weight, the polynomial weight of a product
+        float64, polw being _series_weight, the polynomial weight of a product
         of `degree` kernels of the given shifted weights (by default the
         alphabet's letters') at a panel point: the integrands would turn inf
         before any later check could name the point.  RunConfig checks its
@@ -228,7 +238,7 @@ class RunConfig:
         checks again at its order."""
         if weights is None:
             weights = [L.weight for L in self.the_alphabet().letters]
-        polw = series_weight(weights, degree)
+        polw = _series_weight(weights, degree)
         reach = _LOG_FLOAT_MAX / polw
         points = [(f"panel point {t}", abs(t)) for t in self.panel]
         points.append((f"z0 {self.z0}", abs(self.z0) + max(abs(t) for t in self.panel)))

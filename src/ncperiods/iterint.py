@@ -60,7 +60,6 @@ __all__ = [
     "Endpoint",
     "cusp_frame",
     "cutoff_height",
-    "series_weight",
     "validate_panel",
     "zt_pow",
     "r_direct",
@@ -197,13 +196,6 @@ def cutoff_height(forms, polw: float, t, atol: float) -> float:
     for _ in range(3):
         Y = max(3.0, (math.log(max(C, 1.0) / tol) + polw * math.log(max(Y * tfac, 2.0))) / two_pi_k)
     return Y + 1.0
-
-
-def series_weight(weights, D: int) -> float:
-    """Polynomial weight of a product of D kernels over forms of the given
-    shifted weights: D kernels of weight at most max w, plus D + 2 (the
-    bound config.check_kernel_range keeps below float64 overflow)."""
-    return D * max(max(float(w) for w in weights), 0.0) + D + 2
 
 
 def _series_cutoff(forms, D: int, t, atol: float) -> float:

@@ -1,6 +1,6 @@
 """Degree-by-degree recovery of a cusp-form collection from its cocycle.
 
-Given panel values of a cocycle X that is (a known twist of) Psi(h') for some
+Given panel values of a cocycle X that is Psi(h') for some
 collection h' supported in degrees <= D, peel reconstructs h' one degree at a
 time.  At stage d the discrepancy
 
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cocycle import CuspCollection, psi, psi_evaluator, rows_slash, untwist_rows
+from .cocycle import CuspCollection, psi, psi_evaluator, rows_slash
 from .config import ConfigError, RunConfig, json_points
 from .iterint import Endpoint, QuadConfig, r_direct, validate_panel
 from .modforms import cusp_space_basis, form_linear_combination
@@ -44,7 +44,6 @@ __all__ = [
     "hidden_collection",
     "compare_recovery",
     "peel",
-    "deconjugate",
     "injectivity_probe",
     "psi_evaluator",
     "cocycle_from_json",
@@ -313,28 +312,6 @@ def dump_cocycle_values(X, alphabet: Alphabet, D: int, panel, grid=PEEL_VALUE_GR
             "values": values,
         })
     return {"degree": D, "entries": entries}
-
-
-def deconjugate(X, n, words: GradedWords):
-    """Undo a known twist: gamma, t -> (n|gamma)(t)^(-1) X_gamma(t) n(t),
-    for n a callable panel -> rows with constant term 1.  The evaluator keeps
-    n's rows per panel bytes, so each distinct panel evaluates n once."""
-    n_rows = {}
-
-    def n_at(t):
-        key = t.tobytes()
-        if key not in n_rows:
-            n_rows[key] = np.asarray(n(t), dtype=complex)
-        return n_rows[key]
-
-    def ev(gamma: GroupElement, t):
-        t = np.atleast_1d(np.asarray(t, dtype=complex))
-        return untwist_rows(words, np.asarray(X(gamma, t), dtype=complex),
-                            n_at(t), n_at(gamma.mobius(t)), gamma, t)
-
-    if hasattr(X, "plan"):  # ev reads X at the (gamma, panel) pairs ev is read at
-        ev.plan = X.plan
-    return ev
 
 
 # --- peel --------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ncperiods.cli import IDENTITIES, main
-from ncperiods.config import DEFAULT_PANEL, ConfigError, parse_alphabet
+from ncperiods.config import DEFAULT_PANEL, ConfigError, format_alphabet, parse_alphabet
 from ncperiods.ncpoly import parse_mono
 
 
@@ -285,6 +285,19 @@ def test_alphabet_spec_spellings():
     assert parse_alphabet("10") == parse_alphabet("10:trivial")
     with pytest.raises(ConfigError, match="eta12 letter has weight 4"):
         parse_alphabet("5:eta12")
+
+
+@pytest.mark.parametrize("spec", [f"eta{N}" for N in range(1, 25)]
+                         + ["0:eta4", "10:trivial,4:trivial", "10:trivial,0:eta4"])
+def test_alphabet_spec_round_trip(spec):
+    """The spec a report prints parses back to the same alphabet, and prints
+    the same again; a one-letter eta alphabet prints as eta<N>, which at odd N
+    is the only spelling the reader takes (its weight N/2 - 2 is fractional)."""
+    text = format_alphabet(parse_alphabet(spec))
+    assert parse_alphabet(text) == parse_alphabet(spec)
+    assert format_alphabet(parse_alphabet(text)) == text
+    if spec.startswith("eta"):
+        assert text == spec
 
 
 def test_config_file_with_flag_override(tmp_path):

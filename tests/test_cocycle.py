@@ -10,9 +10,7 @@ from ncperiods.cocycle import (
     CuspCollection,
     apply_to_endpoint,
     eta_example_check,
-    j_between,
     j_rows_direct,
-    phi_twist,
     psi,
     psi_evaluator,
     rows_inv,
@@ -25,7 +23,7 @@ from ncperiods.cocycle import (
     verify_multiplicativity,
 )
 from ncperiods.config import DEFAULT_PANEL
-from ncperiods.iterint import Endpoint, QuadConfig, report_passes
+from ncperiods.iterint import Endpoint, QuadConfig, report_passes, vertical_J
 from ncperiods.modforms import CuspForm, QSeries, eta_form, form_linear_combination, level_one_basis
 from ncperiods.ncpoly import Alphabet, GradedWords, Letter
 from ncperiods.reconstruct import PEEL_VALUE_GRID, _grid_values, dump_cocycle_values
@@ -313,13 +311,29 @@ def test_base_point_independence(delta):
     assert rep["max"] < 1e-7
 
 
+def _j_between(h, y, x, t, D):
+    """J(h; y, x; t) rows for interior points y, x, via the common base at oo:
+    J(y, oo) J(x, oo)^-1 from two vertical solves."""
+    words = h.words(D)
+    return rows_mul(words, vertical_J(h, complex(y), t, D),
+                    rows_inv(words, vertical_J(h, complex(x), t, D)))
+
+
+def _phi_twist(h, gamma, z, t, D):
+    """The interior-based cocycle Phi^z_gamma = J(gamma^-1 z, z) rows."""
+    return _j_between(h, gamma.inv().mobius(complex(z)), z, t, D)
+
+
 def test_j_between_consistency(delta):
-    """j_between (two vertical solves) vs j_rows_direct (layered quadrature)."""
-    h = _one_letter(delta)
+    """The ray between two interior points from two vertical solves agrees
+    with j_rows_direct (layered quadrature), over Delta at D=2 and over
+    eta^3, whose letter has the fractional weight -1/2, at D=3."""
+    eta3 = CuspCollection.from_letters(Alphabet((Letter.eta(3),)), [eta_form(3)])
     y, x = 0.2 + 1.6j, -0.5 + 1.1j
-    a = j_between(h, y, x, PANEL, 2)
-    b = j_rows_direct(h, y, x, PANEL, 2)
-    assert np.max(np.abs(a - b)) < 1e-8
+    for h, D in ((_one_letter(delta), 2), (eta3, 3)):
+        a = _j_between(h, y, x, PANEL, D)
+        b = j_rows_direct(h, y, x, PANEL, D)
+        assert np.max(np.abs(a - b)) < 1e-8, h.alphabet
 
 
 def test_untwist_round_trip(delta):
@@ -327,10 +341,10 @@ def test_untwist_round_trip(delta):
     h = _one_letter(delta)
     words = h.words(2)
     z0, z1 = 1.8j, 0.4 + 1.2j
-    phi0 = phi_twist(h, S, z0, PANEL, 2)
-    phi1 = phi_twist(h, S, z1, PANEL, 2)
-    n_t = j_between(h, z1, z0, PANEL, 2)
-    n_gt = j_between(h, z1, z0, S.mobius(PANEL), 2)
+    phi0 = _phi_twist(h, S, z0, PANEL, 2)
+    phi1 = _phi_twist(h, S, z1, PANEL, 2)
+    n_t = _j_between(h, z1, z0, PANEL, 2)
+    n_gt = _j_between(h, z1, z0, S.mobius(PANEL), 2)
     back = untwist_rows(words, phi1, n_t, n_gt, S, PANEL)
     assert np.max(np.abs(back - phi0)) < 1e-7
 
@@ -338,7 +352,7 @@ def test_untwist_round_trip(delta):
 def test_untwist_unit_is_noop(delta):
     h = _one_letter(delta)
     words = h.words(2)
-    phi = phi_twist(h, S, 1.5j, PANEL, 2)
+    phi = _phi_twist(h, S, 1.5j, PANEL, 2)
     unit = np.zeros_like(phi)
     unit[:, 0] = 1.0
     back = untwist_rows(words, phi, unit, unit, S, PANEL)

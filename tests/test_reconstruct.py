@@ -32,7 +32,6 @@ from ncperiods.reconstruct import (
     build_catalog,
     cocycle_from_json,
     compare_recovery,
-    deconjugate,
     dump_cocycle_values,
     hidden_collection,
     injectivity_probe,
@@ -414,84 +413,6 @@ def test_peel_rejects_coboundary_component(catalog, delta):
 
     with pytest.raises(PeelError, match="fit residual"):
         peel(X, catalog)
-
-
-def test_deconjugate_round_trip(delta):
-    """Twisting by n then by its pointwise inverse reproduces the cocycle."""
-    from ncperiods.cocycle import rows_inv
-
-    h = CuspCollection(AB1, {(1,): delta})
-    words = GradedWords(AB1, 2)
-    X = psi_evaluator(h, 2)
-
-    def n(t):
-        t = np.atleast_1d(np.asarray(t, dtype=complex))
-        rows = np.zeros((len(t), words.total), dtype=complex)
-        rows[:, 0] = 1.0
-        rows[:, 1] = 0.3 * t**2
-        rows[:, 2] = -0.1j * t
-        return rows
-
-    def n_inv(t):
-        return rows_inv(words, n(t))
-
-    Y = deconjugate(X, n, words)
-    back = deconjugate(Y, n_inv, words)
-    a = np.asarray(X(S, PANEL))
-    b = np.asarray(back(S, PANEL))
-    assert np.max(np.abs(a - b)) < 1e-10
-    # and the twist itself is not a no-op
-    assert np.max(np.abs(np.asarray(Y(S, PANEL)) - a)) > 1e-3
-
-
-def test_deconjugate_evaluates_n_once_per_panel(delta):
-    """Reading the peel grid of a twisted cocycle evaluates the twist once per
-    distinct panel, however many grid entries share it."""
-    words = GradedWords(AB1, 2)
-    calls = Counter()
-
-    def n(t):
-        calls[t.tobytes()] += 1
-        rows = np.zeros((len(t), words.total), dtype=complex)
-        rows[:, 0] = 1.0
-        rows[:, 1] = 0.3 * t**2
-        return rows
-
-    X = psi_evaluator(CuspCollection(AB1, {(1,): delta}), 2)
-    dump_cocycle_values(deconjugate(X, n, words), AB1, 2, PANEL)
-    assert len(calls) == 7
-    assert set(calls.values()) == {1}
-
-
-def test_deconjugate_keeps_the_planner(monkeypatch, delta):
-    """Reading the peel grid through deconjugate solves as many rays as
-    reading it from the bare evaluator: the twist forwards the evaluator's
-    plan, so the grid's reads are solved ahead in one call per base point."""
-    from ncperiods import cocycle
-
-    real = cocycle.vertical_J
-    calls = []
-
-    def counting(*args):
-        calls.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(cocycle, "vertical_J", counting)
-    words = GradedWords(AB2, 2)
-
-    def n(t):
-        rows = np.zeros((len(t), words.total), dtype=complex)
-        rows[:, 0] = 1.0
-        rows[:, 1] = 0.3 * t**2
-        return rows
-
-    solves = []
-    for wrap in (lambda X: X, lambda X: deconjugate(X, n, words)):
-        calls.clear()
-        reconstruct._grid_values(wrap(psi_evaluator(CuspCollection(AB2, {(1,): delta}), 2)),
-                                 PANEL)
-        solves.append(len(calls))
-    assert solves[0] == solves[1] == 4
 
 
 def test_injectivity_probe(delta, g16):
