@@ -375,7 +375,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--alphabet", help='letters, e.g. "10:trivial,14:trivial" or "eta4"')
+    common.add_argument("--alphabet", help='letters, e.g. "10:trivial,14:trivial", "eta4" or '
+                        '"10:trivial,eta3"')
     common.add_argument("--degree", type=int, help="truncation degree D")
     common.add_argument("--rtol", type=float, help="ODE relative tolerance")
     common.add_argument("--atol", type=float, help="ODE absolute tolerance")

@@ -88,25 +88,33 @@ def json_points(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _eta_power(text: str) -> int:
+    """N of an eta<N> multiplier name, in 1..24."""
+    try:
+        N = int(text[3:])
+    except ValueError:
+        raise ConfigError(f"bad eta letter {text!r}")
+    if not 1 <= N <= 24:
+        raise ConfigError(f"eta power must be 1..24, got {N}")
+    return N
+
+
 def parse_alphabet(spec: str) -> Alphabet:
     """Alphabet from a spec string.
 
-    "10:trivial,4:trivial" lists shifted weights with multipliers; "eta4" is
-    the one-letter alphabet of the eta-power collection eta^4.
+    A comma list of letters: "10:trivial" (or a bare "10") is a shifted
+    weight with its multiplier, and "eta3" the letter of eta^N, N = 3, whose
+    shifted weight N/2 - 2 may be written before it when it is an integer
+    ("0:eta4").  "eta4" is the one-letter alphabet of the eta-power
+    collection eta^4, and "10:trivial,eta3" mixes the two kinds.
     """
-    spec = spec.strip()
-    if spec.startswith("eta"):
-        try:
-            N = int(spec[3:])
-        except ValueError:
-            raise ConfigError(f"bad eta alphabet spec {spec!r}")
-        if not 1 <= N <= 24:
-            raise ConfigError(f"eta power must be 1..24, got {N}")
-        return Alphabet((Letter.eta(N),))
     letters = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
+            continue
+        if part.startswith("eta"):
+            letters.append(Letter.eta(_eta_power(part)))
             continue
         if ":" in part:
             wtext, mult = part.split(":", 1)
@@ -121,7 +129,7 @@ def parse_alphabet(spec: str) -> Alphabet:
             if mult == "trivial":
                 letters.append(Letter.trivial(w))
             elif mult.startswith("eta"):
-                N = int(mult[3:])
+                N = _eta_power(mult)
                 L = Letter.eta(N)
                 if L.weight != w:
                     raise ConfigError(f"eta{N} letter has weight {L.weight}, spec says {w}")
@@ -136,16 +144,9 @@ def parse_alphabet(spec: str) -> Alphabet:
 
 
 def format_alphabet(alphabet: Alphabet) -> str:
-    """The spec parse_alphabet reads back: a one-letter eta alphabet as eta<N>."""
-    if alphabet.ell == 1 and alphabet.letters[0].multiplier.kind != "trivial":
-        return f"eta{alphabet.letters[0].multiplier.N}"
-    parts = []
-    for L in alphabet.letters:
-        if L.multiplier.kind == "trivial":
-            parts.append(f"{int(L.weight)}:trivial")
-        else:
-            parts.append(f"{L.weight}:eta{L.multiplier.N}")
-    return ",".join(parts)
+    """The spec parse_alphabet reads back: every eta letter as eta<N>."""
+    return ",".join(f"{int(L.weight)}:trivial" if L.multiplier.kind == "trivial"
+                    else f"eta{L.multiplier.N}" for L in alphabet.letters)
 
 
 def _series_weight(weights, D: int) -> float:

@@ -22,7 +22,11 @@ they can cross-check each other:
   word degree, so on each Chebyshev panel D Picard sweeps, one per degree,
   are exact up to the panel's interpolation error; rtol/atol set how finely
   the panels resolve the integrand, in one test per panel after the sweeps.
-  The panels have 24 nodes, the order measured fastest (see _NODES).
+  The panels have 24 nodes (see _NODES for the orders measured).
+  The state is held words-major, J as (n_words, rows) and Omega and the
+  nodes as (n_words, nodes, rows), so each sweep's outer products are
+  contiguous broadcasts and its integration one batched real product over
+  the node axis; the rows it returns are (n_t, n_words) as everywhere.
   The kernel is the power (z - t)**w (repeated squaring at the integer
   weights of trivial multipliers), the panel's scaling dz/dx rides on the
   form values, and the row groups of one call, solved in an order fixed by
@@ -340,9 +344,10 @@ def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndar
     n_om = words.block(degrees[-1]).stop
 
     def block(d, kern, lower):
-        om = np.zeros(kern.shape[:2] + (n_om,), dtype=complex)
-        om[..., cols] = kern
-        return series_block(words, om, lower, d, degrees)
+        # the kernel is words-leading; the integrand keeps its words last
+        om = np.zeros((n_om,) + kern.shape[:2], dtype=complex)
+        om[cols] = np.moveaxis(kern, -1, 0)
+        return np.moveaxis(series_block(words, om, np.moveaxis(lower, -1, 0), d, degrees), 0, -1)
 
     path = build_path(x, y, _series_cutoff(h.support_forms, D, t, cfg.atol))
     ends = _layers(path, t, [[f for _, f in support]] * D, block, cfg)
@@ -411,19 +416,20 @@ def path_split_check(forms, z, y, x, t, cfg: QuadConfig = QuadConfig()) -> dict:
 #
 # The order.  The integrand is entire in z, so a higher order buys wider
 # panels.  Panels tried (rejected) in one seed-13 operation of the perfbench
-# workloads, and the median over three 10 s runs of the median wall time of
-# one operation, on a 2-core machine:
+# workloads, and the median over five 10 s runs of the median wall time of
+# one operation, on a 2-core machine, with the words-leading sweeps:
 #   nodes   roundtrip              psi_wide
-#   16      531 (118)  0.25 s      2,025 (49)  0.96 s
-#   20      382 (105)  0.20 s      1,393 (43)  0.77 s
-#   24      299  (86)  0.17 s      1,089 (40)  0.75 s
-#   28      264  (79)  0.16 s        944 (33)  0.79 s
-#   32      235  (70)  0.18 s        887 (23)  0.97 s
+#   20      300  (72)  0.094 s     1,108 (27)  0.243 s
+#   24      234  (63)  0.098 s       880 (28)  0.219 s
+#   28      204  (57)  0.074 s       737 (22)  0.197 s
 # roundtrip solves one row group per ray and pays Python overhead on every
 # panel, so fewer panels are nearly all gain there.  psi_wide pays the
-# (N+2) x N sweep product on 32 x 31-word row groups, which grows as N^2:
-# past 24 it costs more than the fewer panels save.  24 is the fastest on
-# psi_wide and within the runs' spread of the fastest on roundtrip.
+# (N+2) x N sweep product on 32 x 31-word row groups, which grows as N^2.
+# 24 was the fastest when the sweeps ran nodes-leading (16 and 32 were
+# slower still); words-leading, 28 reads faster on both workloads, but a
+# new order moves every ray's panels and so its values within the
+# tolerance, so 24 stays until a change that re-baselines the outputs
+# measures it.
 _NODES = 24
 _CHEB_X = chebyshev.chebpts2(_NODES)
 _VALS_TO_COEFS = chebyshev.chebvander(_CHEB_X, _NODES - 1).T * (2.0 / (_NODES - 1))
@@ -432,28 +438,21 @@ _VALS_TO_COEFS[[0, -1]] /= 2
 _CHEB_INT = chebyshev.chebval(_CHEB_X, chebyshev.chebint(_VALS_TO_COEFS, lbnd=-1)).T
 _CHEB_INT[0] = 0.0
 _CHEB_TAIL = _VALS_TO_COEFS[-2:]
-# A Picard sweep is one real product with _SWEEP, or _SWEEP_TOP for the top
-# degree, which needs only the panel end, on integrand values that already
-# carry the panel's dz/dx = -i width/2.  It gives the integrals from the
-# panel start, then the two trailing coefficients times 2, so that the sum
-# of their absolute values is width (|c_{N-2}| + |c_{N-1}|) of the integrand
-# in x, N = _NODES.
+# A Picard sweep is one real product per word with _SWEEP, or _SWEEP_TOP
+# for the top degree, which needs only the panel end, on integrand values
+# that already carry the panel's dz/dx = -i width/2.  It gives the
+# integrals from the panel start, then the two trailing coefficients times
+# 2, so that the sum of their absolute values is width (|c_{N-2}| +
+# |c_{N-1}|) of the integrand in x, N = _NODES.
 _SWEEP = np.concatenate([_CHEB_INT, 2 * _CHEB_TAIL])
 _SWEEP_TOP = np.concatenate([_CHEB_INT[-1:], 2 * _CHEB_TAIL])
 # a smooth integrand at height y is analytic in the disk of radius y about
 # it, so it is resolved on panels far wider than this share of y
 _MIN_WIDTH = 2.0**-20
-# panel points solved at once, bounding the (nodes, points, words) arrays:
+# panel points solved at once, bounding the (words, nodes, points) arrays:
 # at 64 a 256-point psi grid peaked 1.4 MB higher in memory, and the row
 # groups already share accepted panels, so more rows per group saves little
 _MAX_ROWS = 32
-
-
-def _real_rows(M, g) -> np.ndarray:
-    """M @ g over the node axis for a real matrix M and complex g: one real
-    product on g's float view, half the flops of the complex one."""
-    out = M @ g.view(np.float64).reshape(len(g), -1)
-    return out.view(complex).reshape((len(M),) + g.shape[1:])
 
 
 def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
@@ -466,18 +465,21 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     block k of J is the exact integral of Omega J read from the blocks below
     k: one form evaluation at the panel's points, then one Picard sweep per
     degree, each the series_block product over the support's degrees.  A
-    panel has _NODES = 24 nodes, the order measured fastest (the table at
+    panel has _NODES = 24 nodes (the orders measured are tabled at
     _NODES).  The kernel is (z - t)**w, which numpy takes by repeated
     squaring for the integer weights of trivial multipliers and by the
     general complex power for fractional ones; the panel's dz/dx = -i width/2 is folded into the
-    form values once, so a sweep is one real product with _SWEEP.  The top
-    degree feeds no later sweep, so its sweep integrates to the panel end
-    only and the panel's nodes hold only the blocks below it.  After the D
+    form values once.  A group's state is words-major: J is (n_words,
+    rows), and Omega and the nodes are (n_words, _NODES, rows), so a sweep
+    is one batched real product, np.matmul of _SWEEP with the float view of
+    the (len(block k), _NODES, rows) integrand.  The top degree feeds no
+    later sweep, so its sweep integrates to the panel end only and the
+    panel's nodes hold only the blocks below it.  After the D
     sweeps one test accepts the panel when the trailing Chebyshev
     coefficients of every integrand block stay below atol + rtol |J| (J at
     either end); a rejected panel is halved.  The panel points are solved
     _MAX_ROWS at a time, each group on its own panels, which bounds the
-    (nodes, points, words) arrays.
+    (words, nodes, points) arrays.
     Within the call, a group's first attempt at a height reuses the panel
     the first group to pass that height accepted, its width and its form
     values; every other attempt evaluates its own.  The groups run in the
@@ -505,10 +507,11 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     accepted = {}  # y -> (width, form values times dz/dx) of the first panel accepted at y
 
     def solve(tc):
-        """The ray for the panel points tc, from J = 1 at the cutoff height."""
-        J = words.unit_rows(len(tc))
-        om = np.zeros((_NODES, len(tc), n_om), dtype=complex)  # Omega at the panel's nodes
-        tails = np.zeros((2,) + J.shape, dtype=complex)  # the sweeps' trailing coefficients
+        """The ray for the panel points tc, from J = 1 at the cutoff height,
+        as words-major (n_words, len(tc)) columns."""
+        J = words.unit_rows(len(tc)).T
+        om = np.zeros((n_om, _NODES, len(tc)), dtype=complex)  # Omega at the panel's nodes
+        tails = np.zeros((words.total, 2, len(tc)), dtype=complex)  # the sweeps' trailing coefficients
         s = 0.0
         width = min(1.0, L / 10)
         rejected = False
@@ -521,22 +524,23 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
             width = min(width, L - s)  # a short last panel is not a failure to resolve
             z = z0.real + 1j * (y - (_CHEB_X + 1) * (width / 2))
             if vals is None:
-                vals = eval_forms(forms, z).T * (-0.5j * width)
-            om[:, :, cols] = vals[:, None, :] * (z[:, None] - tc)[:, :, None] ** wvec
+                vals = eval_forms(forms, z) * (-0.5j * width)
+            om[cols] = vals[:, :, None] * (z[:, None] - tc) ** wvec[:, None, None]
             # the top degree feeds no later sweep: the nodes hold only the
             # blocks below it, and its sweep only the panel end
-            nodes = np.repeat(J[None, :, :below], _NODES, axis=0)
-            end_top = J[:, below:].copy()
+            nodes = np.repeat(J[:below, None], _NODES, axis=1)
+            end_top = J[below:].copy()
             for k in range(1, D + 1):
-                # block k of Omega J reads only the blocks of J below k
+                # block k of Omega J reads only the blocks of J below k; the
+                # sweep is one real product per word on g's float view
                 g = series_block(words, om, nodes, k, degrees)
-                sweep = _real_rows(_SWEEP_TOP if k == D else _SWEEP, g)
-                blk = end_top[None] if k == D else nodes[:, :, words.block(k)]
-                blk += sweep[:-2]
-                tails[:, :, words.block(k)] = sweep[-2:]
-            end = np.concatenate([nodes[-1], end_top], axis=1)
+                sweep = np.matmul(_SWEEP_TOP if k == D else _SWEEP, g.view(np.float64)).view(complex)
+                blk = end_top[:, None] if k == D else nodes[words.block(k)]
+                blk += sweep[:, :-2]
+                tails[words.block(k)] = sweep[:, -2:]
+            end = np.concatenate([nodes[:, -1], end_top])
             scale = cfg.atol + cfg.rtol * np.maximum(np.abs(J), np.abs(end))
-            err = float(np.max((np.abs(tails[0]) + np.abs(tails[1])) / scale))
+            err = float(np.max((np.abs(tails[:, 0]) + np.abs(tails[:, 1])) / scale))
             if not math.isfinite(err):
                 raise IterIntError(f"ODE state went non-finite at height {y:.3f}")
             rejected = err > 1.0
@@ -551,7 +555,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
         return J
 
     groups = [t[i:i + _MAX_ROWS] for i in range(0, len(t), _MAX_ROWS)]
-    rows = [None] * len(groups)
+    states = [None] * len(groups)
     for i in sorted(range(len(groups)), key=lambda i: groups[i].tobytes()):
-        rows[i] = solve(groups[i])
-    return np.concatenate(rows)
+        states[i] = solve(groups[i])
+    return np.ascontiguousarray(np.concatenate(states, axis=1).T)

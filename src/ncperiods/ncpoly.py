@@ -250,38 +250,45 @@ class GradedWords:
 
 
 def series_block(words: GradedWords, xs, ys, d: int, x_degrees) -> np.ndarray:
-    """Block d of the concatenation product of (..., n_words) coefficient
-    arrays, in their common dtype; leading axes broadcast.
+    """Block d of the concatenation product of words-leading (n_words, ...)
+    coefficient arrays, shape (len(block d), ...), in their common dtype.
 
+    xs and ys have the same number of axes, and the trailing ones broadcast.
     Sums the outer products of block d1 of xs with block d - d1 of ys over
     the ascending degrees x_degrees, the only degrees at which xs may be
     nonzero (degrees above d contribute nothing and are passed over).  Only
-    those blocks of xs are read, so xs may end after its top one.
+    those blocks of xs are read, so xs may end after its top one.  With the
+    words axis first, each outer product is one contiguous broadcast.
     """
-    lead = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
-    out = np.zeros(lead + (words.offsets[d + 1] - words.offsets[d],),
+    if xs.ndim != ys.ndim:
+        raise ValueError(f"series_block needs arrays of one rank, got {xs.shape} and {ys.shape}")
+    tail = np.broadcast_shapes(xs.shape[1:], ys.shape[1:])
+    out = np.zeros((words.offsets[d + 1] - words.offsets[d],) + tail,
                    dtype=np.result_type(xs, ys))
     for d1 in x_degrees:
         if d1 <= d:
-            outer = xs[..., words.block(d1), None] * ys[..., None, words.block(d - d1)]
-            out += outer.reshape(lead + (-1,))
+            outer = xs[words.block(d1), None] * ys[None, words.block(d - d1)]
+            out += outer.reshape((-1,) + tail)
     return out
 
 
 def nc_mul(words: GradedWords, xs, ys) -> np.ndarray:
-    """Concatenation product of (..., n_words) coefficient arrays, truncated
+    """Concatenation product of (..., n_words) coefficient rows, truncated
     at D; leading axes broadcast, so one call multiplies a whole panel of rows.
     """
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
     if xs.shape[-1] != words.total or ys.shape[-1] != words.total:
         raise ValueError("coefficient vector length mismatch")
-    return np.concatenate([series_block(words, xs, ys, d, range(d + 1))
-                           for d in range(words.D + 1)], axis=-1)
+    x, y = (np.moveaxis(a, -1, 0) for a in np.broadcast_arrays(xs, ys))  # words-leading views
+    out = np.empty(x.shape[1:] + (words.total,), dtype=complex)
+    for d in range(words.D + 1):
+        np.moveaxis(out, -1, 0)[words.block(d)] = series_block(words, x, y, d, range(d + 1))
+    return out
 
 
 def nc_inv(words: GradedWords, xs) -> np.ndarray:
-    """Inverse y of (..., n_words) coefficient arrays x, degree by degree:
+    """Inverse y of (..., n_words) coefficient rows x, degree by degree:
     block d of x y = 1 gives y_d = -y_0 sum_{1<=d1<=d} x_d1 y_(d-d1), with
     y_0 = 1/x_0.
 
@@ -292,9 +299,10 @@ def nc_inv(words: GradedWords, xs) -> np.ndarray:
     if np.any(bad):
         raise ValueError(f"series inverse needs constant term 1, got {xs[..., 0][bad][0]}")
     out = np.zeros(xs.shape, dtype=complex)
-    out[..., 0] = 1.0 / xs[..., 0]
+    x, y = np.moveaxis(xs, -1, 0), np.moveaxis(out, -1, 0)  # words-leading views
+    y[0] = 1.0 / x[0]
     for d in range(1, words.D + 1):
-        out[..., words.block(d)] = -out[..., :1] * series_block(words, xs, out, d, range(1, d + 1))
+        y[words.block(d)] = -y[:1] * series_block(words, x, y, d, range(1, d + 1))
     return out
 
 

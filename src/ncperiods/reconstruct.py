@@ -300,12 +300,11 @@ def dump_cocycle_values(X, alphabet: Alphabet, D: int, panel, grid=PEEL_VALUE_GR
     entries = []
     for label, move, gamma, pts in _grid_reads(X, panel, grid):
         rows = np.asarray(X(gamma, pts), dtype=complex)
-        values = {}
-        for i in range(words.block(1).start, words.total):
-            col = rows[:, i]
-            if np.max(np.abs(col)) == 0.0:
-                continue
-            values[mono_str(words.word(i))] = [[float(v.real), float(v.imag)] for v in col]
+        first = words.block(1).start
+        cols = (first + np.flatnonzero(np.max(np.abs(rows[:, first:]), axis=0) != 0.0)).tolist()
+        # one tolist of the kept columns' (columns, rows, 2) real/imag pairs packs them all
+        pairs = np.stack([rows.real, rows.imag], axis=-1)[:, cols].transpose(1, 0, 2).tolist()
+        values = {mono_str(words.word(i)): col for i, col in zip(cols, pairs)}
         entries.append({
             "gamma": label,
             "panel": [[float(p.real), float(p.imag)] for p in pts],

@@ -288,15 +288,18 @@ def test_alphabet_spec_spellings():
 
 
 @pytest.mark.parametrize("spec", [f"eta{N}" for N in range(1, 25)]
-                         + ["0:eta4", "10:trivial,4:trivial", "10:trivial,0:eta4"])
+                         + ["0:eta4", "10:trivial,4:trivial", "10:trivial,0:eta4",
+                            "10:trivial,eta3", "eta3,10:trivial"])
 def test_alphabet_spec_round_trip(spec):
     """The spec a report prints parses back to the same alphabet, and prints
-    the same again; a one-letter eta alphabet prints as eta<N>, which at odd N
-    is the only spelling the reader takes (its weight N/2 - 2 is fractional)."""
+    the same again; every eta letter prints as eta<N>, which at odd N is the
+    only spelling the reader takes (its weight N/2 - 2 is fractional), in a
+    one-letter alphabet or among other letters."""
     text = format_alphabet(parse_alphabet(spec))
     assert parse_alphabet(text) == parse_alphabet(spec)
     assert format_alphabet(parse_alphabet(text)) == text
-    if spec.startswith("eta"):
+    assert ":eta" not in text
+    if ":eta" not in spec:
         assert text == spec
 
 

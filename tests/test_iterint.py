@@ -241,13 +241,25 @@ def _two_group_panel():
     return t
 
 
-def test_two_row_groups_match_the_layered_route(delta, g16):
+def _two_group_cases():
+    s = {k: level_one_basis(k)[0] for k in (12, 16, 22, 32)}
+    return [
+        pytest.param(CuspCollection.from_letters(
+            Alphabet((Letter.trivial(10), Letter.trivial(14))), [s[12], s[16]]), id="two-letters"),
+        # the support of test_dual_route_agreement_multi_prefix: each sweep
+        # sums the terms of several support degrees
+        pytest.param(CuspCollection(Alphabet((Letter.trivial(10),)),
+                                    {(1,): s[12], (1, 1): s[22], (1, 1, 1): s[32]}),
+                     id="multi-prefix"),
+    ]
+
+
+@pytest.mark.parametrize("h", _two_group_cases())
+def test_two_row_groups_match_the_layered_route(h):
     """Every entry of a ray solved as two row groups, with the top degree
     integrated to the panel ends only and the sweeps as real products, is
     within a tenth of the ODE's own bound atol + rtol |J| of the layered
-    route (it reads 1e-5 of it)."""
-    h = CuspCollection.from_letters(Alphabet((Letter.trivial(10), Letter.trivial(14))),
-                                    [delta, g16])
+    route (both cases read 6e-6 of it)."""
     t = _two_group_panel()
     cfg = QuadConfig()
     ode = vertical_J(h, 2j, t, 3, cfg)
@@ -499,25 +511,25 @@ def rhs_cases(draw):
     support = tuple(sorted(support, key=lambda m: (len(m), m)))
     n_t = draw(st.integers(1, 4))
     coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
-    om_row = draw(arrays(complex, (n_t, len(support)), elements=coeff))
-    J = draw(arrays(complex, (n_t, words.total), elements=coeff))
-    return words, support, om_row, J
+    om_col = draw(arrays(complex, (len(support), n_t), elements=coeff))
+    J = draw(arrays(complex, (words.total, n_t), elements=coeff))
+    return words, support, om_col, J
 
 
 @given(rhs_cases())
 def test_series_block_over_support_degrees(case):
     """Block k of Omega J summed over the support's degrees only, as the ray
     ODE sweeps it, is bitwise the block summed over every degree, keeps the
-    rows' dtype and agrees with block k of nc_mul; Omega carries
-    om_row[:, b] at support monomial b."""
-    words, support, om_row, J = case
+    words-leading state's dtype and agrees with block k of nc_mul on the
+    rows; Omega carries om_col[b] at support monomial b."""
+    words, support, om_col, J = case
     omega = np.zeros_like(J)
     for b, m in enumerate(support):
-        omega[:, words.index(m)] = om_row[:, b]
+        omega[words.index(m)] = om_col[b]
     degrees = sorted({len(m) for m in support})
-    want = nc_mul(words, omega, J)
+    want = nc_mul(words, omega.T, J.T)
     for k in range(words.D + 1):
         got = series_block(words, omega, J, k, degrees)
         assert got.dtype == J.dtype
         assert got.tobytes() == series_block(words, omega, J, k, range(k + 1)).tobytes()
-        np.testing.assert_allclose(got, want[:, words.block(k)], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, want[:, words.block(k)].T, rtol=0, atol=1e-13)

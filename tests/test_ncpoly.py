@@ -133,12 +133,43 @@ def test_nc_inv_two_sided(a):
     assert np.max(np.abs(right - one)) < 1e-9
 
 
+def test_nc_mul_inv_broadcast_leading_axes():
+    """nc_mul broadcasts the leading axes of its rows before the words-leading
+    kernel sees them: a (W,) series against (n_t, W) rows, and (2, 1, W)
+    against (3, W), give the per-row products; nc_inv of stacked rows gives
+    the per-row inverses."""
+    rng = np.random.default_rng(7)
+
+    def rows(*shape):
+        x = rng.uniform(-1, 1, shape + (WORDS23.total, 2)) @ np.array([1, 1j])
+        x[..., 0] = 1.0
+        return x
+
+    a, r = rows(), rows(5)
+    assert nc_mul(WORDS23, a, r).shape == (5, WORDS23.total)
+    for i in range(5):
+        np.testing.assert_array_equal(nc_mul(WORDS23, a, r)[i], nc_mul(WORDS23, a, r[i]))
+        np.testing.assert_array_equal(nc_mul(WORDS23, r, a)[i], nc_mul(WORDS23, r[i], a))
+        np.testing.assert_array_equal(nc_inv(WORDS23, r)[i], nc_inv(WORDS23, r[i]))
+    x, y = rows(2, 1), rows(3)
+    xy, yx = nc_mul(WORDS23, x, y), nc_mul(WORDS23, y, x)
+    assert xy.shape == yx.shape == (2, 3, WORDS23.total)
+    for i in range(2):
+        np.testing.assert_array_equal(nc_inv(WORDS23, x)[i, 0], nc_inv(WORDS23, x[i, 0]))
+        for j in range(3):
+            np.testing.assert_array_equal(xy[i, j], nc_mul(WORDS23, x[i, 0], y[j]))
+            np.testing.assert_array_equal(yx[i, j], nc_mul(WORDS23, y[j], x[i, 0]))
+
+
 def _ref_mul(words, xs, ys):
-    """The former product: the kernel accumulated in extended precision."""
-    xs = np.asarray(xs, dtype=np.clongdouble)
-    ys = np.asarray(ys, dtype=np.clongdouble)
-    return np.concatenate([series_block(words, xs, ys, d, range(d + 1))
-                           for d in range(words.D + 1)], axis=-1)
+    """The former product: the words-leading kernel accumulated in extended
+    precision, on rows of one shape."""
+    xs = np.moveaxis(np.asarray(xs, dtype=np.clongdouble), -1, 0)
+    ys = np.moveaxis(np.asarray(ys, dtype=np.clongdouble), -1, 0)
+    out = np.concatenate([series_block(words, xs, ys, d, range(d + 1))
+                          for d in range(words.D + 1)])
+    assert out.dtype == np.clongdouble
+    return np.moveaxis(out, 0, -1)
 
 
 def _ref_inv(words, xs):
