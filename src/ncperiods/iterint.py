@@ -10,11 +10,14 @@ they can cross-check each other:
       J_m(z) = int_x^z sum_{m = B C} h(B)(u) (u-t)^w(B) J_C(u) du,
 
   summed over the supported prefixes B of m, with J_() = 1: one
-  one-dimensional adaptive pass per degree and path segment, integrating all
-  words of that degree at once against the antiderivatives of the lower
-  degrees, not a nested mesh.  r_direct, the iterated integral
-  R_l(f_1,...,f_l; y, x; t), is the chain case: one column per level, level
-  m integrating f_{l-m+1}(z) (z-t)^w against level m-1.
+  one-dimensional adaptive build per degree over the whole path, integrating
+  all words of that degree at once against the antiderivatives of the lower
+  degrees, not a nested mesh.  Segment i of the path is the parameter
+  interval [i, i + 1] of the build, which keeps each segment's panels,
+  scale and refusals its own while one round evaluates every segment.
+  r_direct, the iterated integral R_l(f_1,...,f_l; y, x; t), is the chain
+  case: one column per level, level m integrating f_{l-m+1}(z) (z-t)^w
+  against level m-1.
 
 * vertical_J: the full generating series J(h; z0, oo; t) of all words up to
   degree D at once, as the solution of dJ/dz = Omega(z) J integrated down a
@@ -38,7 +41,8 @@ leg near the cusp is a vertical ray in the frame coordinate, where the form
 is evaluated at large imaginary part and transported by its automorphy
 factor.  The kernel (z - t)^w always uses the true coordinate z; with
 Im t < 0 and Im z > 0 the base never meets the principal branch cut, so the
-power is unambiguous for fractional w.
+power is unambiguous for fractional w.  Both routes take it from zt_pow,
+the power (z - t)**w.
 
 All t arguments are panels (1-d arrays) in the lower half plane; every
 routine is vectorized over the panel.
@@ -55,7 +59,7 @@ from numpy.polynomial import chebyshev
 
 from .modforms import eval_forms, transformation_factor
 from .ncpoly import GradedWords, series_block
-from .quadrature import adaptive_pw
+from .quadrature import QuadratureError, adaptive_pw
 from .sl2z import I2, GroupElement
 
 __all__ = [
@@ -142,9 +146,13 @@ def cusp_frame(c: Fraction) -> GroupElement:
 
 
 def zt_pow(z, t, w):
-    """(z - t)^w, principal branch, broadcast over z, t and w (exactly 1 at
-    w = 0); safe since Im z > 0 > Im t keeps the base off the cut."""
-    return np.exp(np.asarray(w) * np.log(np.asarray(z) - np.asarray(t)))
+    """(z - t)**w, principal branch, broadcast over z, t and w (exactly 1 at
+    w = 0); safe since Im z > 0 > Im t keeps the base off the cut.  The
+    kernel of both routes: numpy takes an integer w by repeated squaring,
+    which is cheaper than exp(w log(z - t)) and keeps the relative error at
+    the product chain's, with no w-fold amplified rounding of the log's
+    imaginary part; a fractional w takes the general complex power."""
+    return (np.asarray(z) - np.asarray(t)) ** np.asarray(w)
 
 
 @dataclass(frozen=True)
@@ -155,30 +163,29 @@ class _Segment:
     p0: complex
     p1: complex
 
-    def tau(self, s):
-        return self.p0 + np.asarray(s) * (self.p1 - self.p0)
-
-    def z(self, s):
-        tau = self.tau(s)
-        return tau if self.frame == I2 else self.frame.mobius(tau)
-
-    def dz(self, s):
-        d = self.p1 - self.p0
-        if self.frame == I2:
-            return np.full(np.shape(s), d, dtype=complex)
-        return d * self.frame.jfactor(self.tau(s)) ** -2
-
-    def form_values(self, forms, s):
-        """(n_forms, npts) values of the forms at the true points z(s)."""
-        tau = self.tau(np.atleast_1d(s))
-        vals = eval_forms(forms, tau)
-        if self.frame == I2:
-            return vals
-        fac = np.stack([transformation_factor(f, self.frame, tau) for f in forms])
-        return fac * vals
-
     def reversed(self) -> "_Segment":
         return _Segment(self.frame, self.p1, self.p0)
+
+
+def _on_path(path, forms, s):
+    """True points z and the (n_forms, npts) form values times dz/ds at the
+    path parameters s, segment i running over s in [i, i + 1]: one form
+    evaluation at every point's frame coordinate tau, then the frame's
+    mobius map, automorphy factor and Jacobian only on framed segments."""
+    i = np.minimum(s.astype(int), len(path) - 1)
+    p0 = np.array([seg.p0 for seg in path])
+    step = np.array([seg.p1 - seg.p0 for seg in path])
+    tau = p0[i] + (s - i) * step[i]
+    vals = eval_forms(forms, tau)
+    z, dz = tau.copy(), step[i]
+    for k, seg in enumerate(path):
+        if seg.frame != I2:
+            on = i == k
+            tk = tau[on]
+            z[on] = seg.frame.mobius(tk)
+            dz[on] = step[k] * seg.frame.jfactor(tk) ** -2
+            vals[:, on] *= np.stack([transformation_factor(f, seg.frame, tk) for f in forms])
+    return z, vals * dz
 
 
 def cutoff_height(forms, polw: float, t, atol: float) -> float:
@@ -269,41 +276,42 @@ def validate_panel(t) -> np.ndarray:
 def _layers(path, t, level_forms, block, cfg: QuadConfig) -> list:
     """End values of the running antiderivatives of degrees 1..D along the
     path, each (n_t, n_cols), where level_forms[d-1] lists the forms degree d
-    reads: one adaptive pass per degree and segment.
+    reads: one adaptive build per degree over the whole path.
 
-    At a node set of a segment those forms are evaluated once, giving kern,
-    the (npts, n_t, n_forms) values f(z) (z-t)^w(f) dz/ds, and every lower
-    degree's antiderivative is read once into lower, the (npts, n_t, ...)
-    concatenation of degrees 0..d-1 (degree 0 the constant 1); block(d, kern,
-    lower) is degree d's integrand."""
-    antis = []  # per degree: antiderivative PwPolys on [0, 1] and the value before each segment
-    ends = []
+    Segment i is the parameter interval [i, i + 1] of the build, which keeps
+    each segment's panels, running scale and refusals its own (adaptive_pw
+    over intervals) while one round evaluates every segment's pending nodes
+    at once.  At those nodes the forms are evaluated once, giving kern, the
+    (npts, n_t, n_forms) values f(z) (z-t)^w(f) dz/ds, and every lower
+    degree's antiderivative, continuous along the whole path, is read once
+    into lower, the (npts, n_t, ...) concatenation of degrees 0..d-1 (degree
+    0 the constant 1); block(d, kern, lower) is degree d's integrand.  A
+    refusal names the degree and the path segment where the build stopped."""
+    ends = np.arange(1.0, len(path) + 1)
+    antis = []  # per degree: the antiderivative along the whole path
     for d, forms in enumerate(level_forms, start=1):
         w = np.array([float(f.shifted_weight) for f in forms])
-        pws = []
-        jumps = []
-        acc = 0.0
-        for i, seg in enumerate(path):
-            def integrand(s, seg=seg, i=i):
-                kern = ((seg.form_values(forms, s) * seg.dz(s)).T[:, None, :]
-                        * zt_pow(seg.z(s)[:, None, None], t[:, None], w))
-                lower = [np.ones(kern.shape[:2] + (1,))]
-                lower += [jump[i] + pw[i](s) for pw, jump in antis]
-                return block(d, kern, np.concatenate(lower, axis=-1))
-            A = adaptive_pw(integrand, 0.0, 1.0, tol=cfg.quad_tol).antiderivative()
-            pws.append(A)
-            jumps.append(acc)
-            acc = acc + A(1.0)
-        antis.append((pws, jumps))
-        ends.append(acc)
-    return ends
+
+        def integrand(s):
+            z, vals = _on_path(path, forms, s)
+            kern = vals.T[:, None, :] * zt_pow(z[:, None, None], t[:, None], w)
+            lower = [np.ones(kern.shape[:2] + (1,))] + [A(s) for A in antis]
+            return block(d, kern, np.concatenate(lower, axis=-1))
+        try:
+            antis.append(adaptive_pw(integrand, 0.0, ends, tol=cfg.quad_tol).antiderivative())
+        except QuadratureError as e:
+            seg = path[e.interval]
+            raise QuadratureError(
+                f"degree {d}, path segment {e.interval} of {len(path)} (frame {seg.frame}, "
+                f"{seg.p0} -> {seg.p1}): {e}", e.interval) from e
+    return [A(ends[-1]) for A in antis]
 
 
 def r_direct(forms, y, x, t, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     """R_l(f_1,...,f_l; y, x; t) for the t panel; forms[0] is the outermost.
 
     Layered route, the chain case of j_rows_direct: one column per level and
-    one adaptive pass per level and path segment, level d integrating
+    one adaptive build per level over the whole path, level d integrating
     f_{l-d+1}(z) (z-t)^w against level d-1.  Returns shape (len(t),).
     """
     t = validate_panel(t)
@@ -328,8 +336,9 @@ def j_rows_direct(h, y, x, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndar
     supported prefixes B, m = B C, of h(B)(z) (z-t)^w(B) times the running
     antiderivative of C (1 for empty C).  All words of degree d form one
     vector integrand, the series_block product of the support's kernels with
-    the lower degrees' antiderivatives: one adaptive pass per degree and path
-    segment, with one form evaluation serving the whole support.
+    the lower degrees' antiderivatives: one adaptive build per degree over
+    the whole path (each segment its own interval of the build), with one
+    form evaluation per round serving every segment and the whole support.
     """
     t = validate_panel(t)
     y = Endpoint.coerce(y)
@@ -466,7 +475,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     k: one form evaluation at the panel's points, then one Picard sweep per
     degree, each the series_block product over the support's degrees.  A
     panel has _NODES = 24 nodes (the orders measured are tabled at
-    _NODES).  The kernel is (z - t)**w, which numpy takes by repeated
+    _NODES).  The kernel is zt_pow's (z - t)**w, which numpy takes by repeated
     squaring for the integer weights of trivial multipliers and by the
     general complex power for fractional ones; the panel's dz/dx = -i width/2 is folded into the
     form values once.  A group's state is words-major: J is (n_words,
@@ -525,7 +534,7 @@ def vertical_J(h, z0, t, D: int, cfg: QuadConfig = QuadConfig()) -> np.ndarray:
             z = z0.real + 1j * (y - (_CHEB_X + 1) * (width / 2))
             if vals is None:
                 vals = eval_forms(forms, z) * (-0.5j * width)
-            om[cols] = vals[:, :, None] * (z[:, None] - tc) ** wvec[:, None, None]
+            om[cols] = vals[:, :, None] * zt_pow(z[:, None], tc, wvec[:, None, None])
             # the top degree feeds no later sweep: the nodes hold only the
             # blocks below it, and its sweep only the panel end
             nodes = np.repeat(J[:below, None], _NODES, axis=1)

@@ -13,6 +13,12 @@ a read runs the Legendre three-term recurrence at its points and contracts
 each point's row with its panel's coefficients in one batched matmul.  Two
 series on the same breaks integrate their product from the coefficients
 alone (Parseval), which is how factored integrands skip their outer product.
+
+One build may cover several abutting intervals (adaptive_pw with an array of
+ends): each interval keeps its own running scale and limits, as if built
+alone, while every round fits all intervals' pending panels with one call of
+the integrand, which is how a path of several segments costs one pass per
+round instead of one per segment.
 """
 
 from __future__ import annotations
@@ -36,8 +42,13 @@ LEGINT = L.legint(np.eye(NPTS), lbnd=-1)
 
 
 class QuadratureError(Exception):
-    """The integrand did not resolve within MAX_PANELS panels, or a panel
-    still unresolved would have to split below MIN_WIDTH."""
+    """The integrand did not resolve within MAX_PANELS panels on an interval,
+    or a panel still unresolved would have to split below MIN_WIDTH; interval
+    is the index of the interval of adaptive_pw's build where it stopped."""
+
+    def __init__(self, message: str, interval: int):
+        super().__init__(message)
+        self.interval = int(interval)
 
 
 class PwPoly:
@@ -57,7 +68,8 @@ class PwPoly:
         """Values at s; points outside the breaks extrapolate the edge panel."""
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        idx = np.clip(np.searchsorted(self.breaks, s, side="right") - 1, 0, len(self.breaks) - 2)
+        # the panel of each point, the edge panels extended beyond the ends
+        idx = np.searchsorted(self.breaks[1:-1], s, side="right")
         a, b = self.breaks[idx], self.breaks[idx + 1]
         x = (2 * s - a - b) / (b - a)
         # legvander's own three-term recurrence, so V is the same bit for bit;
@@ -96,30 +108,50 @@ class PwPoly:
         return a.reshape(-1, a.shape[-1]).T @ other.coeffs.reshape(-1, other.coeffs.shape[-1])
 
 
-def adaptive_pw(fun, a: float, b: float, tol: float) -> PwPoly:
+def adaptive_pw(fun, a: float, b, tol: float) -> PwPoly:
     """Build a PwPoly for fun on [a, b] by bisection until resolved.
+
+    b is one end, or an ascending array of interval ends, in which case the
+    build covers [a, b[0]], [b[0], b[1]], ... and the PwPoly's breaks hold
+    every end.  Each interval is its own build: it starts from INIT_PANELS
+    equal panels, no panel crosses its ends, and it keeps its own running
+    scale, its own count against MAX_PANELS and its own MIN_WIDTH refusal,
+    so its panels are accepted or split exactly as a build on that interval
+    alone decides; the intervals share only the rounds.
 
     fun maps a flat array of parameter values to (npts, *extra) samples, or
     to a tuple of such arrays (groups) that differ only in their last axis;
-    each round evaluates every pending panel's 16 nodes in a single call and
-    fits them in one product, a tuple's groups concatenated on the last axis.
-    A panel is accepted when, in every group, |c[14]| + |c[15]| <= tol *
-    scale, with scale that group's running max coefficient magnitude over the
-    whole build in panel order (so the criterion is relative to the group's
-    global size, not per-panel; a single array is one group).  The build
-    starts from INIT_PANELS equal panels; more than MAX_PANELS panels, or a
-    panel that would have to split below MIN_WIDTH, raises QuadratureError.
+    each round evaluates every pending panel's 16 nodes, over all intervals,
+    in a single call and fits them in one product, a tuple's groups
+    concatenated on the last axis.  A panel is accepted when, in every group,
+    |c[14]| + |c[15]| <= tol * scale, with scale that group's running max
+    coefficient magnitude over its interval's build in panel order (so the
+    criterion is relative to the group's size on the interval, not
+    per-panel; a single array is one group).  More than MAX_PANELS panels on
+    an interval, or a panel that would have to split below MIN_WIDTH, raises
+    QuadratureError naming the interval.
     """
-    if not b > a:
-        raise ValueError("need b > a")
-    edges = np.linspace(a, b, INIT_PANELS + 1)
-    lo, hi = edges[:-1], edges[1:]
-    accepted = []
-    scale = 0.0
+    ends = np.concatenate([[a], np.atleast_1d(np.asarray(b, dtype=float))])
+    if not np.all(ends[1:] > ends[:-1]):
+        raise ValueError("need ascending interval ends, b > a")
+    n_iv = len(ends) - 1
+    edges = np.linspace(ends[:-1], ends[1:], INIT_PANELS + 1)  # column k: interval k's panels
+    lo, hi = edges[:-1].T.ravel(), edges[1:].T.ravel()
+    iv = np.repeat(np.arange(n_iv), INIT_PANELS)  # each pending panel's interval, ascending
+    acc_lo, acc_c = [], []  # each round's accepted panels
+    n_done = 0
+    scale = [0.0] * n_iv  # per interval: each group's running max coefficient magnitude
     while len(lo):
-        if len(accepted) + len(lo) > MAX_PANELS:
-            raise QuadratureError(
-                f"exceeded {MAX_PANELS} panels on [{a}, {b}]; integrand too rough for tol={tol:.1e}")
+        bounds = np.searchsorted(iv, np.arange(n_iv + 1))  # interval k pends bounds[k]:bounds[k + 1]
+        if n_done + len(lo) > MAX_PANELS:  # only then can an interval exceed it
+            done = np.concatenate(acc_lo) if acc_lo else lo[:0]
+            per_iv = np.bincount(np.searchsorted(ends, done, "right") - 1, minlength=n_iv)
+            over = np.flatnonzero(per_iv + np.diff(bounds) > MAX_PANELS)
+            if len(over):
+                k = over[0]
+                raise QuadratureError(
+                    f"exceeded {MAX_PANELS} panels on [{ends[k]}, {ends[k + 1]}]; "
+                    f"integrand too rough for tol={tol:.1e}", k)
         pts = (NODES[None, :] * (hi - lo)[:, None] / 2 + (hi + lo)[:, None] / 2).ravel()
         vals = fun(pts)
         groups = [Ellipsis]  # index of each group's columns in vals: one array is one group
@@ -132,23 +164,33 @@ def adaptive_pw(fun, a: float, b: float, tol: float) -> PwPoly:
         coeffs = np.moveaxis(np.tensordot(TMAT, vals, axes=([1], [1])), 0, 1)
         absc = np.abs(coeffs)
         tail = absc[:, -2] + absc[:, -1]
-        # per panel and group: the largest coefficient, the running scale in
-        # panel order, and the largest tail
-        mags = np.array([absc[g].reshape(len(lo), -1).max(axis=1) for g in groups]).T
-        running = np.maximum(np.maximum.accumulate(mags, axis=0), scale)
-        scale = running[-1]
+        # per panel and group: the largest coefficient, turned in place into
+        # the running scale in panel order within its interval, and the
+        # largest tail
+        running = np.array([absc[g].reshape(len(lo), -1).max(axis=1) for g in groups]).T
+        for k in range(n_iv):
+            r = running[bounds[k]:bounds[k + 1]]
+            if len(r):
+                np.maximum(np.maximum.accumulate(r, axis=0, out=r), scale[k], out=r)
+                scale[k] = r[-1]
         tails = np.array([tail[g].reshape(len(lo), -1).max(axis=1) for g in groups]).T
         split = ~np.all(tails <= tol * np.maximum(running, 1e-300), axis=1)
         stuck = np.flatnonzero(split & (hi - lo <= MIN_WIDTH))
         if len(stuck):
             i = stuck[0]
+            k = iv[i]
             raise QuadratureError(
-                f"panel [{lo[i]}, {hi[i]}] of [{a}, {b}] still unresolved at width "
-                f"{hi[i] - lo[i]:.1e} <= MIN_WIDTH; integrand too rough for tol={tol:.1e}")
-        accepted.extend(zip(lo[~split], hi[~split], coeffs[~split]))
+                f"panel [{lo[i]}, {hi[i]}] of [{ends[k]}, {ends[k + 1]}] still unresolved at width "
+                f"{hi[i] - lo[i]:.1e} <= MIN_WIDTH; integrand too rough for tol={tol:.1e}", k)
+        keep = ~split
+        acc_lo.append(lo[keep])
+        acc_c.append(coeffs[keep])
+        n_done += len(acc_lo[-1])
         mid = (lo[split] + hi[split]) / 2
         lo = np.stack([lo[split], mid], axis=1).ravel()
         hi = np.stack([mid, hi[split]], axis=1).ravel()
-    accepted.sort(key=lambda t: t[0])
-    breaks = np.array([p[0] for p in accepted] + [accepted[-1][1]])
-    return PwPoly(breaks, np.stack([p[2] for p in accepted]))
+        iv = np.repeat(iv[split], 2)
+    lo = np.concatenate(acc_lo)
+    order = np.argsort(lo, kind="stable")
+    breaks = np.append(lo[order], ends[-1])
+    return PwPoly(breaks, np.concatenate(acc_c)[order])

@@ -27,8 +27,10 @@ from ncperiods.iterint import (
     vertical_J,
     zt_pow,
 )
+from ncperiods.mlv import double_period_polynomial
 from ncperiods.modforms import eta_form, level_one_basis
 from ncperiods.ncpoly import Alphabet, GradedWords, Letter, nc_mul, series_block
+from ncperiods.quadrature import MAX_PANELS, QuadratureError
 
 PANEL = np.array([-0.7j, -0.4 - 0.6j])
 
@@ -178,40 +180,83 @@ def test_panel_maps_follow_the_node_count():
     assert np.array_equal(iterint._SWEEP_TOP, iterint._SWEEP[[n - 1, n, n + 1]])
 
 
-def test_one_pass_per_degree_and_segment(monkeypatch, delta, g16):
-    """The layered route integrates all words of one degree as one vector
-    integrand per path segment, reading the running antiderivatives of the
-    lower degrees: D passes per segment, not one per word; and each adaptive
-    round makes one form evaluation for the whole support."""
-    passes = []
-    rounds = []
-    evals = []
+def _count_builds(monkeypatch):
+    """Record each adaptive build of the layered route, its rounds and the
+    size of each form evaluation."""
+    counts = {"builds": [], "rounds": [], "evals": []}
     real_pw = iterint.adaptive_pw
     real_eval = iterint.eval_forms
 
-    def counting_pw(fun, *args, **kwargs):
-        passes.append(1)
+    def counting_pw(fun, a, b, tol):
+        counts["builds"].append(np.atleast_1d(b))
 
         def counted(s):
-            rounds.append(1)
+            counts["rounds"].append(1)
             return fun(s)
-        return real_pw(counted, *args, **kwargs)
+        return real_pw(counted, a, b, tol)
 
     def counting_eval(forms, *args, **kwargs):
-        evals.append(len(forms))
+        counts["evals"].append(len(forms))
         return real_eval(forms, *args, **kwargs)
 
     monkeypatch.setattr(iterint, "adaptive_pw", counting_pw)
     monkeypatch.setattr(iterint, "eval_forms", counting_eval)
+    return counts
+
+
+def test_one_build_per_degree_along_the_path(monkeypatch, delta, g16):
+    """The layered route integrates all words of one degree as one vector
+    integrand in one adaptive build over the whole path, segment i the
+    parameter interval [i, i + 1], reading the continuous antiderivatives of
+    the lower degrees: D builds, not one per word or per segment; and each
+    adaptive round makes one form evaluation for every segment and the whole
+    support."""
+    counts = _count_builds(monkeypatch)
     ab = Alphabet((Letter.trivial(10), Letter.trivial(14)))
     h = CuspCollection.from_letters(ab, [delta, g16])
     y, x = Endpoint.point(0.5 + 1.3j), Endpoint.point(-0.3 + 0.8j)
     j_rows_direct(h, y, x, PANEL, 3)
     segments = len(build_path(x, y, cutoff=0.0))
     assert segments == 3
-    assert len(passes) == 3 * segments
-    assert len(evals) == len(rounds)
-    assert set(evals) == {len(h.support)}
+    assert len(counts["builds"]) == 3
+    assert all(np.array_equal(b, [1.0, 2.0, 3.0]) for b in counts["builds"])
+    assert len(counts["evals"]) == len(counts["rounds"])
+    assert set(counts["evals"]) == {len(h.support)}
+
+
+def test_catalog_path_one_build_per_level(monkeypatch, delta, g16):
+    """r_direct from the cusp 0 to oo, the catalog's path, crosses a framed
+    segment (the leg at 0, in the frame coordinate of cusp_frame(0)) inside
+    the same build as the vertical legs: one build per level, one form
+    evaluation per round, and the order-2 value is the double period
+    polynomial the moments route gives."""
+    path = build_path(Endpoint.cusp(Fraction(0)), Endpoint.cusp(None), cutoff=10.0)
+    assert [seg.frame != iterint.I2 for seg in path] == [True, False, False]
+    counts = _count_builds(monkeypatch)
+    got = r_direct([delta, g16], None, Fraction(0), PANEL)
+    assert len(counts["builds"]) == 2
+    assert all(np.array_equal(b, [1.0, 2.0, 3.0]) for b in counts["builds"])
+    assert len(counts["evals"]) == len(counts["rounds"])
+    want = double_period_polynomial(delta, g16)(PANEL)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_layered_refusal_names_degree_and_segment():
+    """A refusal of the layered route names the degree and the path segment
+    whose build stopped, and keeps the per-segment MAX_PANELS limit (the
+    case has no evaluation noise floor yet: S50.1 near the real axis carries
+    rounding noise above quad_tol, so its degree-3 build on the last
+    segment splits until the budget runs out)."""
+    s = {k: level_one_basis(k)[0] for k in (18, 34, 50)}
+    h = CuspCollection(Alphabet((Letter.trivial(16),)),
+                       {(1,): s[18], (1, 1): s[34], (1, 1, 1): s[50]})
+    t = np.array([-0.325 - 0.804j, -0.587 - 1.196j])
+    message = (r"degree 3, path segment 2 of 3 \(frame \[\[1,0\],\[0,1\]\], "
+               r"\(-0\.55\+2j\) -> \(-0\.55\+0\.31j\)\): "
+               rf"exceeded {MAX_PANELS} panels on \[2\.0, 3\.0\]")
+    with pytest.raises(QuadratureError, match=message) as err:
+        j_rows_direct(h, -0.55 + 0.31j, None, t, 3)
+    assert err.value.interval == 2
 
 
 @pytest.mark.parametrize("y", [2.2j, 0.5 + 1.3j])
@@ -495,6 +540,37 @@ def test_zt_pow_branch():
     # principal log directly
     w = 3.5
     assert zt_pow(z, t, w)[0] == pytest.approx(np.exp(w * np.log(z[0] - t[0])))
+
+
+def _exact_pow(b: complex, w: int) -> complex:
+    """b**w by repeated exact multiplication of the float's rationals,
+    rounded once."""
+    re, im = Fraction(b.real), Fraction(b.imag)
+    acc_re, acc_im = Fraction(1), Fraction(0)
+    for _ in range(w):
+        acc_re, acc_im = acc_re * re - acc_im * im, acc_re * im + acc_im * re
+    return complex(float(acc_re), float(acc_im))
+
+
+def test_zt_pow_integer_weights_are_products():
+    """At integer w the kernel is a chain of complex products: against the
+    exact product of the rounded base, every value is within the first-order
+    bound of binary powering, (w - 1) sqrt(5) eps/2 of |value| (sqrt(5) eps/2
+    per complex product), for w up to 46, at panel points against heights of
+    the layered route's paths from the real axis to a cusp cutoff.
+    The power stays within 0.85 of the bound here; exp(w log(z - t)), which
+    rounds the log and then scales its error by w, misses it at every w from
+    1 to 46 on these points, by up to 2.7x."""
+    z = np.array([0.3 + 1.2j, -0.55 + 0.31j, 0.5 + 1.3j, 16j, 1e-3 + 0.9j, 0.2 + 16.7j])
+    t = np.array([-0.5 - 0.8j, -0.325 - 0.804j, -0.587 - 1.196j, 1.3 - 0.4j, -1.3 - 1.5j])
+    eps = np.finfo(float).eps
+    w = np.arange(47.0)
+    got = zt_pow(z[:, None, None], t[:, None], w)
+    for i, zi in enumerate(z):
+        for j, tj in enumerate(t):
+            for k in range(47):
+                want = _exact_pow(complex(zi - tj), k)
+                assert abs(got[i, j, k] - want) <= max(k - 1, 0) * math.sqrt(5) * eps / 2 * abs(want)
 
 
 @st.composite

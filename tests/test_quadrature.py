@@ -98,6 +98,84 @@ def test_single_array_fun_keeps_one_running_scale(fun, a, b, tol):
     assert pw.coeffs.tobytes() == coeffs.tobytes()
 
 
+@pytest.mark.parametrize("fun, ends, tol", [
+    (lambda s: np.exp(37j * s), [0.0, 2.0, 3.5, 4.0], 1e-13),
+    (lambda s: np.exp(np.outer(-s, [1.0, 2.0, 3.0])), [0.0, 1.0, 2.0, 3.0], 1e-13),
+    (lambda s: 1.0 / (1e-6 + (s - 1.3) ** 2), [0.0, 1.0, 2.0], 1e-13),
+    (lambda s: (np.exp(s)[:, None] * [1.0, 2.0], 1e-8 * np.cos(60.0 * s)[:, None]),
+     [0.0, 0.5, 1.0], 1e-10),
+], ids=["oscillatory", "vector", "needle", "groups"])
+def test_intervals_build_as_each_interval_alone(fun, ends, tol):
+    """A build over interval ends is, interval by interval, the build on that
+    interval alone: the same breaks bit for bit, and coefficients within a
+    few ulps (the fit's product runs over another batch of panels)."""
+    pw = adaptive_pw(fun, ends[0], np.array(ends[1:]), tol)
+    parts = [adaptive_pw(fun, a, b, tol) for a, b in zip(ends[:-1], ends[1:])]
+    want = np.concatenate([p.breaks[:-1] for p in parts] + [parts[-1].breaks[-1:]])
+    assert pw.breaks.tobytes() == want.tobytes()
+    coeffs = np.concatenate([p.coeffs for p in parts])
+    assert np.all(np.abs(pw.coeffs - coeffs) <= 8 * np.finfo(float).eps * np.max(np.abs(coeffs)))
+    if not isinstance(fun(np.zeros(1)), tuple):
+        one = [_one_scale_build(fun, a, b, tol) for a, b in zip(ends[:-1], ends[1:])]
+        assert np.concatenate([p[0][:-1] for p in one] + [one[-1][0][-1:]]).tobytes() == want.tobytes()
+
+
+def test_each_interval_keeps_its_own_scale():
+    """A 1e-8-sized oscillation on the interval after a 1e6-sized one is
+    resolved to tol of its own size: the scale does not carry over."""
+    tol = 1e-10
+
+    def fun(s):
+        return np.where(s < 1.0, 1e6 * np.exp(s), 1e-8 * np.cos(60.0 * s))
+
+    pw = adaptive_pw(fun, 0.0, np.array([1.0, 2.0]), tol)
+    s = np.linspace(1.0, 2.0, 201)[1:]
+    assert np.max(np.abs(pw(s) - fun(s))) <= 10 * tol * 1e-8
+    # each panel integrates to width * c0
+    second = pw.breaks[:-1] >= 1.0
+    area = np.diff(pw.breaks)[second] @ pw.coeffs[second, 0]
+    assert abs(area - 1e-8 * (np.sin(120.0) - np.sin(60.0)) / 60.0) <= tol * 1e-8
+    assert abs(pw.antiderivative()(1.0) - 1e6 * (np.e - 1)) <= tol * 1e6 * np.e
+
+
+def test_no_panel_crosses_an_interval_end():
+    """Every interval end is a break, so an integrand that jumps there (it
+    is never sampled at an end) still resolves, where the same jump inside
+    one interval is refused at MIN_WIDTH."""
+    def fun(s):
+        return np.where(s < 1.0, np.cos(3 * s), np.where(s < 1.7, np.exp(-s), s**2))
+
+    ends = np.array([1.0, 1.7, 3.0])  # 1.7 is no break of equal panels on [0, 3]
+    pw = adaptive_pw(fun, 0.0, ends, 1e-13)
+    assert np.all(np.isin(ends, pw.breaks))
+    assert np.all(np.diff(pw.breaks) > 0)
+    s = np.linspace(0.0, 3.0, 61)
+    assert np.max(np.abs(pw(s) - fun(s))) < 1e-12 * 9
+    with pytest.raises(QuadratureError, match="MIN_WIDTH"):
+        adaptive_pw(fun, 0.0, 3.0, 1e-13)
+
+
+def test_panel_budget_is_per_interval(monkeypatch):
+    """MAX_PANELS bounds each interval's build, not the path's: a budget of
+    the most panels one interval accepts suffices however many the intervals
+    hold together, and one fewer is refused on that interval, named."""
+    ends = np.array([1.0, 2.0, 3.0])
+
+    def build():
+        return adaptive_pw(lambda s: 1.0 / (1e-4 + (s - 1.3) ** 2), 0.0, ends, tol=1e-13)
+
+    breaks = build().breaks
+    counts = np.histogram(breaks[:-1], bins=np.concatenate([[0.0], ends]))[0]
+    n, k = counts.max(), int(np.argmax(counts))
+    assert k == 1 and counts.sum() > n
+    monkeypatch.setattr(quadrature, "MAX_PANELS", n)
+    assert np.array_equal(build().breaks, breaks)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", n - 1)
+    with pytest.raises(QuadratureError, match=rf"exceeded {n - 1} panels on \[1\.0, 2\.0\]") as err:
+        build()
+    assert err.value.interval == 1
+
+
 def test_tuple_groups_resolve_to_their_own_scale():
     """A fun returning a tuple of sample arrays gets one running scale per
     array: a rough group 1e-8 the size of a smooth one is resolved to tol of
