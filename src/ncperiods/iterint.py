@@ -90,8 +90,9 @@ class QuadConfig:
     rtol/atol are the panel resolution criterion of the ray ODE: a Chebyshev
     panel is accepted when the trailing coefficients of its integrand stay
     below atol + rtol |J|; quad_tol is the panel resolution criterion of the
-    layered route; atol also sets where both routes cut the path off at the
-    cusp (see _series_cutoff).
+    layered route and of the moment fits in mlv; atol also sets where both
+    routes cut a path off at the cusp (see _series_cutoff), and only that:
+    no moment in mlv depends on it.
     """
 
     rtol: float = 1e-9

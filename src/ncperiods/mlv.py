@@ -8,13 +8,22 @@ functional equation an algebraic identity of the formula, so the
 consistency probe deliberately uses two different split points, where
 equality is earned by the quadrature, not by symmetry.
 
-Double moments reuse the inner form's antiderivatives: F_m(Y) = int_1^Y
-f2(iu) u^m du is built once as a piecewise polynomial, and the inner
-integral from 0 is assembled from F at the outer nodes on both sides of the
-fold.  The outer pass resolves only the factor columns, the outer form's
-f1 y^k1 and the inner integrals, as two groups on shared breaks; the table
-is their Parseval sum, panel by panel, never the (w1+1, w2+1) tensor.  Cost
-is two one-dimensional passes.
+Every moment of a form reads one memoized fit (_moment_fit): f(iy) y^m,
+m = 0..w, resolved to quad_tol on [Y_LO, Y_HI(f)] with the fold y = 1 and
+the probe's split heights as breaks, where Y_HI(f) is the height past which
+f(iy) y^w is exactly 0 in float64.  A split y0 is allowed when y0 and 1/y0
+both lie at or above Y_LO.  Each table is the fit's antiderivative read at
+the split, its fold and the top, so the truncation is 0 (the atol of
+QuadConfig changes no moment) and the error is the fit's, about quad_tol of
+the running scale of f y^m.
+
+Double moments read the inner form's antiderivatives F_m(Y) = int_{Y_LO}^Y
+f2(iu) u^m du, and the inner integral from 0 is assembled from F at the
+outer nodes on both sides of the fold.  The outer integrand is a sum of two
+products of factors, the outer form's fit and the inner integrals, each a
+polynomial on every panel of the merged breaks, so Gauss on those panels
+integrates it exactly, and the (w1+1, w2+1) tensor is never sampled.  No
+double moment runs an adaptive build or evaluates a form.
 
 Values here are "completed moments"; the conventional completed L-function
 at integer arguments is Lambda(f, s) = M_{s-1} / i^s.
@@ -30,7 +39,7 @@ from numpy.polynomial import Polynomial
 
 from .iterint import QuadConfig, cutoff_height, identity_report
 from .modforms import CuspForm, eval_forms
-from .quadrature import PwPoly, adaptive_pw
+from .quadrature import PwPoly, adaptive_pw, merged_gauss
 
 __all__ = [
     "moment",
@@ -45,6 +54,13 @@ __all__ = [
 ]
 
 PROBE_SPLITS = (0.7, 1.3)  # the functional-equation probe's two split heights
+Y_LO = min(PROBE_SPLITS)  # the lowest height a moment fit covers
+# the inner ends of every moment fit: the fold and the other heights the probe reads
+FIT_ENDS = tuple(sorted({1.0, *PROBE_SPLITS, *(1.0 / s for s in PROBE_SPLITS)} - {Y_LO}))
+# cutoff_height's atol for the top Y_HI(f) of a moment fit: the tail bound is
+# below 1e-302 there, and past it e^(-2 pi y) has underflowed, so f(iy) y^w
+# is exactly 0 in float64
+FLOOR_ATOL = 1e-300
 
 
 def _check_trivial(f: CuspForm) -> int:
@@ -57,31 +73,46 @@ def _check_trivial(f: CuspForm) -> int:
 
 
 @lru_cache(maxsize=64)
-def _moment_antideriv(f: CuspForm, lo: float, ycut: float, quad_tol: float):
-    """PwPoly antiderivatives F_m(Y) = int_lo^Y f(iu) u^m du, m = 0..w, of a
-    nonzero form, resolved to quad_tol on [lo, ycut]."""
-    ms = np.arange(int(f.shifted_weight) + 1)
+def _moment_fit(f: CuspForm, quad_tol: float) -> PwPoly:
+    """PwPoly fit of f(iy) y^m, m = 0..w, of a nonzero form, resolved to
+    quad_tol on [Y_LO, Y_HI(f)]; every moment of f reads it.
+
+    The fold y = 1 and the probe's heights (FIT_ENDS) are ends of the build,
+    so each interval between them keeps its own running scale and a read
+    there sums whole panels.  A read inside a panel is only as good as the
+    panel's fit, resolved against its largest column's scale: read that way
+    at split 1, S40.1's period polynomial is 1e-12 off, and 2e-16 with the
+    fold as an end."""
+    w = int(f.shifted_weight)
+    ms = np.arange(w + 1)
+    # a real q-expansion is real on the imaginary axis: its fit is real, half the bytes
+    real = not np.any(f.expansion.coeffs.imag)
 
     def fun(y):
         fv = eval_forms([f], 1j * y)[0]
+        fv = fv.real if real else fv
         return fv[:, None] * y[:, None] ** ms[None, :]
 
-    return adaptive_pw(fun, lo, ycut, tol=quad_tol).antiderivative()
+    return adaptive_pw(fun, Y_LO, np.array([*FIT_ENDS, cutoff_height([f], w, None, FLOOR_ATOL)]),
+                       tol=quad_tol)
 
 
-clear_caches = _moment_antideriv.cache_clear
+clear_caches = _moment_fit.cache_clear
 
 
 def moments_table(f: CuspForm, split: float = 1.0,
                   cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     """M_k(f) = int_0^{ioo} f(tau) tau^k dtau for k = 0..w, split at
-    y = split: one antiderivative read at the cutoff, split and 1/split."""
+    y = split: one antiderivative read at the top, split and 1/split.
+    Raises ValueError unless split and 1/split are both >= Y_LO."""
     w = _check_trivial(f)
+    if not (split >= Y_LO and 1.0 / split >= Y_LO):
+        raise ValueError(f"split must lie in [{Y_LO}, {1.0 / Y_LO:.6g}], where split and "
+                         f"1/split are both >= Y_LO = {Y_LO}; got {split!r}")
     if f.is_zero:
         return np.zeros(w + 1, dtype=complex)
-    ycut = cutoff_height([f], w, None, cfg.atol)
-    F = _moment_antideriv(f, min(split, 1.0 / split) * 0.999, ycut, cfg.quad_tol)
-    top, at_split, at_fold = F(np.array([ycut, split, 1.0 / split]))
+    F = _moment_fit(f, cfg.quad_tol).antiderivative()
+    top, at_split, at_fold = F(np.array([F.breaks[-1], split, 1.0 / split]))
     upper = top - at_split
     lower = 1j ** (w + 2) * (top - at_fold)[::-1]
     return 1j ** np.arange(1, w + 2) * (upper + lower)
@@ -122,46 +153,35 @@ def double_moments(f1: CuspForm, f2: CuspForm,
     Past the fold the integrand is G = a_0 (x) b_0 + a_1 (x) b_1 in y, with
     factor columns a = [f1 y^k1, i^(w1+2) f1 y^(w1-k1)] (outer form, direct
     and folded) and b = [A, Arec] (inner integral up to iy and up to i/y).
-    One adaptive pass resolves a and b as two groups on shared breaks, and the
-    table is their product integral, so the (w1+1, w2+1) tensor is never
-    sampled.  Each group is accepted against its own running scale (the two
-    differ by many decades), so each fit is good to ~tol max|a| and ~tol
-    max|b|, and the product's error |da| |b| + |a| |db| is ~tol max|a| max|b|
-    per group pair.  The tensor rule this replaces bounded G's error by tol
-    max|G| <= 2 tol max|a| max|b|, and for the level-one forms S12.1..S26.1
-    max|G| is max|a| max|b| to 1% in every ordered pair, so the two bounds
-    agree within a factor 2.  That needs b cut off at ycut2 like the single
-    moments: extrapolating F2 past its last panel gave b a spurious maximum
-    where a is negligible, up to 4e3 times the true one (S26.1 over S12.1).
+    a is read from f1's moment fit and b from the antiderivative F2 of f2's,
+    held at its top value past its last break, where f2's integrand is
+    exactly 0.  On each panel of the two PwPolys' merged breaks over
+    [1, Y_HI(f1)], a is of degree 15 and b of degree 16, so 16-point Gauss
+    sums the table exactly from the factors at its nodes.  The error is
+    each factor's, about quad_tol of its running scale: |da| |b| + |a| |db|
+    is about quad_tol max|a| max|b| per group pair.  The truncation is 0:
+    past Y_HI(f1) the outer factor is exactly 0 in float64.
     """
     w1 = _check_trivial(f1)
     w2 = _check_trivial(f2)
     if f1.is_zero or f2.is_zero:
         return np.zeros((w1 + 1, w2 + 1), dtype=complex)
-    ycut2 = cutoff_height([f2], w2, None, cfg.atol)
-    F2 = _moment_antideriv(f2, 0.999, ycut2, cfg.quad_tol)
-    top2, F1v = F2(np.array([ycut2, 1.0]))
+    fit1 = _moment_fit(f1, cfg.quad_tol)
+    F2 = _moment_fit(f2, cfg.quad_tol).antiderivative()
+    top = F2.breaks[-1]
+    top2, F1v = F2(np.array([top, 1.0]))
     k1s = np.arange(w1 + 1)
     k2s = np.arange(w2 + 1)
     # inner integral from 0 to i: the fold constant, indexed by k2
     below_one = 1j ** (w2 + 2) * (top2 - F1v)[::-1]
-    ycut1 = cutoff_height([f1], w1 + w2 + 2, None, cfg.atol)
-
-    def factors(y):
-        fv = eval_forms([f1], 1j * y)[0]                    # (npts,)
-        # (npts, w2+1); past ycut2 F2 is cut off as top2 is, not extrapolated
-        Fy = F2(np.minimum(y, ycut2))
-        # inner integral from 0 to iy, and from 0 to i/y, for each k2
-        A = 1j ** (k2s + 1) * (below_one[None, :] + (Fy - F1v[None, :]))
-        Arec = 1j ** (k2s + w2 + 3) * (top2[None, :] - Fy)[:, ::-1]
-        a = fv[:, None] * y[:, None] ** k1s[None, :]        # (npts, w1+1)
-        return (np.stack([a, 1j ** (w1 + 2) * a[:, ::-1]], axis=1),
-                np.stack([A, Arec], axis=1))                # (npts, 2, w1+1), (npts, 2, w2+1)
-
-    pw = adaptive_pw(factors, 1.0, ycut1, tol=cfg.quad_tol)
-    a = PwPoly(pw.breaks, pw.coeffs[..., :w1 + 1])
-    b = PwPoly(pw.breaks, pw.coeffs[..., w1 + 1:])
-    return 1j ** (k1s + 1)[:, None] * a.product_integral(b)
+    y, wts = merged_gauss(1.0, fit1.breaks[-1], fit1, F2)
+    Fy = F2(np.minimum(y, top))                             # (npts, w2+1)
+    # inner integral from 0 to iy, and from 0 to i/y, for each k2
+    A = 1j ** (k2s + 1) * (below_one[None, :] + (Fy - F1v[None, :]))
+    Arec = 1j ** (k2s + w2 + 3) * (top2[None, :] - Fy)[:, ::-1]
+    a = wts[:, None] * fit1(y)                              # (npts, w1+1): weighted f1 y^k1
+    table = a.T @ A + 1j ** (w1 + 2) * a[:, ::-1].T @ Arec
+    return 1j ** (k1s + 1)[:, None] * table
 
 
 def double_period_polynomial(f1: CuspForm, f2: CuspForm,

@@ -10,9 +10,11 @@ reevaluate the antiderivative anywhere.
 Every panel has the same order, so the fit (TMAT) and the antiderivative
 (LEGINT) are fixed matrices, each applied to all panels in one product;
 a read runs the Legendre three-term recurrence at its points and contracts
-each point's row with its panel's coefficients in one batched matmul.  Two
-series on the same breaks integrate their product from the coefficients
-alone (Parseval), which is how factored integrands skip their outer product.
+each point's row with its panel's coefficients in one batched matmul, in
+blocks of points whose gathered coefficients stay under READ_BYTES.  Two
+piecewise series integrate their product exactly by Gauss on the merged
+breaks (merged_gauss), which is how factored integrands skip their outer
+product.
 
 One build may cover several abutting intervals (adaptive_pw with an array of
 ends): each interval keeps its own running scale and limits, as if built
@@ -27,13 +29,14 @@ import numpy as np
 from numpy.polynomial import legendre as L
 
 __all__ = ["NPTS", "NODES", "WEIGHTS", "MAX_PANELS", "MIN_WIDTH", "INIT_PANELS",
-           "PwPoly", "QuadratureError", "adaptive_pw"]
+           "READ_BYTES", "PwPoly", "QuadratureError", "adaptive_pw", "merged_gauss"]
 
 NPTS = 16
 NODES, WEIGHTS = L.leggauss(NPTS)
 MAX_PANELS = 4096
 MIN_WIDTH = 1e-12
 INIT_PANELS = 4
+READ_BYTES = 1 << 18  # a read gathers at most this many bytes of panel coefficients at once
 
 # row k: (2k+1)/2 * w_i * P_k(x_i); TMAT @ values == Legendre coefficients
 TMAT = L.legvander(NODES, NPTS - 1).T * WEIGHTS * (np.arange(NPTS) + 0.5)[:, None]
@@ -65,7 +68,11 @@ class PwPoly:
             raise ValueError("panel count mismatch")
 
     def __call__(self, s):
-        """Values at s; points outside the breaks extrapolate the edge panel."""
+        """Values at s; points outside the breaks extrapolate the edge panel.
+
+        Each point's panel coefficients are gathered in blocks of points that
+        take at most READ_BYTES (one point at least); a point's value does
+        not depend on its block."""
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
         # the panel of each point, the edge panels extended beyond the ends
@@ -75,13 +82,17 @@ class PwPoly:
         # legvander's own three-term recurrence, so V is the same bit for bit;
         # one point runs it on a numpy scalar, ten times faster than on a 1-array
         x = x[0] if len(s) == 1 else x
-        ncoef = self.coeffs.shape[1]
+        K, ncoef = self.coeffs.shape[:2]
         P = [x * 0 + 1, x]
         for i in range(2, ncoef):
             P.append((P[i - 1] * x * (2 * i - 1) - P[i - 2] * (i - 1)) / i)
         V = np.array(P).T.reshape(len(s), 1, ncoef)
-        c = self.coeffs[idx]
-        out = (V @ c.reshape(len(s), ncoef, -1)).reshape((len(s),) + c.shape[2:])
+        c = self.coeffs.reshape(K, ncoef, -1)
+        out = np.empty((len(s), 1, c.shape[2]), dtype=np.result_type(V, c))
+        block = max(1, READ_BYTES // c[0].nbytes)
+        for i in range(0, len(s), block):
+            np.matmul(V[i:i + block], c[idx[i:i + block]], out=out[i:i + block])
+        out = out.reshape((len(s),) + self.coeffs.shape[2:])
         return out[0] if scalar else out
 
     def antiderivative(self) -> "PwPoly":
@@ -94,18 +105,18 @@ class PwPoly:
         out[1:, 0] += np.cumsum(2 * half[:, 0] * self.coeffs[:, 0], axis=0)[:-1]
         return PwPoly(self.breaks, out)
 
-    def product_integral(self, other: "PwPoly") -> np.ndarray:
-        """(m, n) table of int sum_mid a[..., i](s) b[..., j](s) ds for a = self
-        and b = other on the same breaks, coeffs (K, ncoef, *mid, m) and
-        (K, ncoef, *mid, n).  By Legendre orthogonality each panel gives
-        half-width * sum_k 2/(2k+1) a_k b_k (Parseval), which is 16-point Gauss
-        on the product of two degree-15 series, with no node values."""
-        if not np.array_equal(self.breaks, other.breaks) or self.coeffs.shape[:-1] != other.coeffs.shape[:-1]:
-            raise ValueError("product integral needs the same breaks and leading axes")
-        ncoef = self.coeffs.shape[1]
-        norms = np.diff(self.breaks)[:, None] / (2 * np.arange(ncoef) + 1)  # half-width * 2/(2k+1)
-        a = self.coeffs * norms.reshape(norms.shape + (1,) * (self.coeffs.ndim - 2))
-        return a.reshape(-1, a.shape[-1]).T @ other.coeffs.reshape(-1, other.coeffs.shape[-1])
+
+def merged_gauss(lo: float, hi: float, *pws: PwPoly) -> tuple:
+    """Nodes and weights of NPTS-point Gauss-Legendre on [lo, hi] cut at every
+    break of pws inside it, flat in panel order.  On each of these panels
+    every pw is one polynomial, so the rule integrates the product of a
+    degree-15 series and a degree-16 one (a fit and an antiderivative)
+    exactly."""
+    br = np.sort(np.concatenate([[lo, hi]] + [pw.breaks for pw in pws]))
+    br = br[(br >= lo) & (br <= hi)]
+    br = br[np.append(True, br[1:] > br[:-1])]  # np.unique, without its import of numpy.ma
+    half, mid = np.diff(br)[:, None] / 2, (br[1:] + br[:-1])[:, None] / 2
+    return (NODES * half + mid).ravel(), (WEIGHTS * half).ravel()
 
 
 def adaptive_pw(fun, a: float, b, tol: float) -> PwPoly:

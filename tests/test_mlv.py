@@ -1,14 +1,19 @@
 """Moments, completed L-values, period polynomials, double moments, shuffle."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ncperiods.iterint import QuadConfig, cutoff_height, r_direct
+from ncperiods import mlv
+from ncperiods.iterint import QuadConfig, r_direct
 from ncperiods.mlv import (
-    _moment_antideriv,
+    FIT_ENDS,
+    PROBE_SPLITS,
+    Y_LO,
+    _moment_fit,
     clear_caches,
     double_moments,
     double_period_polynomial,
@@ -131,20 +136,19 @@ def test_double_period_polynomial_vs_layered_route(delta, g16):
 
 def _double_moments_tensor(f1, f2, cfg=QuadConfig()):
     """The tensor route as a reference: resolve the whole (n, w1+1, w2+1)
-    integrand G(y) past the fold under one running scale, and integrate it."""
+    integrand G(y) past the fold under one running scale, and integrate it
+    up to f1's Y_HI, with F2 from f2's moment fit held at its top past it."""
     w1, w2 = int(f1.shifted_weight), int(f2.shifted_weight)
-    ycut2 = cutoff_height([f2], w2, None, cfg.atol)
-    F2 = _moment_antideriv(f2, 0.999, ycut2, cfg.quad_tol)
-    top2 = F2(ycut2)
-    F1v = F2(1.0)
+    F2 = _moment_fit(f2, cfg.quad_tol).antiderivative()
+    top = F2.breaks[-1]
+    top2, F1v = F2(np.array([top, 1.0]))
     k1s = np.arange(w1 + 1)
     k2s = np.arange(w2 + 1)
     below_one = 1j ** (w2 + 2) * (top2 - F1v)[::-1]
-    ycut1 = cutoff_height([f1], w1 + w2 + 2, None, cfg.atol)
 
     def outer(y):
         fv = eval_forms([f1], 1j * y)[0]
-        Fy = F2(y)
+        Fy = F2(np.minimum(y, top))
         A = 1j ** (k2s + 1) * (below_one[None, :] + (Fy - F1v[None, :]))
         Arec = 1j ** (k2s + w2 + 3) * (top2[None, :] - Fy)[:, ::-1]
         yk = y[:, None] ** k1s[None, :]
@@ -152,7 +156,7 @@ def _double_moments_tensor(f1, f2, cfg=QuadConfig()):
         G = yk[:, :, None] * A[:, None, :] + 1j ** (w1 + 2) * ykr[:, :, None] * Arec[:, None, :]
         return fv[:, None, None] * G
 
-    pw = adaptive_pw(outer, 1.0, ycut1, tol=cfg.quad_tol)
+    pw = adaptive_pw(outer, 1.0, _moment_fit(f1, cfg.quad_tol).breaks[-1], tol=cfg.quad_tol)
     return 1j ** (k1s + 1)[:, None] * pw.antiderivative()(pw.breaks[-1])
 
 
@@ -161,7 +165,7 @@ def _double_moments_tensor(f1, f2, cfg=QuadConfig()):
 @pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(rtol=1e-11, atol=1e-13, quad_tol=1e-12)],
                          ids=["default", "tight"])
 def test_double_moments_match_tensor_route(specs, cfg):
-    """The factor columns' product integral equals the resolved tensor's
+    """Gauss on the factors' merged breaks equals the resolved tensor's
     integral to rounding, across a weight spread up to S26.1 x S22.1."""
     f1, f2 = (level_one_basis(k)[0] for k in specs)
     want = _double_moments_tensor(f1, f2, cfg)
@@ -187,6 +191,18 @@ def test_zero_forms(delta):
     assert moment(zero, 3) == 0j
     assert np.all(double_moments(zero, delta) == 0)
     assert np.all(double_moments(delta, zero) == 0)
+
+
+def test_complex_form_moments_are_linear(delta, g16):
+    """A form with a complex q-expansion keeps a complex fit: its tables are
+    the real form's times the coefficient."""
+    c = 0.6 - 1.3j
+    cdelta = form_linear_combination([c], [delta])
+    M = moments_table(delta)
+    assert np.max(np.abs(moments_table(cdelta) - c * M)) <= 1e-15 * np.max(np.abs(M))
+    M2 = double_moments(g16, delta)
+    for got in (double_moments(g16, cdelta), double_moments(form_linear_combination([c], [g16]), delta)):
+        assert np.max(np.abs(got - c * M2)) <= 1e-15 * np.max(np.abs(M2))
 
 
 def test_rejects_nontrivial_multiplier():
@@ -236,3 +252,82 @@ def test_moment_independent_of_call_order(delta):
     clear_caches()
     moment(delta, 3, cfg=QuadConfig(atol=1e-3))  # lower cutoff height
     assert moment(delta, 3, cfg=tight) == fresh
+
+
+LEVEL_ONE = (12, 16, 18, 20, 22, 26)
+TIGHT = QuadConfig(rtol=1e-11, atol=1e-13, quad_tol=1e-13)
+
+
+def test_tables_match_tight_config():
+    """The default tables agree with the tight config's to 2e-15 of each
+    table's max: no moment is truncated by an atol cutoff, and the fits
+    resolve far below quad_tol.  (With the cutoff at atol they differed by
+    2.2e-14.)"""
+    forms = {k: level_one_basis(k)[0] for k in LEVEL_ONE}
+    for f in forms.values():
+        want = moments_table(f, cfg=TIGHT)
+        assert np.max(np.abs(moments_table(f) - want)) <= 2e-15 * np.max(np.abs(want)), f.label
+    for k1, k2 in [(k, 26) for k in LEVEL_ONE] + [(26, 12)]:
+        want = double_moments(forms[k1], forms[k2], TIGHT)
+        got = double_moments(forms[k1], forms[k2])
+        assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want)), (k1, k2)
+
+
+def test_moments_do_not_depend_on_atol(delta, g16):
+    loose = QuadConfig(atol=1e-3)
+    assert moments_table(delta, 1.3, loose).tobytes() == moments_table(delta, 1.3).tobytes()
+    assert double_moments(g16, delta, loose).tobytes() == double_moments(g16, delta).tobytes()
+
+
+@pytest.mark.parametrize("k", LEVEL_ONE)
+def test_fit_ends_where_the_integrand_is_exactly_zero(k):
+    """The fit covers [Y_LO, Y_HI(f)] with the fold y = 1 and the probe's
+    heights as breaks, and past Y_HI(f) every column f(iy) y^m is exactly 0
+    in float64."""
+    f = level_one_basis(k)[0]
+    fit = _moment_fit(f, QuadConfig().quad_tol)
+    assert fit.breaks[0] == Y_LO and set(FIT_ENDS) <= set(fit.breaks)
+    assert FIT_ENDS == (1 / 1.3, 1.0, 1.3, 1 / 0.7)
+    top = fit.breaks[-1]
+    y = np.array([top, top + 1.0, 2 * top])
+    vals = eval_forms([f], 1j * y)[0][:, None] * y[:, None] ** np.arange(k - 1)
+    assert np.all(vals == 0)
+
+
+def test_split_outside_the_fit_is_refused(delta):
+    """split and 1/split must both lie at or above Y_LO, the fit's lowest height."""
+    assert all(s >= Y_LO and 1.0 / s >= Y_LO for s in PROBE_SPLITS)
+    moments_table(delta, Y_LO)
+    for bad in (0.5, 2.0, 1.0 / Y_LO * 1.01, 0.0, -1.0, float("nan")):
+        for read in (lambda: moments_table(delta, bad), lambda: moment(delta, 3, bad),
+                     lambda: lambda_value(delta, 4, bad)):
+            with pytest.raises(ValueError, match=r"split must lie in \[0\.7, 1\.42857\]"):
+                read()
+
+
+def test_one_adaptive_build_per_form(monkeypatch):
+    """verify_shuffle over every ordered pair of k forms plus lambda_probe of
+    each builds exactly k fits; with both fits built, double_moments runs no
+    adaptive build and evaluates no form."""
+    forms = [level_one_basis(k)[0] for k in (12, 16, 18)]
+    calls = {"adaptive_pw": 0, "eval_forms": 0}
+
+    def counting(name):
+        fn = getattr(mlv, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    clear_caches()
+    monkeypatch.setattr(mlv, "adaptive_pw", counting("adaptive_pw"))
+    for f1, f2 in itertools.permutations(forms, 2):
+        verify_shuffle(f1, f2, PANEL)
+    for f in forms:
+        lambda_probe(f)
+    assert calls["adaptive_pw"] == len(forms)
+    monkeypatch.setattr(mlv, "eval_forms", counting("eval_forms"))
+    calls.update(adaptive_pw=0, eval_forms=0)
+    double_moments(forms[2], forms[0])
+    assert calls == {"adaptive_pw": 0, "eval_forms": 0}

@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as L
 
 from ncperiods import quadrature
-from ncperiods.quadrature import NODES, NPTS, PwPoly, QuadratureError, WEIGHTS, adaptive_pw
+from ncperiods.quadrature import (
+    NODES,
+    NPTS,
+    READ_BYTES,
+    PwPoly,
+    QuadratureError,
+    WEIGHTS,
+    adaptive_pw,
+    merged_gauss,
+)
 
 
 def test_gauss_rule():
@@ -303,25 +312,45 @@ def test_pwpoly_matches_per_panel_reference(pw):
     assert np.array_equal(pw(mid), pw(np.array([mid]))[0])
 
 
-def test_product_integral_is_gauss_on_the_product():
-    """Parseval on shared breaks equals 16-point Gauss on the product of the
-    two degree-15 series, summed over the shared middle axis."""
+def test_merged_gauss_is_exact_on_the_product():
+    """Gauss on the merged breaks integrates a degree-15 series times a
+    degree-16 one (an antiderivative) on other breaks exactly: it equals a
+    40-point Gauss rule, exact to degree 79, on the same panels."""
     rng = np.random.default_rng(5)
-    breaks = np.array([1.0, 1.5, 2.75, 3.0])
-    a = PwPoly(breaks, rng.standard_normal((3, NPTS, 2, 4)) + 1j * rng.standard_normal((3, NPTS, 2, 4)))
-    b = PwPoly(breaks, rng.standard_normal((3, NPTS, 2, 5)))
+    a = PwPoly(np.array([0.5, 1.5, 2.75, 4.0]),
+               rng.standard_normal((3, NPTS, 4)) + 1j * rng.standard_normal((3, NPTS, 4)))
+    b = PwPoly(np.array([0.8, 1.2, 2.0, 2.75, 3.1]), rng.standard_normal((4, NPTS, 5))).antiderivative()
+    lo, hi = 1.0, 3.1
+    y, wts = merged_gauss(lo, hi, a, b)
+    assert np.all(np.diff(y) > 0) and lo < y[0] and y[-1] < hi
+    assert wts.sum() == pytest.approx(hi - lo, rel=1e-15)
+    got = (wts[:, None] * a(y)).T @ b(y)
+    br = np.array([1.0, 1.2, 1.5, 2.0, 2.75, 3.1])  # every break of a or b in [lo, hi], once
+    x40, w40 = L.leggauss(40)
     want = np.zeros((4, 5), dtype=complex)
-    for p in range(3):
-        half = (breaks[p + 1] - breaks[p]) / 2
-        va, vb = (np.moveaxis(L.legval(NODES, pw.coeffs[p]), -1, 0) for pw in (a, b))  # (16, 2, m)
-        want += half * np.einsum("q,qhi,qhj->ij", WEIGHTS, va, vb)
-    got = a.product_integral(b)
-    assert got.shape == (4, 5)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    with pytest.raises(ValueError):
-        a.product_integral(PwPoly(breaks + 0.1, b.coeffs))
-    with pytest.raises(ValueError):
-        a.product_integral(PwPoly(breaks, b.coeffs[:, :, :1]))
+    for p, q in zip(br[:-1], br[1:]):
+        yy = (p + q) / 2 + (q - p) / 2 * x40
+        want += (q - p) / 2 * ((w40[:, None] * a(yy)).T @ b(yy))
+    assert len(y) == (len(br) - 1) * NPTS
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_read_in_blocks_is_bitwise_one_gather():
+    """A read of a few thousand points spans many READ_BYTES blocks and equals
+    bit for bit both its reads in small blocks and one unbounded gather of
+    legvander rows (points outside the breaks included)."""
+    rng = np.random.default_rng(11)
+    breaks = np.sort(rng.uniform(0.0, 10.0, 40))
+    pw = PwPoly(breaks, rng.standard_normal((39, NPTS + 1, 27)) + 1j * rng.standard_normal((39, NPTS + 1, 27)))
+    s = rng.uniform(-1.0, 11.0, 3000)
+    assert s.size * pw.coeffs[0].nbytes > 20 * READ_BYTES
+    full = pw(s)
+    assert full.tobytes() == np.concatenate([pw(s[i:i + 7]) for i in range(0, s.size, 7)]).tobytes()
+    assert full[123].tobytes() == pw(s[123]).tobytes()
+    idx = np.searchsorted(breaks[1:-1], s, side="right")
+    x = (2 * s - breaks[idx] - breaks[idx + 1]) / (breaks[idx + 1] - breaks[idx])
+    one = (L.legvander(x, NPTS)[:, None, :] @ pw.coeffs[idx])[:, 0]
+    assert full.tobytes() == one.tobytes()
 
 
 def test_pwpoly_shape_validation():
