@@ -36,7 +36,7 @@ from .cocycle import (
     verify_multiplicativity,
 )
 from .iterint import IterIntError, path_split_check, report_passes
-from .mlv import double_moments, lambda_probe, moments_table, verify_shuffle
+from .mlv import _shuffle_report, double_moments, lambda_probe, moments_table, verify_shuffle
 from .modforms import EvalError, cusp_space_basis, eta_form, level_one_basis
 from .ncpoly import mono_str, parse_mono_keys
 from .quadrature import QuadratureError
@@ -230,7 +230,7 @@ def cmd_mlv(cfg: RunConfig, form_specs: list, max_order: int) -> tuple:
         # the shuffle check multiplies a kernel of each form on the panel
         cfg.check_kernel_range(2, [f1.shifted_weight, f2.shifted_weight])
         M = double_moments(f1, f2, quad)
-        shuf = verify_shuffle(f1, f2, cfg.panel_array(), quad)
+        shuf = _shuffle_report(f1, f2, M, cfg.panel_array(), quad)  # the same table, built once
         ok = report_passes(shuf, cfg.threshold)
         report["tables"].append({
             "forms": list(form_specs),

@@ -22,8 +22,15 @@ f2(iu) u^m du, and the inner integral from 0 is assembled from F at the
 outer nodes on both sides of the fold.  The outer integrand is a sum of two
 products of factors, the outer form's fit and the inner integrals, each a
 polynomial on every panel of the merged breaks, so Gauss on those panels
-integrates it exactly, and the (w1+1, w2+1) tensor is never sampled.  No
-double moment runs an adaptive build or evaluates a form.
+integrates it exactly, and the (w1+1, w2+1) tensor is never sampled.  Both
+factors are read once per merged panel (PwPoly.gauss_values), as real
+columns for real forms, and each panel's products are one matmul; the
+powers of i multiply the summed table.  No double moment runs an adaptive
+build or evaluates a form.
+
+A form's period-polynomial coefficients are memoized per quad_tol
+(_period_coeffs), so a shuffle check over many pairs reads each form's
+moments once; clear_caches empties both memos.
 
 Values here are "completed moments"; the conventional completed L-function
 at integer arguments is Lambda(f, s) = M_{s-1} / i^s.
@@ -39,7 +46,7 @@ from numpy.polynomial import Polynomial
 
 from .iterint import QuadConfig, cutoff_height, identity_report
 from .modforms import CuspForm, eval_forms
-from .quadrature import PwPoly, adaptive_pw, merged_gauss
+from .quadrature import NPTS, WEIGHTS, PwPoly, adaptive_pw
 
 __all__ = [
     "moment",
@@ -97,9 +104,6 @@ def _moment_fit(f: CuspForm, quad_tol: float) -> PwPoly:
                        tol=quad_tol)
 
 
-clear_caches = _moment_fit.cache_clear
-
-
 def moments_table(f: CuspForm, split: float = 1.0,
                   cfg: QuadConfig = QuadConfig()) -> np.ndarray:
     """M_k(f) = int_0^{ioo} f(tau) tau^k dtau for k = 0..w, split at
@@ -138,11 +142,31 @@ def _kernel_expansion(w: int) -> np.ndarray:
     return np.array([comb(w, k) * (-1) ** (w - k) for k in range(w + 1)], dtype=object)
 
 
+@lru_cache(maxsize=64)
+def _period_coeffs(f: CuspForm, quad_tol: float) -> np.ndarray:
+    """Read-only period-polynomial coefficients of f, increasing powers of t."""
+    M = moments_table(f, 1.0, QuadConfig(quad_tol=quad_tol))
+    coeffs = (_kernel_expansion(len(M) - 1).astype(float) * M)[::-1]
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def period_polynomial(f: CuspForm, cfg: QuadConfig = QuadConfig()) -> Polynomial:
     """p(t) = sum_k C(w,k) (-1)^(w-k) M_k t^(w-k), equal to the single
-    iterated integral from 0 to oo with kernel (tau - t)^w."""
-    w = _check_trivial(f)
-    return Polynomial((_kernel_expansion(w).astype(float) * moments_table(f, 1.0, cfg))[::-1])
+    iterated integral from 0 to oo with kernel (tau - t)^w.  The
+    coefficients are computed once per (form, quad_tol) (_period_coeffs)."""
+    return Polynomial(_period_coeffs(f, cfg.quad_tol))
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """x summed over its first axis pairwise, in place: the last half is
+    added onto the first until one entry is left."""
+    n = len(x)
+    while n > 1:
+        half = n // 2
+        x[:half] += x[n - half:n]
+        n -= half
+    return x[0]
 
 
 def double_moments(f1: CuspForm, f2: CuspForm,
@@ -150,17 +174,24 @@ def double_moments(f1: CuspForm, f2: CuspForm,
     """M_{k1,k2} = int_0^{ioo} f1(tau1) tau1^k1 int_0^{tau1} f2(tau2) tau2^k2,
     shape (w1+1, w2+1); inner integral folded at y = 1 through F_m.
 
-    Past the fold the integrand is G = a_0 (x) b_0 + a_1 (x) b_1 in y, with
-    factor columns a = [f1 y^k1, i^(w1+2) f1 y^(w1-k1)] (outer form, direct
-    and folded) and b = [A, Arec] (inner integral up to iy and up to i/y).
-    a is read from f1's moment fit and b from the antiderivative F2 of f2's,
-    held at its top value past its last break, where f2's integrand is
-    exactly 0.  On each panel of the two PwPolys' merged breaks over
-    [1, Y_HI(f1)], a is of degree 15 and b of degree 16, so 16-point Gauss
-    sums the table exactly from the factors at its nodes.  The error is
-    each factor's, about quad_tol of its running scale: |da| |b| + |a| |db|
-    is about quad_tol max|a| max|b| per group pair.  The truncation is 0:
-    past Y_HI(f1) the outer factor is exactly 0 in float64.
+    Past the fold the integrand is i^(k1+1) i^(k2+1) [a_0 (x) b_0 + s1 s2
+    a_1 (x) b_1] in y, with s = i^(w+2) = +-1, the outer form's factors
+    a_0 = f1 y^k1 and a_1 = f1 y^(w1-k1) (direct and folded) and the inner
+    integrals' b_0 = F(y) - F(1) + s2 (F(top) - F(1))^rev and b_1 =
+    (F(top) - F(y))^rev, where ^rev reverses the k2 axis.  a is read from
+    f1's moment fit and F from the antiderivative F2 of f2's, held at its
+    top value past its last break, where f2's integrand is exactly 0.  Both
+    are read at the Gauss nodes of each panel of their merged breaks over
+    [1, Y_HI(f1)] (PwPoly.gauss_values); there a is of degree 15 and b of
+    degree 16, so 16-point Gauss sums each panel's product exactly from the
+    factors at its nodes.  Each panel's sums, a_0^T [b_0, F(top) - F(y)]
+    weighted, are one matmul; the panels are summed pairwise; a_1^T b_1 is
+    the second block reversed on both axes.  For real forms every factor is
+    a real column, and the units i^(k+1) and s multiply after the sums,
+    which is exact.  The error is each factor's, about quad_tol of its
+    running scale: |da| |b| + |a| |db| is about quad_tol max|a| max|b| per
+    group pair.  The truncation is 0: past Y_HI(f1) the outer factor is
+    exactly 0 in float64.
     """
     w1 = _check_trivial(f1)
     w2 = _check_trivial(f2)
@@ -170,32 +201,60 @@ def double_moments(f1: CuspForm, f2: CuspForm,
     F2 = _moment_fit(f2, cfg.quad_tol).antiderivative()
     top = F2.breaks[-1]
     top2, F1v = F2(np.array([top, 1.0]))
-    k1s = np.arange(w1 + 1)
-    k2s = np.arange(w2 + 1)
-    # inner integral from 0 to i: the fold constant, indexed by k2
-    below_one = 1j ** (w2 + 2) * (top2 - F1v)[::-1]
-    y, wts = merged_gauss(1.0, fit1.breaks[-1], fit1, F2)
-    Fy = F2(np.minimum(y, top))                             # (npts, w2+1)
-    # inner integral from 0 to iy, and from 0 to i/y, for each k2
-    A = 1j ** (k2s + 1) * (below_one[None, :] + (Fy - F1v[None, :]))
-    Arec = 1j ** (k2s + w2 + 3) * (top2[None, :] - Fy)[:, ::-1]
-    a = wts[:, None] * fit1(y)                              # (npts, w1+1): weighted f1 y^k1
-    table = a.T @ A + 1j ** (w1 + 2) * a[:, ::-1].T @ Arec
-    return 1j ** (k1s + 1)[:, None] * table
+    # the merged breaks of fit1 and F2 over [1, Y_HI(f1)], each once
+    br = np.sort(np.concatenate([fit1.breaks, F2.breaks]))
+    br = br[(br >= 1.0) & (br <= fit1.breaks[-1])]
+    br = br[np.append(True, br[1:] > br[:-1])]  # np.unique, without its import of numpy.ma
+    lo, hi = br[:-1], br[1:]
+    a = fit1.gauss_values(lo, hi)
+    a *= (WEIGHTS * ((hi - lo) / 2)[:, None])[:, :, None]
+    s1, s2 = (-1) ** (w1 // 2 + 1), (-1) ** (w2 // 2 + 1)
+    n2 = w2 + 1
+    # per node: b_0, then F(top) - F(y)
+    b = np.empty((len(lo), NPTS, 2 * n2), dtype=F2.coeffs.dtype)
+    held = np.searchsorted(lo, top)  # sub-panels from here on hold F2 at its top
+    Fy = F2.gauss_values(lo[:held], hi[:held])
+    np.subtract(Fy, F1v, out=b[:held, :, :n2])
+    b[:held, :, :n2] += s2 * (top2 - F1v)[::-1]
+    np.subtract(top2, Fy, out=b[:held, :, n2:])
+    b[held:, :, :n2] = top2 - F1v + s2 * (top2 - F1v)[::-1]
+    b[held:, :, n2:] = 0
+    sums = _pairwise_sum(a.transpose(0, 2, 1) @ b)
+    table = sums[:, :n2] + s1 * s2 * sums[::-1, n2:][:, ::-1]
+    k = np.add.outer(np.arange(1, w1 + 2), np.arange(1, w2 + 2))
+    return np.array([1, 1j, -1, -1j])[k % 4] * table
+
+
+def _double_period(M2: np.ndarray) -> Polynomial:
+    """The order-2 period polynomial of a double-moment table M2: term
+    (k1, k2) adds to t^((w1-k1)+(w2-k2)) in loop order."""
+    w1, w2 = M2.shape[0] - 1, M2.shape[1] - 1
+    # exact int products rounded once, as the loop's were (C(w,k) passes 2^53 at w = 57)
+    binom = np.outer(_kernel_expansion(w1), _kernel_expansion(w2)).astype(float)
+    coeffs = np.zeros(w1 + w2 + 1, dtype=complex)
+    np.add.at(coeffs, np.add.outer(range(w1, -1, -1), range(w2, -1, -1)), binom * M2)
+    return Polynomial(coeffs)
 
 
 def double_period_polynomial(f1: CuspForm, f2: CuspForm,
                              cfg: QuadConfig = QuadConfig()) -> Polynomial:
     """Coefficients in t of the order-2 integral from 0 to oo: both kernels
     expanded binomially; term (k1, k2) adds to t^((w1-k1)+(w2-k2)) in loop order."""
-    w1 = _check_trivial(f1)
-    w2 = _check_trivial(f2)
-    # exact int products rounded once, as the loop's were (C(w,k) passes 2^53 at w = 57)
-    binom = np.outer(_kernel_expansion(w1), _kernel_expansion(w2)).astype(float)
-    terms = binom * double_moments(f1, f2, cfg)
-    coeffs = np.zeros(w1 + w2 + 1, dtype=complex)
-    np.add.at(coeffs, np.add.outer(range(w1, -1, -1), range(w2, -1, -1)), terms)
-    return Polynomial(coeffs)
+    return _double_period(double_moments(f1, f2, cfg))
+
+
+def _shuffle_report(f1: CuspForm, f2: CuspForm, M2: np.ndarray, panel,
+                    cfg: QuadConfig) -> dict:
+    """verify_shuffle's report from the double-moment table M2 of (f1, f2),
+    which the caller has built once."""
+    t = np.atleast_1d(np.asarray(panel, dtype=complex))
+    P2 = _double_period(M2)  # degree w1 + w2
+    P1 = period_polynomial(f1, cfg)
+    Q1 = period_polynomial(f2, cfg)
+    # one Horner pass over both arguments
+    at_t, at_inv = np.split(P2(np.concatenate([t, -1.0 / t])), 2)
+    lhs = at_t + t ** P2.degree() * at_inv
+    return identity_report("shuffle", lhs, P1(t) * Q1(t), t, forms=[f1.label, f2.label])
 
 
 def verify_shuffle(f1: CuspForm, f2: CuspForm, panel,
@@ -205,12 +264,13 @@ def verify_shuffle(f1: CuspForm, f2: CuspForm, panel,
     This is the coefficient identity from comparing the order-2 composition
     with the S-equivariance of the order-1 integrals.
     """
-    t = np.atleast_1d(np.asarray(panel, dtype=complex))
-    P2 = double_period_polynomial(f1, f2, cfg)  # degree w1 + w2
-    P1 = period_polynomial(f1, cfg)
-    Q1 = period_polynomial(f2, cfg)
-    lhs = P2(t) + t ** P2.degree() * P2(-1.0 / t)
-    return identity_report("shuffle", lhs, P1(t) * Q1(t), t, forms=[f1.label, f2.label])
+    return _shuffle_report(f1, f2, double_moments(f1, f2, cfg), panel, cfg)
+
+
+def clear_caches() -> None:
+    """Empty the moment-fit and period-polynomial memos."""
+    _moment_fit.cache_clear()
+    _period_coeffs.cache_clear()
 
 
 def lambda_probe(f: CuspForm, cfg: QuadConfig = QuadConfig()) -> dict:

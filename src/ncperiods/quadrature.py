@@ -11,10 +11,12 @@ Every panel has the same order, so the fit (TMAT) and the antiderivative
 (LEGINT) are fixed matrices, each applied to all panels in one product;
 a read runs the Legendre three-term recurrence at its points and contracts
 each point's row with its panel's coefficients in one batched matmul, in
-blocks of points whose gathered coefficients stay under READ_BYTES.  Two
-piecewise series integrate their product exactly by Gauss on the merged
-breaks (merged_gauss), which is how factored integrands skip their outer
-product.
+blocks of points whose gathered coefficients stay under READ_BYTES.  A
+panel read (gauss_values) gives the values at the Gauss nodes of
+sub-panels, each inside one panel: one Legendre table per sub-panel and one
+gathered coefficient block per sub-panel, not per point, which is how two
+piecewise series are read on their merged breaks, where Gauss integrates
+their product exactly.
 
 One build may cover several abutting intervals (adaptive_pw with an array of
 ends): each interval keeps its own running scale and limits, as if built
@@ -29,7 +31,7 @@ import numpy as np
 from numpy.polynomial import legendre as L
 
 __all__ = ["NPTS", "NODES", "WEIGHTS", "MAX_PANELS", "MIN_WIDTH", "INIT_PANELS",
-           "READ_BYTES", "PwPoly", "QuadratureError", "adaptive_pw", "merged_gauss"]
+           "READ_BYTES", "PwPoly", "QuadratureError", "adaptive_pw"]
 
 NPTS = 16
 NODES, WEIGHTS = L.leggauss(NPTS)
@@ -95,6 +97,36 @@ class PwPoly:
         out = out.reshape((len(s),) + self.coeffs.shape[2:])
         return out[0] if scalar else out
 
+    def gauss_values(self, lo, hi) -> np.ndarray:
+        """Values at the NPTS Gauss nodes of each sub-panel [lo[j], hi[j]],
+        shape (len(lo), NPTS, *extra); nodes as adaptive_pw places them.
+
+        Each sub-panel must lie inside one panel (ValueError otherwise).  It
+        gets one (NPTS, ncoef) Legendre table in its panel's coordinate, and
+        one batched matmul contracts each table with its panel's gathered
+        coefficients, so a sub-panel's values do not depend on the others
+        read with it."""
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        K, ncoef = self.coeffs.shape[:2]
+        idx = np.searchsorted(self.breaks, lo, side="right") - 1
+        inside = (idx >= 0) & (idx < K)
+        idx = np.where(inside, idx, 0)
+        a, b = self.breaks[idx], self.breaks[idx + 1]
+        bad = np.flatnonzero(~(inside & (lo < hi) & (hi <= b)))
+        if len(bad):
+            j = bad[0]
+            raise ValueError(f"sub-panel [{lo[j]}, {hi[j]}] does not lie inside one panel "
+                             f"of the breaks [{self.breaks[0]}, ..., {self.breaks[-1]}]")
+        s = NODES * ((hi - lo) / 2)[:, None] + ((hi + lo) / 2)[:, None]
+        # each node's coordinate in its panel, as __call__ computes it
+        x = (2 * s - a[:, None] - b[:, None]) / (b - a)[:, None]
+        P = [x * 0 + 1, x]
+        for i in range(2, ncoef):
+            P.append((P[i - 1] * x * (2 * i - 1) - P[i - 2] * (i - 1)) / i)
+        out = np.stack(P, axis=-1) @ self.coeffs.reshape(K, ncoef, -1)[idx]
+        return out.reshape((len(lo), NPTS) + self.coeffs.shape[2:])
+
     def antiderivative(self) -> "PwPoly":
         """Antiderivative vanishing at breaks[0], continuous across panels."""
         K, ncoef = self.coeffs.shape[:2]
@@ -104,19 +136,6 @@ class PwPoly:
         # integral of panel p is width * c0 (only P_0 survives over [-1,1])
         out[1:, 0] += np.cumsum(2 * half[:, 0] * self.coeffs[:, 0], axis=0)[:-1]
         return PwPoly(self.breaks, out)
-
-
-def merged_gauss(lo: float, hi: float, *pws: PwPoly) -> tuple:
-    """Nodes and weights of NPTS-point Gauss-Legendre on [lo, hi] cut at every
-    break of pws inside it, flat in panel order.  On each of these panels
-    every pw is one polynomial, so the rule integrates the product of a
-    degree-15 series and a degree-16 one (a fit and an antiderivative)
-    exactly."""
-    br = np.sort(np.concatenate([[lo, hi]] + [pw.breaks for pw in pws]))
-    br = br[(br >= lo) & (br <= hi)]
-    br = br[np.append(True, br[1:] > br[:-1])]  # np.unique, without its import of numpy.ma
-    half, mid = np.diff(br)[:, None] / 2, (br[1:] + br[:-1])[:, None] / 2
-    return (NODES * half + mid).ravel(), (WEIGHTS * half).ravel()
 
 
 def adaptive_pw(fun, a: float, b, tol: float) -> PwPoly:

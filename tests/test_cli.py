@@ -404,6 +404,24 @@ def test_mlv_order_two(tmp_path):
     assert tab["shuffle_residual"] < 1e-7
 
 
+def test_mlv_order_two_builds_one_table(tmp_path, monkeypatch):
+    """An order-2 mlv call builds its double-moment table once: the shuffle
+    check reads the table the report prints."""
+    from ncperiods import cli, mlv
+
+    build = mlv.double_moments
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(mlv, "double_moments", counted)
+    monkeypatch.setattr(cli, "double_moments", counted)
+    code, _ = run(tmp_path, "mlv", "S12.1", "S16.1", "--max-order", "2")
+    assert code == 0 and len(calls) == 1
+
+
 def test_shuffle_gate_is_relative(tmp_path):
     """The shuffle residual of S22.1, S26.1 (in this order) is far above the
     threshold in absolute terms but at rounding level against its scale, so

@@ -260,14 +260,15 @@ TIGHT = QuadConfig(rtol=1e-11, atol=1e-13, quad_tol=1e-13)
 
 def test_tables_match_tight_config():
     """The default tables agree with the tight config's to 2e-15 of each
-    table's max: no moment is truncated by an atol cutoff, and the fits
-    resolve far below quad_tol.  (With the cutoff at atol they differed by
+    table's max, the double moments over all 30 ordered pairs of the six
+    forms: no moment is truncated by an atol cutoff, and the fits resolve
+    far below quad_tol.  (With the cutoff at atol they differed by
     2.2e-14.)"""
     forms = {k: level_one_basis(k)[0] for k in LEVEL_ONE}
     for f in forms.values():
         want = moments_table(f, cfg=TIGHT)
         assert np.max(np.abs(moments_table(f) - want)) <= 2e-15 * np.max(np.abs(want)), f.label
-    for k1, k2 in [(k, 26) for k in LEVEL_ONE] + [(26, 12)]:
+    for k1, k2 in itertools.permutations(LEVEL_ONE, 2):
         want = double_moments(forms[k1], forms[k2], TIGHT)
         got = double_moments(forms[k1], forms[k2])
         assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want)), (k1, k2)
@@ -331,3 +332,30 @@ def test_one_adaptive_build_per_form(monkeypatch):
     calls.update(adaptive_pw=0, eval_forms=0)
     double_moments(forms[2], forms[0])
     assert calls == {"adaptive_pw": 0, "eval_forms": 0}
+
+
+def test_period_polynomial_coefficients_are_memoized(monkeypatch):
+    """verify_shuffle over every ordered pair of k forms reads k moment
+    tables: each form's period polynomial is computed once per quad_tol,
+    and clear_caches empties that memo with the fits."""
+    forms = [level_one_basis(k)[0] for k in (12, 16, 18)]
+    tables = []
+    table = mlv.moments_table
+
+    def counted(f, *args, **kwargs):
+        tables.append(f.label)
+        return table(f, *args, **kwargs)
+
+    monkeypatch.setattr(mlv, "moments_table", counted)
+    clear_caches()
+    for f1, f2 in itertools.permutations(forms, 2):
+        verify_shuffle(f1, f2, PANEL)
+    assert sorted(tables) == sorted(f.label for f in forms)
+    p = period_polynomial(forms[0])
+    p.coef[0] = 0.0  # a caller's copy: the memo stays as it was
+    assert period_polynomial(forms[0]).coef.tobytes() != p.coef.tobytes()
+    period_polynomial(forms[0], QuadConfig(quad_tol=1e-12))
+    assert len(tables) == len(forms) + 1
+    clear_caches()
+    period_polynomial(forms[0])
+    assert len(tables) == len(forms) + 2

@@ -17,7 +17,6 @@ from ncperiods.quadrature import (
     QuadratureError,
     WEIGHTS,
     adaptive_pw,
-    merged_gauss,
 )
 
 
@@ -312,26 +311,69 @@ def test_pwpoly_matches_per_panel_reference(pw):
     assert np.array_equal(pw(mid), pw(np.array([mid]))[0])
 
 
-def test_merged_gauss_is_exact_on_the_product():
-    """Gauss on the merged breaks integrates a degree-15 series times a
-    degree-16 one (an antiderivative) on other breaks exactly: it equals a
-    40-point Gauss rule, exact to degree 79, on the same panels."""
+@st.composite
+def sub_panels(draw):
+    """A random PwPoly and sub-panels inside its panels: each panel cut at
+    0-3 random points, the pieces read in a random order."""
+    pw = draw(pwpolys())
+    lo, hi = [], []
+    for p, q in zip(pw.breaks[:-1], pw.breaks[1:]):
+        cuts = np.sort(draw(st.lists(st.floats(0.01, 0.99), max_size=3)))
+        edges = np.unique(np.concatenate([[p], p + (q - p) * cuts, [q]]))
+        lo.extend(edges[:-1])
+        hi.extend(edges[1:])
+    order = draw(st.permutations(range(len(lo))))
+    return pw, np.array(lo)[order], np.array(hi)[order]
+
+
+@given(sub_panels())
+def test_panel_read_matches_pointwise_read(case):
+    """gauss_values equals the pointwise read at the same nodes to 1e-13 of
+    the size of the terms each value sums, and a sub-panel's values are the
+    same bits whichever sub-panels are read with it."""
+    pw, lo, hi = case
+    got = pw.gauss_values(lo, hi)
+    assert got.shape == (len(lo), NPTS) + pw.coeffs.shape[2:]
+    s = (NODES * ((hi - lo) / 2)[:, None] + ((hi + lo) / 2)[:, None]).ravel()
+    want, size = _reference(pw, s)
+    assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-13 * size
+    assert np.max(np.abs(got.reshape(want.shape) - pw(s))) <= 1e-13 * size
+    for j in range(len(lo)):
+        assert pw.gauss_values(lo[j:j + 1], hi[j:j + 1])[0].tobytes() == got[j].tobytes()
+    half = len(lo) // 2
+    assert np.concatenate([pw.gauss_values(lo[:half], hi[:half]),
+                           pw.gauss_values(lo[half:], hi[half:])]).tobytes() == got.tobytes()
+
+
+def test_panel_read_refuses_a_sub_panel_across_a_break():
+    """A sub-panel must lie inside one panel: one that crosses a break, lies
+    outside the breaks or is empty is refused, whatever is read with it."""
+    pw = PwPoly(np.array([0.0, 1.0, 2.5]), np.ones((2, NPTS, 3)))
+    pw.gauss_values(np.array([0.0, 1.0, 0.25]), np.array([1.0, 2.5, 0.5]))
+    for lo, hi in ((0.5, 1.5), (-0.5, 0.5), (2.0, 3.0), (2.5, 3.0), (-1.0, 0.0), (0.5, 0.5),
+                   (0.75, 0.25)):
+        with pytest.raises(ValueError, match="does not lie inside one panel"):
+            pw.gauss_values(np.array([0.0, lo]), np.array([1.0, hi]))
+
+
+def test_panel_read_is_exact_on_the_product():
+    """Gauss on the panel read at merged breaks integrates a degree-15 series
+    times a degree-16 one (an antiderivative) on other breaks exactly: it
+    equals a 40-point Gauss rule, exact to degree 79, on the same panels."""
     rng = np.random.default_rng(5)
     a = PwPoly(np.array([0.5, 1.5, 2.75, 4.0]),
                rng.standard_normal((3, NPTS, 4)) + 1j * rng.standard_normal((3, NPTS, 4)))
     b = PwPoly(np.array([0.8, 1.2, 2.0, 2.75, 3.1]), rng.standard_normal((4, NPTS, 5))).antiderivative()
-    lo, hi = 1.0, 3.1
-    y, wts = merged_gauss(lo, hi, a, b)
-    assert np.all(np.diff(y) > 0) and lo < y[0] and y[-1] < hi
-    assert wts.sum() == pytest.approx(hi - lo, rel=1e-15)
-    got = (wts[:, None] * a(y)).T @ b(y)
-    br = np.array([1.0, 1.2, 1.5, 2.0, 2.75, 3.1])  # every break of a or b in [lo, hi], once
+    br = np.array([1.0, 1.2, 1.5, 2.0, 2.75, 3.1])  # every break of a or b in [1, 3.1], once
+    lo, hi = br[:-1], br[1:]
+    wts = WEIGHTS * ((hi - lo) / 2)[:, None]
+    got = np.sum((wts[:, :, None] * a.gauss_values(lo, hi)).transpose(0, 2, 1)
+                 @ b.gauss_values(lo, hi), axis=0)
     x40, w40 = L.leggauss(40)
     want = np.zeros((4, 5), dtype=complex)
-    for p, q in zip(br[:-1], br[1:]):
+    for p, q in zip(lo, hi):
         yy = (p + q) / 2 + (q - p) / 2 * x40
         want += (q - p) / 2 * ((w40[:, None] * a(yy)).T @ b(yy))
-    assert len(y) == (len(br) - 1) * NPTS
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
