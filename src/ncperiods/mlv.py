@@ -225,14 +225,23 @@ def double_moments(f1: CuspForm, f2: CuspForm,
     return np.array([1, 1j, -1, -1j])[k % 4] * table
 
 
+@lru_cache(maxsize=None)
+def _double_binomials(w1: int, w2: int) -> np.ndarray:
+    """Read-only C(w1,k1) C(w2,k2) (-1)^((w1-k1)+(w2-k2)) as floats: exact
+    int products rounded once, as the loop's were (C(w,k) passes 2^53 at
+    w = 57)."""
+    binom = np.outer(_kernel_expansion(w1), _kernel_expansion(w2)).astype(float)
+    binom.flags.writeable = False
+    return binom
+
+
 def _double_period(M2: np.ndarray) -> Polynomial:
     """The order-2 period polynomial of a double-moment table M2: term
     (k1, k2) adds to t^((w1-k1)+(w2-k2)) in loop order."""
     w1, w2 = M2.shape[0] - 1, M2.shape[1] - 1
-    # exact int products rounded once, as the loop's were (C(w,k) passes 2^53 at w = 57)
-    binom = np.outer(_kernel_expansion(w1), _kernel_expansion(w2)).astype(float)
     coeffs = np.zeros(w1 + w2 + 1, dtype=complex)
-    np.add.at(coeffs, np.add.outer(range(w1, -1, -1), range(w2, -1, -1)), binom * M2)
+    np.add.at(coeffs, np.add.outer(range(w1, -1, -1), range(w2, -1, -1)),
+              _double_binomials(w1, w2) * M2)
     return Polynomial(coeffs)
 
 

@@ -8,13 +8,14 @@ which is what makes layered iterated integrals cheap: integrate once, then
 reevaluate the antiderivative anywhere.
 
 Every panel has the same order, so the fit (TMAT) and the antiderivative
-(LEGINT) are fixed matrices, each applied to all panels in one product;
-a read runs the Legendre three-term recurrence at its points and contracts
-each point's row with its panel's coefficients in one batched matmul, in
-blocks of points whose gathered coefficients stay under READ_BYTES.  A
-panel read (gauss_values) gives the values at the Gauss nodes of
-sub-panels, each inside one panel: one Legendre table per sub-panel and one
-gathered coefficient block per sub-panel, not per point, which is how two
+(LEGINT) are fixed matrices, each applied to all panels in one product.
+Both reads, the pointwise one (PwPoly.__call__) and the panel read
+(gauss_values, the values at the Gauss nodes of sub-panels, each inside one
+panel), run one kernel: rows of points, each row in one panel, whose panel
+coordinates go through the Legendre three-term recurrence and whose rows
+contract with their panel's coefficients in one batched matmul, in blocks
+of rows whose gathered coefficients stay under READ_BYTES.  A panel read
+gathers one coefficient block per sub-panel, not per node, which is how two
 piecewise series are read on their merged breaks, where Gauss integrates
 their product exactly.
 
@@ -69,63 +70,58 @@ class PwPoly:
         if self.coeffs.shape[0] != len(self.breaks) - 1:
             raise ValueError("panel count mismatch")
 
-    def __call__(self, s):
-        """Values at s; points outside the breaks extrapolate the edge panel.
+    def _read(self, idx, s) -> np.ndarray:
+        """Values at the points s, shape (n, m), as (n, m, *extra): row j is
+        read from panel idx[j]'s series, extrapolated past its ends.
 
-        Each point's panel coefficients are gathered in blocks of points that
-        take at most READ_BYTES (one point at least); a point's value does
-        not depend on its block."""
+        The rows' panel coefficients are gathered in blocks of rows that take
+        at most READ_BYTES (one row at least); a row's values do not depend
+        on its block or on the other rows."""
+        K, ncoef = self.coeffs.shape[:2]
+        a, b = self.breaks[idx][:, None], self.breaks[idx + 1][:, None]
+        x = (2 * s - a - b) / (b - a)
+        # legvander's own three-term recurrence, so V is the same bit for bit;
+        # one point runs it on a numpy scalar, ten times faster than on an array
+        x = x[0, 0] if x.size == 1 else x
+        P = [x * 0 + 1, x]
+        for i in range(2, ncoef):
+            P.append((P[i - 1] * x * (2 * i - 1) - P[i - 2] * (i - 1)) / i)
+        V = np.ascontiguousarray(np.array(P).reshape(ncoef, -1).T).reshape(s.shape + (ncoef,))
+        c = self.coeffs.reshape(K, ncoef, -1)
+        out = np.empty(s.shape + c.shape[2:], dtype=np.result_type(V, c))
+        block = max(1, READ_BYTES // c[0].nbytes)
+        for i in range(0, len(s), block):
+            np.matmul(V[i:i + block], c[idx[i:i + block]], out=out[i:i + block])
+        return out.reshape(s.shape + self.coeffs.shape[2:])
+
+    def __call__(self, s):
+        """Values at s; points outside the breaks extrapolate the edge panel."""
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
         # the panel of each point, the edge panels extended beyond the ends
         idx = np.searchsorted(self.breaks[1:-1], s, side="right")
-        a, b = self.breaks[idx], self.breaks[idx + 1]
-        x = (2 * s - a - b) / (b - a)
-        # legvander's own three-term recurrence, so V is the same bit for bit;
-        # one point runs it on a numpy scalar, ten times faster than on a 1-array
-        x = x[0] if len(s) == 1 else x
-        K, ncoef = self.coeffs.shape[:2]
-        P = [x * 0 + 1, x]
-        for i in range(2, ncoef):
-            P.append((P[i - 1] * x * (2 * i - 1) - P[i - 2] * (i - 1)) / i)
-        V = np.array(P).T.reshape(len(s), 1, ncoef)
-        c = self.coeffs.reshape(K, ncoef, -1)
-        out = np.empty((len(s), 1, c.shape[2]), dtype=np.result_type(V, c))
-        block = max(1, READ_BYTES // c[0].nbytes)
-        for i in range(0, len(s), block):
-            np.matmul(V[i:i + block], c[idx[i:i + block]], out=out[i:i + block])
-        out = out.reshape((len(s),) + self.coeffs.shape[2:])
+        out = self._read(idx, s[:, None])[:, 0]
         return out[0] if scalar else out
 
     def gauss_values(self, lo, hi) -> np.ndarray:
         """Values at the NPTS Gauss nodes of each sub-panel [lo[j], hi[j]],
         shape (len(lo), NPTS, *extra); nodes as adaptive_pw places them.
 
-        Each sub-panel must lie inside one panel (ValueError otherwise).  It
-        gets one (NPTS, ncoef) Legendre table in its panel's coordinate, and
-        one batched matmul contracts each table with its panel's gathered
-        coefficients, so a sub-panel's values do not depend on the others
-        read with it."""
+        Each sub-panel must lie inside one panel (ValueError otherwise) and
+        is one row of the read: one (NPTS, ncoef) Legendre table in its
+        panel's coordinate and one gathered coefficient block, so a
+        sub-panel's values do not depend on the others read with it."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        K, ncoef = self.coeffs.shape[:2]
         idx = np.searchsorted(self.breaks, lo, side="right") - 1
-        inside = (idx >= 0) & (idx < K)
+        inside = (idx >= 0) & (idx < len(self.coeffs))
         idx = np.where(inside, idx, 0)
-        a, b = self.breaks[idx], self.breaks[idx + 1]
-        bad = np.flatnonzero(~(inside & (lo < hi) & (hi <= b)))
+        bad = np.flatnonzero(~(inside & (lo < hi) & (hi <= self.breaks[idx + 1])))
         if len(bad):
             j = bad[0]
             raise ValueError(f"sub-panel [{lo[j]}, {hi[j]}] does not lie inside one panel "
                              f"of the breaks [{self.breaks[0]}, ..., {self.breaks[-1]}]")
-        s = NODES * ((hi - lo) / 2)[:, None] + ((hi + lo) / 2)[:, None]
-        # each node's coordinate in its panel, as __call__ computes it
-        x = (2 * s - a[:, None] - b[:, None]) / (b - a)[:, None]
-        P = [x * 0 + 1, x]
-        for i in range(2, ncoef):
-            P.append((P[i - 1] * x * (2 * i - 1) - P[i - 2] * (i - 1)) / i)
-        out = np.stack(P, axis=-1) @ self.coeffs.reshape(K, ncoef, -1)[idx]
-        return out.reshape((len(lo), NPTS) + self.coeffs.shape[2:])
+        return self._read(idx, NODES * ((hi - lo) / 2)[:, None] + ((hi + lo) / 2)[:, None])
 
     def antiderivative(self) -> "PwPoly":
         """Antiderivative vanishing at breaks[0], continuous across panels."""
@@ -149,16 +145,14 @@ def adaptive_pw(fun, a: float, b, tol: float) -> PwPoly:
     so its panels are accepted or split exactly as a build on that interval
     alone decides; the intervals share only the rounds.
 
-    fun maps a flat array of parameter values to (npts, *extra) samples, or
-    to a tuple of such arrays (groups) that differ only in their last axis;
+    fun maps a flat array of parameter values to (npts, *extra) samples;
     each round evaluates every pending panel's 16 nodes, over all intervals,
-    in a single call and fits them in one product, a tuple's groups
-    concatenated on the last axis.  A panel is accepted when, in every group,
-    |c[14]| + |c[15]| <= tol * scale, with scale that group's running max
-    coefficient magnitude over its interval's build in panel order (so the
-    criterion is relative to the group's size on the interval, not
-    per-panel; a single array is one group).  More than MAX_PANELS panels on
-    an interval, or a panel that would have to split below MIN_WIDTH, raises
+    in a single call and fits them in one product.  A panel is accepted when
+    |c[14]| + |c[15]| <= tol * scale in every value column, with scale the
+    running max coefficient magnitude over its interval's build in panel
+    order (so the criterion is relative to the integrand's size on the
+    interval, not per-panel).  More than MAX_PANELS panels on an interval,
+    or a panel that would have to split below MIN_WIDTH, raises
     QuadratureError naming the interval.
     """
     ends = np.concatenate([[a], np.atleast_1d(np.asarray(b, dtype=float))])
@@ -170,7 +164,7 @@ def adaptive_pw(fun, a: float, b, tol: float) -> PwPoly:
     iv = np.repeat(np.arange(n_iv), INIT_PANELS)  # each pending panel's interval, ascending
     acc_lo, acc_c = [], []  # each round's accepted panels
     n_done = 0
-    scale = [0.0] * n_iv  # per interval: each group's running max coefficient magnitude
+    scale = [0.0] * n_iv  # per interval: the running max coefficient magnitude
     while len(lo):
         bounds = np.searchsorted(iv, np.arange(n_iv + 1))  # interval k pends bounds[k]:bounds[k + 1]
         if n_done + len(lo) > MAX_PANELS:  # only then can an interval exceed it
@@ -183,28 +177,20 @@ def adaptive_pw(fun, a: float, b, tol: float) -> PwPoly:
                     f"exceeded {MAX_PANELS} panels on [{ends[k]}, {ends[k + 1]}]; "
                     f"integrand too rough for tol={tol:.1e}", k)
         pts = (NODES[None, :] * (hi - lo)[:, None] / 2 + (hi + lo)[:, None] / 2).ravel()
-        vals = fun(pts)
-        groups = [Ellipsis]  # index of each group's columns in vals: one array is one group
-        if isinstance(vals, tuple):
-            cuts = np.cumsum([0] + [np.shape(v)[-1] for v in vals])
-            groups = [(..., slice(p, q)) for p, q in zip(cuts[:-1], cuts[1:])]
-            vals = np.concatenate(vals, axis=-1)
-        vals = np.asarray(vals)
+        vals = np.asarray(fun(pts))
         vals = vals.reshape((len(lo), NPTS) + vals.shape[1:])
         coeffs = np.moveaxis(np.tensordot(TMAT, vals, axes=([1], [1])), 0, 1)
-        absc = np.abs(coeffs)
-        tail = absc[:, -2] + absc[:, -1]
-        # per panel and group: the largest coefficient, turned in place into
-        # the running scale in panel order within its interval, and the
-        # largest tail
-        running = np.array([absc[g].reshape(len(lo), -1).max(axis=1) for g in groups]).T
+        absc = np.abs(coeffs).reshape(len(lo), NPTS, -1)
+        tails = (absc[:, -2] + absc[:, -1]).max(axis=1)
+        # per panel: the largest coefficient, turned in place into the running
+        # scale in panel order within its interval
+        running = absc.max(axis=(1, 2))
         for k in range(n_iv):
             r = running[bounds[k]:bounds[k + 1]]
             if len(r):
-                np.maximum(np.maximum.accumulate(r, axis=0, out=r), scale[k], out=r)
+                np.maximum(np.maximum.accumulate(r, out=r), scale[k], out=r)
                 scale[k] = r[-1]
-        tails = np.array([tail[g].reshape(len(lo), -1).max(axis=1) for g in groups]).T
-        split = ~np.all(tails <= tol * np.maximum(running, 1e-300), axis=1)
+        split = ~(tails <= tol * np.maximum(running, 1e-300))
         stuck = np.flatnonzero(split & (hi - lo <= MIN_WIDTH))
         if len(stuck):
             i = stuck[0]

@@ -98,8 +98,8 @@ def _one_scale_build(fun, a, b, tol):
     (lambda s: np.exp(np.multiply.outer(s, [[1.0, -2.0], [0.5j, 3.0]])), 0.0, 2.0, 1e-12),
 ], ids=["oscillatory", "cos", "vector", "needle", "sin2", "matrix"])
 def test_single_array_fun_keeps_one_running_scale(fun, a, b, tol):
-    """A fun returning one array is the one-group case: its build is bit for
-    bit the single-scale rule, whatever the shape of its value axes."""
+    """A build is bit for bit the single-scale rule, whatever the shape of
+    the value axes of its fun."""
     breaks, coeffs = _one_scale_build(fun, a, b, tol)
     pw = adaptive_pw(fun, a, b, tol)
     assert pw.breaks.tobytes() == breaks.tobytes()
@@ -110,9 +110,7 @@ def test_single_array_fun_keeps_one_running_scale(fun, a, b, tol):
     (lambda s: np.exp(37j * s), [0.0, 2.0, 3.5, 4.0], 1e-13),
     (lambda s: np.exp(np.outer(-s, [1.0, 2.0, 3.0])), [0.0, 1.0, 2.0, 3.0], 1e-13),
     (lambda s: 1.0 / (1e-6 + (s - 1.3) ** 2), [0.0, 1.0, 2.0], 1e-13),
-    (lambda s: (np.exp(s)[:, None] * [1.0, 2.0], 1e-8 * np.cos(60.0 * s)[:, None]),
-     [0.0, 0.5, 1.0], 1e-10),
-], ids=["oscillatory", "vector", "needle", "groups"])
+], ids=["oscillatory", "vector", "needle"])
 def test_intervals_build_as_each_interval_alone(fun, ends, tol):
     """A build over interval ends is, interval by interval, the build on that
     interval alone: the same breaks bit for bit, and coefficients within a
@@ -123,9 +121,8 @@ def test_intervals_build_as_each_interval_alone(fun, ends, tol):
     assert pw.breaks.tobytes() == want.tobytes()
     coeffs = np.concatenate([p.coeffs for p in parts])
     assert np.all(np.abs(pw.coeffs - coeffs) <= 8 * np.finfo(float).eps * np.max(np.abs(coeffs)))
-    if not isinstance(fun(np.zeros(1)), tuple):
-        one = [_one_scale_build(fun, a, b, tol) for a, b in zip(ends[:-1], ends[1:])]
-        assert np.concatenate([p[0][:-1] for p in one] + [one[-1][0][-1:]]).tobytes() == want.tobytes()
+    one = [_one_scale_build(fun, a, b, tol) for a, b in zip(ends[:-1], ends[1:])]
+    assert np.concatenate([p[0][:-1] for p in one] + [one[-1][0][-1:]]).tobytes() == want.tobytes()
 
 
 def test_each_interval_keeps_its_own_scale():
@@ -182,31 +179,6 @@ def test_panel_budget_is_per_interval(monkeypatch):
     with pytest.raises(QuadratureError, match=rf"exceeded {n - 1} panels on \[1\.0, 2\.0\]") as err:
         build()
     assert err.value.interval == 1
-
-
-def test_tuple_groups_resolve_to_their_own_scale():
-    """A fun returning a tuple of sample arrays gets one running scale per
-    array: a rough group 1e-8 the size of a smooth one is resolved to tol of
-    its own size, where one scale over both columns accepts it coarse."""
-    tol = 1e-10
-
-    def big(s):
-        return np.exp(s)[:, None] * np.array([1.0, 2.0])
-
-    def small(s):
-        return 1e-8 * np.cos(60.0 * s)[:, None]
-
-    pw = adaptive_pw(lambda s: (big(s), small(s)), 0.0, 1.0, tol)
-    assert pw.coeffs.shape[2:] == (3,)  # the groups' columns, concatenated
-    s = np.linspace(0.0, 1.0, 201)
-    assert np.max(np.abs(pw(s)[:, :2] - big(s))) <= 10 * tol * 2 * np.e
-    own = np.max(np.abs(pw(s)[:, 2] - small(s)[:, 0]))
-    assert own <= 10 * tol * 1e-8
-    assert abs(pw.antiderivative()(pw.breaks[-1])[2] - 1e-8 * np.sin(60.0) / 60.0) <= tol * 1e-8
-
-    one = adaptive_pw(lambda s: np.concatenate([big(s), small(s)], axis=1), 0.0, 1.0, tol)
-    assert len(one.breaks) < len(pw.breaks)
-    assert np.max(np.abs(one(s)[:, 2] - small(s)[:, 0])) > 100 * own
 
 
 def test_panel_budget(monkeypatch):
@@ -378,9 +350,10 @@ def test_panel_read_is_exact_on_the_product():
 
 
 def test_read_in_blocks_is_bitwise_one_gather():
-    """A read of a few thousand points spans many READ_BYTES blocks and equals
-    bit for bit both its reads in small blocks and one unbounded gather of
-    legvander rows (points outside the breaks included)."""
+    """A read of a few thousand points and a panel read of over a thousand
+    sub-panels each span many READ_BYTES blocks and equal bit for bit one
+    unbounded gather of legvander rows (points outside the breaks included);
+    the pointwise read also equals its reads in small blocks."""
     rng = np.random.default_rng(11)
     breaks = np.sort(rng.uniform(0.0, 10.0, 40))
     pw = PwPoly(breaks, rng.standard_normal((39, NPTS + 1, 27)) + 1j * rng.standard_normal((39, NPTS + 1, 27)))
@@ -393,6 +366,16 @@ def test_read_in_blocks_is_bitwise_one_gather():
     x = (2 * s - breaks[idx] - breaks[idx + 1]) / (breaks[idx + 1] - breaks[idx])
     one = (L.legvander(x, NPTS)[:, None, :] @ pw.coeffs[idx])[:, 0]
     assert full.tobytes() == one.tobytes()
+
+    # the panel read: every panel cut into 30 sub-panels, read in a random order
+    edges = np.linspace(breaks[:-1], breaks[1:], 31)
+    order = rng.permutation(edges[:-1].size)
+    lo, hi = edges[:-1].ravel()[order], edges[1:].ravel()[order]
+    assert lo.size * pw.coeffs[0].nbytes > 20 * READ_BYTES
+    idx = np.searchsorted(breaks, lo, side="right") - 1
+    s = NODES * ((hi - lo) / 2)[:, None] + ((hi + lo) / 2)[:, None]
+    x = (2 * s - breaks[idx, None] - breaks[idx + 1, None]) / (breaks[idx + 1] - breaks[idx])[:, None]
+    assert pw.gauss_values(lo, hi).tobytes() == (L.legvander(x, NPTS) @ pw.coeffs[idx]).tobytes()
 
 
 def test_pwpoly_shape_validation():
